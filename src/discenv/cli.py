@@ -105,7 +105,7 @@ def cmd_identity_check(args) -> int:
         disc = random_disc(rng, 3, degree)
         res = identity_check_eqH(ZeroWeight(), disc, None, grid, quad)
         res2 = identity_check_eqH(ZeroWeight(), disc, None, grid2, quad2)
-        riesz = riesz_residual(disc, grid, quad)
+        riesz = riesz_residual(disc, grid, quad, area_term=res["area_term"])
         rows.append({"index": i, "degree": degree,
                      "eqH_residual": res["residual"],
                      "eqH_residual_doubled": res2["residual"],
@@ -130,7 +130,7 @@ def _family_opt(args, x):
     fam = env.DiscFamilySpec(degree=args.degree, m=x.vec.size, center=x,
                              bound=args.bound, eta=args.eta)
     opt = env.OptimizerConfig(starts=args.starts, budget=args.budget,
-                              seed=args.seed, workers=args.workers)
+                              seed=args.seed)
     return fam, opt
 
 
@@ -267,7 +267,6 @@ def _add_opt(p):
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--bound", type=float, default=10.0)
     p.add_argument("--eta", type=float, default=1e-3)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,6 @@ from a library of known admissible candidate functions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,12 @@ class OptimizerConfig:
     budget: int = 2000
     seed: int = 7
     search_nodes: int = 256
-    workers: int = 1
+    workers: int = 1  # the restarts run in lock step in one process
+
+    def __post_init__(self):
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1, got {self.workers}: the "
+                              "restarts run in lock step in one process")
 
 
 @dataclass
@@ -74,7 +78,7 @@ class EnvelopeEstimate:
 
 @dataclass(frozen=True)
 class _ObjectiveSpec:
-    """Everything a restart worker needs; picklable."""
+    """Everything the search needs besides its starting points."""
 
     mode: str
     c0: np.ndarray
@@ -96,9 +100,11 @@ class _ObjectiveSpec:
 
 
 def _theta_to_coeffs(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
-    c = theta.reshape(spec.degree, 2 * spec.m)
-    cplx = c[:, : spec.m] + 1j * c[:, spec.m:]
-    return np.concatenate([spec.c0[None, :], cplx], axis=0)
+    """Parameters (..., dim) -> disc coefficients (..., degree+1, m)."""
+    c = theta.reshape(theta.shape[:-1] + (spec.degree, 2 * spec.m))
+    cplx = c[..., : spec.m] + 1j * c[..., spec.m:]
+    c0 = np.broadcast_to(spec.c0, theta.shape[:-1] + (1, spec.m))
+    return np.concatenate([c0, cplx], axis=-2)
 
 
 def _coeffs_to_theta(spec: _ObjectiveSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -109,66 +115,93 @@ def _coeffs_to_theta(spec: _ObjectiveSpec, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _clip_bound(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
-    c = theta.reshape(spec.degree, 2 * spec.m)
-    nrm = np.sqrt((c * c).sum(axis=1))
+    """Scale every coefficient of norm above the bound back onto it;
+    theta has shape (..., dim)."""
+    c = theta.reshape(theta.shape[:-1] + (spec.degree, 2 * spec.m))
+    nrm = np.sqrt((c * c).sum(axis=-1))
     over = nrm > spec.bound
     if np.any(over):
         c = c.copy()
         c[over] *= (spec.bound / nrm[over])[:, None]
-        return c.reshape(-1)
+        return c.reshape(theta.shape)
     return theta
 
 
-def _objective(spec: _ObjectiveSpec, theta: np.ndarray) -> float:
-    coeffs = _theta_to_coeffs(spec, theta)
-    pts = kernels.eval_poly(coeffs, spec.nodes)
-    lognorms = 0.5 * np.log(np.einsum("ij,ij->i", pts, pts.conj()).real)
-    if spec.mode == "omega":
-        value = float(np.mean(spec.weight.value_proj_many(pts) + lognorms))
-        # center is a unit vector, so -log|f(0)| = 0
-    else:
-        mags0 = np.abs(pts[:, 0])
-        if np.any(mags0 == 0):
-            return math.inf
-        charts = pts[:, 1:] / pts[:, :1]
-        interior = float(np.mean(np.log(mags0))) - math.log(abs(spec.c0[0]))
-        value = interior + float(np.mean(spec.weight.value_affine_many(charts)))
-    clear = np.clip(spec.domain.clearance_many(pts), -10.0, None)
-    pen = PENALTY_RHO * float(np.mean(np.square(
-        np.maximum(0.0, spec.eta_search - clear))))
-    inner = kernels.lognorm(coeffs, spec.interior_nodes)
-    min_ln = min(float(lognorms.min()), float(inner.min()))
-    floor_ln = math.log(ORIGIN_FLOOR)
-    if min_ln < floor_ln:
-        pen += 10.0 * (floor_ln - min_ln) ** 2
-    if not math.isfinite(value):
-        return math.inf
-    return value + pen
+def _eval_rows(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Values of R discs, coeffs (R, d+1, m), at the nodes as (R*N, m)
+    rows, disc by disc: one eval_poly call on the R coefficient sets
+    side by side, (d+1, R*m)."""
+    r, dp1, m = coeffs.shape
+    vals = kernels.eval_poly(coeffs.transpose(1, 0, 2).reshape(dp1, r * m), nodes)
+    return vals.reshape(len(nodes), r, m).transpose(1, 0, 2).reshape(-1, m)
 
 
-def _restart_job(args):
-    spec, theta0, seed, restart, budget = args
-    rng = np.random.default_rng([seed, restart, 17])
-    theta = _clip_bound(spec, np.asarray(theta0, dtype=float))
-    best = _objective(spec, theta)
-    sigma = 0.25
-    dim = spec.dim
-    evals = 1
-    while evals < budget:
-        if rng.uniform() < 0.5:
-            prop = theta + sigma * rng.standard_normal(dim) / math.sqrt(dim)
+def _lognorms(rows: np.ndarray) -> np.ndarray:
+    return 0.5 * np.log(np.einsum("ij,ij->i", rows, rows.conj()).real)
+
+
+def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
+    """Penalized functional of the discs thetas (R, dim), shape (R,).
+
+    A row is scored on its own: one whose f_0 vanishes at a node (sz mode)
+    or whose value is not finite scores inf and leaves the others alone.
+    """
+    r, n = thetas.shape[0], spec.nodes.size
+    coeffs = _theta_to_coeffs(spec, thetas)
+    pts = _eval_rows(coeffs, spec.nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lognorms = _lognorms(pts).reshape(r, n)
+        if spec.mode == "omega":
+            # center is a unit vector, so -log|f(0)| = 0
+            value = np.mean(spec.weight.value_proj_many(pts).reshape(r, n) +
+                            lognorms, axis=1)
         else:
-            prop = theta.copy()
-            prop[rng.integers(dim)] += sigma * rng.standard_normal()
+            mags0 = np.abs(pts[:, 0]).reshape(r, n)
+            charts = pts[:, 1:] / pts[:, :1]
+            interior = np.mean(np.log(mags0), axis=1) - math.log(abs(spec.c0[0]))
+            value = interior + np.mean(
+                spec.weight.value_affine_many(charts).reshape(r, n), axis=1)
+            value[np.any(mags0 == 0, axis=1)] = math.inf
+        clear = np.clip(spec.domain.clearance_many(pts), -10.0, None).reshape(r, n)
+        pen = PENALTY_RHO * np.mean(np.square(
+            np.maximum(0.0, spec.eta_search - clear)), axis=1)
+        inner = _lognorms(_eval_rows(coeffs, spec.interior_nodes)).reshape(r, -1)
+        min_ln = np.minimum(lognorms.min(axis=1), inner.min(axis=1))
+        floor_ln = math.log(ORIGIN_FLOOR)
+        for i in np.flatnonzero(min_ln < floor_ln):
+            pen[i] += 10.0 * (floor_ln - float(min_ln[i])) ** 2
+        return np.where(np.isfinite(value), value + pen, math.inf)
+
+
+def _search(spec: _ObjectiveSpec, theta0s, seed: int,
+            budget: int) -> np.ndarray:
+    """(1+1)-ES from each start, all restarts in lock step.
+
+    Restart r draws its proposals from its own stream
+    default_rng([seed, r, 17]), so its path does not depend on the other
+    restarts; one objective call scores the R proposals of a step.
+    Returns the final points, shape (R, dim).
+    """
+    dim = spec.dim
+    theta = _clip_bound(spec, np.array(theta0s, dtype=float).reshape(-1, dim))
+    rngs = [np.random.default_rng([seed, r, 17]) for r in range(len(theta))]
+    best = _objective(spec, theta)
+    sigma = np.full(len(theta), 0.25)
+    for _ in range(1, budget):
+        prop = theta.copy()
+        for r, rng in enumerate(rngs):
+            if rng.uniform() < 0.5:
+                prop[r] += sigma[r] * rng.standard_normal(dim) / math.sqrt(dim)
+            else:
+                prop[r, rng.integers(dim)] += sigma[r] * rng.standard_normal()
         prop = _clip_bound(spec, prop)
         f = _objective(spec, prop)
-        evals += 1
-        if f < best:
-            best, theta = f, prop
-            sigma = min(sigma * 1.4, 2.0)
-        else:
-            sigma = max(sigma * 0.98, 1e-10)
-    return restart, best, theta
+        better = f < best
+        best = np.where(better, f, best)
+        theta[better] = prop[better]
+        sigma = np.where(better, np.minimum(sigma * 1.4, 2.0),
+                         np.maximum(sigma * 0.98, 1e-10))
+    return theta
 
 
 def _interior_probe_nodes() -> np.ndarray:
@@ -223,15 +256,19 @@ def _constructed_seeds(spec: _ObjectiveSpec) -> list:
 def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
                      weight: Weight, eta: float,
                      grid: BoundaryGrid) -> tuple[float, bool]:
-    """Penalty-free functional value and feasibility of a witness disc."""
+    """Penalty-free functional value and feasibility of a witness disc.
+
+    The value of an infeasible disc is not computed: it is (inf, False).
+    """
     pts = kernels.eval_poly(disc.coeffs, grid.nodes)
     clear = domain.clearance_many(pts)
-    feasible = bool(np.all(clear >= eta)) and disc.min_norm_on_grid() >= disc.delta_min
+    if not (np.all(clear >= eta) and disc.min_norm_on_grid() >= disc.delta_min):
+        return math.inf, False
     if mode == "omega":
         value = omega_functional_lifted(LiftedWeight(weight), disc, grid).total
     else:
         value = sz_functional(weight, disc, None, grid, route="jensen").total
-    return value, feasible
+    return value, True
 
 
 def build_objective_spec(mode: str, x: ProjPoint, domain: Domain,
@@ -258,7 +295,7 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     seeds = _constructed_seeds(spec)
     if warm_theta is not None:
         seeds.insert(0, np.asarray(warm_theta, dtype=float))
-    jobs = []
+    theta0s = []
     rng_master = np.random.default_rng([opt.seed, 0xE1])
     for r in range(opt.starts):
         if r < len(seeds):
@@ -269,21 +306,18 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
             c = mags * (rng_master.standard_normal((spec.degree, spec.m)) +
                         1j * rng_master.standard_normal((spec.degree, spec.m)))
             theta0 = np.concatenate([c.real, c.imag], axis=1).reshape(-1)
-        jobs.append((spec, theta0, opt.seed, r, opt.budget))
-    if opt.workers > 1:
-        with ProcessPoolExecutor(max_workers=opt.workers) as pool:
-            results = list(pool.map(_restart_job, jobs))
-    else:
-        results = [_restart_job(j) for j in jobs]
-    results.sort(key=lambda t: t[0])
+        theta0s.append(theta0)
+    thetas = _search(spec, theta0s, opt.seed, opt.budget)
 
     witnesses = []
-    finals = []
-    for restart, _pen, theta in results:
+    trace = []
+    best_so_far = math.inf
+    for restart, theta in enumerate(thetas):
         disc = AnalyticDiscLift(_theta_to_coeffs(spec, theta))
         value, feasible = evaluate_witness(mode, disc, domain, weight,
                                            family.eta, final_grid)
-        finals.append((value if feasible else math.inf, restart))
+        best_so_far = min(best_so_far, value)
+        trace.append(best_so_far if math.isfinite(best_so_far) else None)
         if feasible:
             witnesses.append((value, restart, disc))
     # the undescended seeds are legitimate witnesses too; keeping them
@@ -295,12 +329,6 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
                                            family.eta, final_grid)
         if feasible:
             witnesses.append((value, opt.starts + i, disc))
-
-    trace = []
-    best_so_far = math.inf
-    for value, _r in finals:
-        best_so_far = min(best_so_far, value)
-        trace.append(best_so_far if math.isfinite(best_so_far) else None)
 
     settings = {
         "mode": mode, "degree": family.degree, "bound": family.bound,

@@ -97,8 +97,7 @@ def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
     grid = grid or BoundaryGrid()
     pts = _boundary_points(disc, grid)
     boundary = circle_mean(phi_tilde.value_many(pts))
-    center = disc.center if not isinstance(disc, CompositeDisc) else disc.center
-    interior = -math.log(float(np.linalg.norm(center)))
+    interior = -math.log(float(np.linalg.norm(disc.center)))
     return FunctionalValue(_combine(boundary, interior), boundary, interior,
                            "lifted", {"nodes": grid.n})
 
@@ -168,7 +167,11 @@ def sz_functional(phi: Weight, disc: AnalyticDiscLift,
 def identity_check_eqH(phi: Weight, disc, domain: Domain | None = None,
                        grid: BoundaryGrid | None = None,
                        quad: AreaQuadrature | None = None) -> dict:
-    """Residual |direct - lifted| of the lifting identity for one disc."""
+    """Residual |direct - lifted| of the lifting identity for one disc.
+
+    Also returns the disc's riesz_area_term on quad (the direct route's
+    interior term with its sign flipped), for riesz_residual.
+    """
     grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
     direct = omega_functional_direct(phi, disc, domain, grid, quad)
@@ -177,6 +180,7 @@ def identity_check_eqH(phi: Weight, disc, domain: Domain | None = None,
         "direct": direct.total,
         "lifted": lifted.total,
         "residual": abs(direct.total - lifted.total),
+        "area_term": -direct.interior_term,
         "nodes": grid.n,
         "n_r": quad.n_r,
         "n_theta": quad.n_theta,
@@ -184,12 +188,16 @@ def identity_check_eqH(phi: Weight, disc, domain: Domain | None = None,
 
 
 def riesz_residual(disc, grid: BoundaryGrid | None = None,
-                   quad: AreaQuadrature | None = None) -> float:
-    """|riesz_area_term - (log|f(0)| - mean log|f|)| for one disc."""
+                   quad: AreaQuadrature | None = None,
+                   area_term: float | None = None) -> float:
+    """|riesz_area_term - (log|f(0)| - mean log|f|)| for one disc.
+
+    area_term, if given, is the disc's riesz_area_term on quad, already
+    computed (identity_check_eqH returns it), and quad is not used.
+    """
     grid = grid or BoundaryGrid()
-    quad = quad or AreaQuadrature()
-    lhs = riesz_area_term(disc, quad)
-    center = disc.center
-    rhs = math.log(float(np.linalg.norm(center))) - circle_mean(
+    if area_term is None:
+        area_term = riesz_area_term(disc, quad or AreaQuadrature())
+    rhs = math.log(float(np.linalg.norm(disc.center))) - circle_mean(
         boundary_lognorms(disc, grid))
-    return abs(lhs - rhs)
+    return abs(area_term - rhs)

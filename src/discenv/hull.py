@@ -149,10 +149,8 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
         return HullCertificate(x, lam, eps, delta, disc, 0.0, settings)
     est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
     if est.upper is not None and est.upper < lam + eps:
-        cert = HullCertificate(x, lam, eps, delta, est.witness, est.upper,
+        return HullCertificate(x, lam, eps, delta, est.witness, est.upper,
                                settings)
-        cert.settings["pool"] = None
-        return cert
     return {"certified": False, "best_value": est.upper,
             "statement": "condition (B) not certified at this search budget; "
                          "this does not witness exclusion from the hull",

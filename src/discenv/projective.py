@@ -194,6 +194,11 @@ class FsBall(Domain):
                 "radius": self.radius}
 
 
+# rows per block of Tube.clearance_many's inner products: the size of the
+# default final grid
+_TUBE_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class Tube(Domain):
     """FS tube of radius delta around a finite sample cloud K."""
@@ -208,11 +213,16 @@ class Tube(Domain):
         object.__setattr__(self, "_mat", mat)
 
     def clearance_many(self, z_rows):
-        ip = np.abs(z_rows @ self._mat.conj().T)  # (N, K)
-        nrm = np.linalg.norm(z_rows, axis=1)[:, None]
+        # arccos is decreasing, so the distance to the nearest sample is
+        # the arccos of the largest |cos|; the (rows, K) inner products are
+        # formed a block of rows at a time to bound their memory
+        mat_h = self._mat.conj().T
+        ip = np.empty(z_rows.shape[0])
+        for i in range(0, z_rows.shape[0], _TUBE_BLOCK):
+            ip[i:i + _TUBE_BLOCK] = np.abs(z_rows[i:i + _TUBE_BLOCK] @ mat_h).max(axis=1)
+        nrm = np.linalg.norm(z_rows, axis=1)
         cosang = np.clip(ip / np.where(nrm == 0, 1.0, nrm), 0.0, 1.0)
-        d = np.arccos(cosang).min(axis=1)
-        return self.delta - d
+        return self.delta - np.arccos(cosang)
 
     def dist_lb(self, w):
         w = np.asarray(w, dtype=np.complex128).reshape(-1)

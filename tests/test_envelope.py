@@ -7,10 +7,12 @@ import pytest
 
 from discenv.discs import BoundaryGrid
 from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
-                              OptimizerConfig, envelope_grid,
+                              OptimizerConfig, _objective,
+                              build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
+from discenv.errors import ConfigError
 from discenv.projective import (AffineBall, ConstantWeight, FsBall, ProjPoint,
-                                ZeroWeight, affine_lift)
+                                Tube, ZeroWeight, affine_lift)
 
 SMALL = OptimizerConfig(starts=6, budget=300, seed=3, search_nodes=128)
 
@@ -166,3 +168,54 @@ def test_degree_monotonicity_warm_start():
     est5 = minimize("omega", x, dom, ZeroWeight(), fam5, SMALL,
                     warm_theta=warm)
     assert est5.upper <= est3.upper + 1e-9
+
+
+def _objective_cases():
+    circle = tuple(ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 16)]))
+                   for k in range(16))
+    centre = ProjPoint(np.array([1.0, 0.0]))
+    return [
+        ("omega", centre, Tube(circle, 0.05)),
+        ("omega", ProjPoint(np.array([1.0, 0.2])), FsBall(centre, 0.5)),
+        ("sz", ProjPoint(affine_lift(np.array([0.3 - 0.2j]))),
+         AffineBall(np.zeros(1, dtype=complex), 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("mode,x,dom", _objective_cases(),
+                         ids=["omega-tube", "omega-fsball", "sz-affineball"])
+def test_batched_objective_matches_single_rows(mode, x, dom):
+    fam = DiscFamilySpec(degree=3, m=2, center=x)
+    # 6 x 256 search nodes put 1536 rows through the domain's clearance
+    spec = build_objective_spec(mode, x, dom, ZeroWeight(), fam,
+                                OptimizerConfig(search_nodes=256))
+    rng = np.random.default_rng(11)
+    thetas = 0.3 * rng.standard_normal((6, spec.dim))
+    # f(1) = 0 for omega, f_0(1) = 0 for sz (t = 1 is a search node)
+    thetas[2] = 0.0
+    thetas[2, :2] = -x.vec.real
+    thetas[2, 2:4] = -x.vec.imag
+    if mode == "sz":
+        thetas[2, 1] = thetas[2, 3] = 0.5
+    batched = _objective(spec, thetas)
+    single = np.concatenate([_objective(spec, t[None, :]) for t in thetas])
+    assert batched.shape == (6,)
+    assert batched[2] == math.inf
+    assert np.isfinite(np.delete(batched, 2)).all()
+    assert batched.tobytes() == single.tobytes()
+
+
+def test_restarts_independent_of_their_number():
+    x = ProjPoint(np.array([1.0, 0.45]))
+    dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4)
+    fam = DiscFamilySpec(degree=3, m=2, center=x)
+    few = minimize("omega", x, dom, ZeroWeight(), fam,
+                   OptimizerConfig(starts=3, budget=150, seed=4, search_nodes=64))
+    more = minimize("omega", x, dom, ZeroWeight(), fam,
+                    OptimizerConfig(starts=6, budget=150, seed=4, search_nodes=64))
+    assert few.trace == more.trace[:3]
+
+
+def test_workers_other_than_one_rejected():
+    with pytest.raises(ConfigError):
+        OptimizerConfig(workers=2)

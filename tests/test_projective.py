@@ -222,3 +222,24 @@ def test_lifted_weight_domain_check():
     phi = LiftedWeight(ZeroWeight(), ball)
     with pytest.raises(DomainError):
         phi.value(np.array([0.0, 1.0]))
+
+
+def test_tube_clearance_blocks_match_pairwise_reference():
+    # more rows than one block of the inner products, a zero row among them
+    rng = np.random.default_rng(12)
+    tube = Tube(tuple(project(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                      for _ in range(40)), 0.2)
+    z = rng.standard_normal((2500, 3)) + 1j * rng.standard_normal((2500, 3))
+    near = np.stack([p.vec for p in tube.samples])[rng.integers(0, 40, 500)]
+    z[:500] = 3.0 * near + 0.05 * z[:500]
+    z[1500] = 0.0
+    clear = tube.clearance_many(z)
+    ref = np.empty(len(z))
+    for i, row in enumerate(z):
+        nrm = np.linalg.norm(row)
+        ref[i] = tube.delta - min(
+            math.acos(min(abs(np.vdot(p.vec, row)) / nrm, 1.0)) if nrm else math.pi / 2
+            for p in tube.samples)
+    assert clear[1500] == tube.delta - math.pi / 2
+    assert np.any(clear > 0) and np.any(clear < 0)
+    np.testing.assert_allclose(clear, ref, rtol=0, atol=1e-12)
