@@ -1,6 +1,9 @@
 """Timing comparison of the compiled kernel extension vs the numpy
 fallback on the three hot kernels (polynomial evaluation, log-norm,
-Fubini-Study pullback density).
+Fubini-Study pullback density), and timings of Tube.clearance_many at the
+sizes of a hull_test on the 64-point circle (one lock-step objective call
+over 20 restarts x 256 search nodes, and one 1024-node final grid),
+checked against a pairwise atan2 FS-distance reference.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -11,6 +14,11 @@ import sys
 import time
 
 import numpy as np
+
+from discenv.projective import ProjPoint, Tube
+
+# (rows, samples): the hull_test sizes on the 64-point circle in P^1
+TUBE_SIZES = ((5120, 64), (1024, 64))
 
 
 def load_backends():
@@ -70,7 +78,36 @@ def main() -> int:
     assert np.allclose(da, db, rtol=1e-9, atol=1e-12)
     assert np.allclose(sa, sb, rtol=1e-12)
     print("backend agreement OK")
+    bench_tube(rng, args.repeats)
     return 0
+
+
+def tube_reference(z: np.ndarray, samples: np.ndarray, delta: float) -> np.ndarray:
+    """delta minus the FS distance (atan2 form) from each row of z to the
+    nearest unit row of samples, one pair at a time."""
+    out = np.empty(len(z))
+    for i, row in enumerate(z):
+        ip = samples.conj() @ row
+        perp = np.linalg.norm(row[None, :] - ip[:, None] * samples, axis=1)
+        out[i] = delta - np.arctan2(perp, np.abs(ip)).min()
+    return out
+
+
+def bench_tube(rng, repeats: int) -> None:
+    print(f"{'Tube.clearance_many':<24} {'time':>12}")
+    for rows, k in TUBE_SIZES:
+        th = 2.0 * np.pi * np.arange(k) / k
+        tube = Tube(tuple(ProjPoint(np.array([1.0, np.exp(1j * t)])) for t in th),
+                    0.05)
+        z = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+        t = bench(tube.clearance_many, (z,), repeats)
+        print(f"{f'{rows} x {k}, m=2':<24} {t * 1e6:>10.1f}us")
+        if rows == 1024:
+            samples = np.stack([p.vec for p in tube.samples])
+            assert np.allclose(tube.clearance_many(z),
+                               tube_reference(z, samples, tube.delta),
+                               rtol=0, atol=1e-12), "tube clearance"
+    print("tube clearance agrees with the pairwise reference")
 
 
 if __name__ == "__main__":

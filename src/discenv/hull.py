@@ -4,6 +4,7 @@ between the two disc characterizations of the hull.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,8 @@ from .errors import InfeasibleDiscError, NumericalError
 from .functionals import omega_functional_direct, omega_functional_lifted
 from .projective import (Domain, LiftedWeight, ProjPoint, Tube, ZeroWeight,
                          fs_distance, lift)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,7 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
     if not K.connected:
-        import sys
-        print("warning: hull test assumes a connected compact set",
-              file=sys.stderr)
+        log.warning("hull test assumes a connected compact set")
     family = (family or DiscFamilySpec(m=x.vec.size)).with_center(x)
     opt = opt or OptimizerConfig()
     final_grid = final_grid or BoundaryGrid()

@@ -194,8 +194,8 @@ class FsBall(Domain):
                 "radius": self.radius}
 
 
-# rows per block of Tube.clearance_many's inner products: the size of the
-# default final grid
+# rows per block of Tube.clearance_many's products: the size of the default
+# final grid
 _TUBE_BLOCK = 1024
 
 
@@ -206,23 +206,46 @@ class Tube(Domain):
     samples: tuple
     delta: float
     _mat: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairs: tuple = field(init=False, repr=False, compare=False)
+    _gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.stack([p.vec for p in self.samples])
         mat.setflags(write=False)
         object.__setattr__(self, "_mat", mat)
+        object.__setattr__(self, "_pairs", np.triu_indices(mat.shape[1], 1))
+        # |<z, s_k>|^2 = gram[k] . F(z) with the features F of _features:
+        # the weights are |s_k,i|^2, then 2 Re and -2 Im of conj(s_k,i) s_k,j
+        i, j = self._pairs
+        cross = mat[:, i].conj() * mat[:, j]
+        gram = np.concatenate([mat.real ** 2 + mat.imag ** 2,
+                               2.0 * cross.real, -2.0 * cross.imag], axis=1)
+        gram.setflags(write=False)
+        object.__setattr__(self, "_gram", gram)
+
+    def _features(self, z_rows):
+        """Real features F(z), one column per row of z, shape ((n+1)^2, rows):
+        |z_i|^2, then Re and Im of z_i conj(z_j) for i < j."""
+        zt = np.ascontiguousarray(z_rows.T)
+        i, j = self._pairs
+        cross = zt[i] * zt[j].conj()
+        return np.concatenate([zt.real ** 2 + zt.imag ** 2, cross.real, cross.imag])
 
     def clearance_many(self, z_rows):
-        # arccos is decreasing, so the distance to the nearest sample is
-        # the arccos of the largest |cos|; the (rows, K) inner products are
-        # formed a block of rows at a time to bound their memory
-        mat_h = self._mat.conj().T
-        ip = np.empty(z_rows.shape[0])
+        # arccos is decreasing, so the distance to the nearest sample is the
+        # arccos of the largest |cos|.  For a block of rows, the squared
+        # moduli of the (K, block) inner products are one real product of
+        # gram with the rows' features, whose max runs down the columns;
+        # each point then costs one sqrt and one arccos.  The error in a
+        # distance d is about eps / sin 2d, small wherever d is near delta.
+        m = z_rows.shape[1]
+        cos2 = np.empty(z_rows.shape[0])
         for i in range(0, z_rows.shape[0], _TUBE_BLOCK):
-            ip[i:i + _TUBE_BLOCK] = np.abs(z_rows[i:i + _TUBE_BLOCK] @ mat_h).max(axis=1)
-        nrm = np.linalg.norm(z_rows, axis=1)
-        cosang = np.clip(ip / np.where(nrm == 0, 1.0, nrm), 0.0, 1.0)
-        return self.delta - np.arccos(cosang)
+            feats = self._features(z_rows[i:i + _TUBE_BLOCK])
+            sq_norm = feats[:m].sum(axis=0)
+            sq_norm[sq_norm == 0] = 1.0
+            cos2[i:i + _TUBE_BLOCK] = (self._gram @ feats).max(axis=0) / sq_norm
+        return self.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
 
     def dist_lb(self, w):
         w = np.asarray(w, dtype=np.complex128).reshape(-1)

@@ -7,7 +7,7 @@ import pytest
 
 from discenv.discs import BoundaryGrid
 from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
-                              OptimizerConfig, _objective,
+                              OptimizerConfig, _objective, _search,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
 from discenv.errors import ConfigError
@@ -205,15 +205,36 @@ def test_batched_objective_matches_single_rows(mode, x, dom):
     assert batched.tobytes() == single.tobytes()
 
 
-def test_restarts_independent_of_their_number():
-    x = ProjPoint(np.array([1.0, 0.45]))
-    dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4)
+def _independence_cases():
+    circle = tuple(ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
+                   for k in range(64))
+    return [
+        # 3 or 6 restarts x 64 nodes: the clearance sees 192 or 384 rows
+        (ProjPoint(np.array([1.0, 0.45])),
+         FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4), 64),
+        # 3 or 6 restarts x 400 nodes: 1200 or 2400 rows, so the first
+        # three restarts share a second block of 176 or of 1024 rows
+        (ProjPoint(np.array([1.0, 0.0])), Tube(circle, 0.1), 400),
+    ]
+
+
+@pytest.mark.parametrize("x,dom,nodes", _independence_cases(),
+                         ids=["fsball", "tube"])
+def test_restarts_independent_of_their_number(x, dom, nodes):
     fam = DiscFamilySpec(degree=3, m=2, center=x)
     few = minimize("omega", x, dom, ZeroWeight(), fam,
-                   OptimizerConfig(starts=3, budget=150, seed=4, search_nodes=64))
+                   OptimizerConfig(starts=3, budget=150, seed=4, search_nodes=nodes))
     more = minimize("omega", x, dom, ZeroWeight(), fam,
-                    OptimizerConfig(starts=6, budget=150, seed=4, search_nodes=64))
+                    OptimizerConfig(starts=6, budget=150, seed=4, search_nodes=nodes))
+    assert few.trace[-1] is not None
     assert few.trace == more.trace[:3]
+    # the trace keeps only the best value so far; the final search points
+    # of each of the first three restarts match as well
+    spec = build_objective_spec("omega", x, dom, ZeroWeight(), fam,
+                                OptimizerConfig(search_nodes=nodes))
+    theta0s = 0.3 * np.random.default_rng(5).standard_normal((6, spec.dim))
+    assert (_search(spec, theta0s[:3], 4, 150).tobytes() ==
+            _search(spec, theta0s, 4, 150)[:3].tobytes())
 
 
 def test_workers_other_than_one_rejected():

@@ -1,4 +1,5 @@
 """Hull certificates, conversions, schedules, and boundary normalization."""
+import logging
 import math
 
 import numpy as np
@@ -64,6 +65,19 @@ def test_hull_point_on_K_constant_disc():
     assert isinstance(cert, HullCertificate)
     assert cert.value == 0.0
     assert cert.witness.degree == 0
+
+
+def test_hull_warns_on_disconnected_set(caplog):
+    K = CompactSetSpec(circle_set().samples, connected=False)
+    with caplog.at_level(logging.WARNING, logger="discenv.hull"):
+        hull_test(K.samples[0], K, 1.0, 0.01, 0.05)
+    assert [(r.name, r.levelno) for r in caplog.records] == \
+        [("discenv.hull", logging.WARNING)]
+    assert "connected" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="discenv.hull"):
+        hull_test(K.samples[0], circle_set(), 1.0, 0.01, 0.05)
+    assert not caplog.records
 
 
 def test_hull_circle_case():

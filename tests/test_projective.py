@@ -224,15 +224,39 @@ def test_lifted_weight_domain_check():
         phi.value(np.array([0.0, 1.0]))
 
 
-def test_tube_clearance_blocks_match_pairwise_reference():
-    # more rows than one block of the inner products, a zero row among them
+def _circle_samples(rng):
+    # the 64-point circle {[1 : e^{it}]} of the hull benchmark
+    return tuple(project(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
+                 for k in range(64))
+
+
+def _cloud_samples(rng):
+    return tuple(project(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                 for _ in range(40))
+
+
+@pytest.mark.parametrize("make_samples,delta",
+                         [(_circle_samples, 0.05), (_cloud_samples, 0.2)],
+                         ids=["circle-m2", "cloud-m3"])
+def test_tube_clearance_blocks_match_pairwise_reference(make_samples, delta):
+    # more rows than two blocks of the products: rows near samples, a zero
+    # row, and a band of rows at FS distance delta +- 1e-3 from a sample
     rng = np.random.default_rng(12)
-    tube = Tube(tuple(project(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-                      for _ in range(40)), 0.2)
-    z = rng.standard_normal((2500, 3)) + 1j * rng.standard_normal((2500, 3))
-    near = np.stack([p.vec for p in tube.samples])[rng.integers(0, 40, 500)]
+    tube = Tube(make_samples(rng), delta)
+    mat = np.stack([p.vec for p in tube.samples])
+    k, m = mat.shape
+    z = rng.standard_normal((2500, m)) + 1j * rng.standard_normal((2500, m))
+    near = mat[rng.integers(0, k, 500)]
     z[:500] = 3.0 * near + 0.05 * z[:500]
     z[1500] = 0.0
+    s = mat[rng.integers(0, k, 500)]
+    u = rng.standard_normal((500, m)) + 1j * rng.standard_normal((500, m))
+    u -= np.sum(s.conj() * u, axis=1)[:, None] * s
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    d = delta + rng.uniform(-1e-3, 1e-3, 500)
+    scale = rng.uniform(0.5, 2.0, 500) * np.exp(2j * np.pi * rng.uniform(size=500))
+    band = scale[:, None] * (np.cos(d)[:, None] * s + np.sin(d)[:, None] * u)
+    z = np.concatenate([z, band])
     clear = tube.clearance_many(z)
     ref = np.empty(len(z))
     for i, row in enumerate(z):
@@ -242,4 +266,6 @@ def test_tube_clearance_blocks_match_pairwise_reference():
             for p in tube.samples)
     assert clear[1500] == tube.delta - math.pi / 2
     assert np.any(clear > 0) and np.any(clear < 0)
+    # the band's nearest sample is at most delta + 1e-3 away
+    assert np.all(clear[2500:] >= -1e-3 - 1e-12) and np.any(clear[2500:] < 0)
     np.testing.assert_allclose(clear, ref, rtol=0, atol=1e-12)
