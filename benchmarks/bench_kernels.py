@@ -1,9 +1,12 @@
 """Timing comparison of the compiled kernel extension vs the numpy
 fallback on the three hot kernels (polynomial evaluation, log-norm,
-Fubini-Study pullback density), and timings of Tube.clearance_many at the
+Fubini-Study pullback density), timings of Tube.clearance_many at the
 sizes of a hull_test on the 64-point circle (one lock-step objective call
 over 20 restarts x 256 search nodes, and one 1024-node final grid),
-checked against a pairwise atan2 FS-distance reference.
+checked against a pairwise atan2 FS-distance reference, and timings of
+riesz_area_term on the default and doubled area quadratures (degree 6,
+m = 3) against the pointwise kernels.fs_density route over the flat
+node list, checked to agree to 1e-13.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -15,10 +18,13 @@ import time
 
 import numpy as np
 
+from discenv.discs import AnalyticDiscLift, AreaQuadrature, riesz_area_term
 from discenv.projective import ProjPoint, Tube
 
 # (rows, samples): the hull_test sizes on the 64-point circle in P^1
 TUBE_SIZES = ((5120, 64), (1024, 64))
+# (n_r, n_theta): identity-check's default and doubled area quadratures
+AREA_SIZES = ((256, 512), (512, 1024))
 
 
 def load_backends():
@@ -79,6 +85,7 @@ def main() -> int:
     assert np.allclose(sa, sb, rtol=1e-12)
     print("backend agreement OK")
     bench_tube(rng, args.repeats)
+    bench_riesz(fast, rng, min(args.repeats, 10))
     return 0
 
 
@@ -108,6 +115,28 @@ def bench_tube(rng, repeats: int) -> None:
                                tube_reference(z, samples, tube.delta),
                                rtol=0, atol=1e-12), "tube clearance"
     print("tube clearance agrees with the pairwise reference")
+
+
+def bench_riesz(kern, rng, repeats: int) -> None:
+    coeffs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    coeffs[0] += 3.0  # keeps |f| away from 0 on the disc
+    disc = AnalyticDiscLift(coeffs)
+
+    def pointwise(quad):
+        dens, _sq = kern.fs_density(disc.coeffs, quad.nodes)
+        return quad.integral(quad.log_r * dens) / (2.0 * np.pi)
+
+    print(f"{'riesz_area_term, d=6 m=3':<24} {'tensor':>12} {'pointwise':>12} "
+          f"{'speedup':>9}")
+    for n_r, n_theta in AREA_SIZES:
+        quad = AreaQuadrature(n_r, n_theta)
+        tt = bench(riesz_area_term, (disc, quad), repeats)
+        tp = bench(pointwise, (quad,), repeats)
+        print(f"{f'{n_r} x {n_theta}':<24} {tt * 1e3:>10.2f}ms "
+              f"{tp * 1e3:>10.2f}ms {tp / tt:>8.2f}x")
+        diff = abs(riesz_area_term(disc, quad) - pointwise(quad))
+        assert diff <= 1e-13, f"riesz_area_term differs by {diff:.2e}"
+    print("riesz_area_term agrees with the pointwise route")
 
 
 if __name__ == "__main__":

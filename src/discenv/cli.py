@@ -58,8 +58,12 @@ def _load_point(path: str) -> ProjPoint:
 def _write_artifact(path: str, config: dict, result, progress: str = ""):
     doc = {"schema_version": SCHEMA_VERSION, "config": config,
            "result": result}
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:  # a NaN or an unencoded inf
+        raise NumericalError(f"artifact is not strict JSON: {e}") from e
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
     if progress:
         print(progress, file=sys.stderr)

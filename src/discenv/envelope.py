@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels
 from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES
 from .errors import ConfigError, DomainError
-from .functionals import omega_functional_lifted, sz_functional
+from .functionals import encode_float, omega_functional_lifted, sz_functional
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
                          Tube, Weight, chart)
 
@@ -65,11 +65,11 @@ class EnvelopeEstimate:
 
     def to_json(self) -> dict:
         return {
-            "upper": self.upper,
+            "upper": encode_float(self.upper),
             "witness": self.witness.to_json() if self.witness else None,
-            "lower": self.lower,
+            "lower": encode_float(self.lower),
             "lower_candidate": self.lower_candidate,
-            "gap": self.gap,
+            "gap": encode_float(self.gap),
             "trace": self.trace,
             "settings": self.settings,
             "feasible": self.feasible,

@@ -21,6 +21,15 @@ from .projective import Domain, LiftedWeight, Weight
 SZ_JENSEN_NODES = 65536
 
 
+def encode_float(x):
+    """x for a strict-JSON artifact: +-inf as the strings "inf"/"-inf"."""
+    if x == math.inf:
+        return "inf"
+    if x == -math.inf:
+        return "-inf"
+    return x
+
+
 @dataclass
 class FunctionalValue:
     total: float
@@ -30,13 +39,7 @@ class FunctionalValue:
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        def enc(x):
-            if x == math.inf:
-                return "inf"
-            if x == -math.inf:
-                return "-inf"
-            return x
-
+        enc = encode_float
         return {"total": enc(self.total), "boundary_term": enc(self.boundary_term),
                 "interior_term": enc(self.interior_term), "route": self.route,
                 "meta": self.meta}

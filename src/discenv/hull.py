@@ -17,7 +17,7 @@ from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
 from .envelope import (CandidateLibrary, DiscFamilySpec, OptimizerConfig,
                        evaluate_witness, minimize)
 from .errors import InfeasibleDiscError, NumericalError
-from .functionals import omega_functional_direct, omega_functional_lifted
+from .functionals import omega_functional_lifted
 from .projective import (Domain, LiftedWeight, ProjPoint, Tube, ZeroWeight,
                          fs_distance, lift)
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from discenv.cli import main
+from discenv.cli import _write_artifact, main
+from discenv.errors import NumericalError
 
 
 def write(path, obj):
@@ -211,3 +212,13 @@ def test_infeasible_exit_2(files):
                "--weight", files["zero"], "--domain", dom,
                "--route", "direct", "--out", str(files["tmp"] / "o.json")])
     assert rc == 2
+
+
+def test_artifact_rejects_non_finite_floats(tmp_path):
+    path = tmp_path / "a.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NumericalError):
+            _write_artifact(str(path), {}, {"total": bad})
+        assert not path.exists()
+    _write_artifact(str(path), {}, {"total": "-inf"})
+    assert read_artifact(path)["result"] == {"total": "-inf"}

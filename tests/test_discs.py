@@ -209,6 +209,69 @@ def test_riesz_identity_random():
         assert riesz_area_term(d) == pytest.approx(rhs, abs=1e-6)
 
 
+def _riesz_pointwise(disc, quad):
+    """riesz_area_term through the flat node list, one density per node."""
+    return quad.integral(quad.log_r * fs_pullback_density(disc, quad.nodes)) / (
+        2.0 * math.pi)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_riesz_tensor_grid_matches_pointwise(m):
+    rng = np.random.default_rng(40 + m)
+    quad = AreaQuadrature(48, 96)
+    for degree in range(9):
+        d = random_disc(rng, m, degree)
+        assert riesz_area_term(d, quad) == pytest.approx(
+            _riesz_pointwise(d, quad), rel=0, abs=1e-13)
+
+
+def test_riesz_tensor_grid_matches_pointwise_composite():
+    rng = np.random.default_rng(43)
+    quad = AreaQuadrature(48, 96)
+    comp = CompositeDisc(random_disc(rng, 3, 4),
+                         np.array([0.3, 0.2 - 0.1j, 0.05j]))
+    assert riesz_area_term(comp, quad) == pytest.approx(
+        _riesz_pointwise(comp, quad), rel=0, abs=1e-13)
+    assert riesz_area_term(comp, quad) == riesz_area_term(comp.base, quad)
+
+
+def test_riesz_origin_at_quadrature_node():
+    quad = AreaQuadrature(16, 32)
+    t0 = quad.nodes[5 * quad.n_theta + 7]
+    d = AnalyticDiscLift(np.array([[-t0, 0.0], [1.0, 0.0]], dtype=complex))
+    with pytest.raises(OriginViolation):
+        riesz_area_term(d, quad)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(8, 16), (33, 70), (256, 512)])
+def test_area_quadrature_flat_arrays_bitwise(n_r, n_theta):
+    # the eager construction the flat arrays used to come from
+    xs, ws = np.polynomial.legendre.leggauss(n_r)
+    s = 0.5 * (xs + 1.0)
+    ws = 0.5 * ws
+    r = s ** 3
+    wr = ws * 3.0 * s ** 2 * r
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    wt = 2.0 * np.pi / n_theta
+    q = AreaQuadrature(n_r, n_theta)
+    for got, want in ((q.nodes, (r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)),
+                      (q.weights, np.repeat(wr * wt, n_theta)),
+                      (q.log_r, np.repeat(np.log(r), n_theta))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert q.nodes is q.nodes
+
+
+def test_area_quadrature_equality_and_hash():
+    a, b = AreaQuadrature(32, 64), AreaQuadrature(32, 64)
+    assert a == b and hash(a) == hash(b)
+    assert a != AreaQuadrature(32, 65)
+    assert {a: 1}[b] == 1
+    a.nodes  # building the lazy arrays changes neither
+    assert a == b and hash(a) == hash(b)
+
+
 # ---------------------------------------------------------------------------
 # roots
 

@@ -7,7 +7,7 @@ import pytest
 
 from discenv.discs import BoundaryGrid
 from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
-                              OptimizerConfig, _objective, _search,
+                              EnvelopeEstimate, OptimizerConfig, _objective, _search,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
 from discenv.errors import ConfigError
@@ -240,3 +240,13 @@ def test_restarts_independent_of_their_number(x, dom, nodes):
 def test_workers_other_than_one_rejected():
     with pytest.raises(ConfigError):
         OptimizerConfig(workers=2)
+
+
+def test_estimate_json_encodes_infinite_bounds():
+    # every candidate excluded: lower bound -inf
+    est = EnvelopeEstimate(None, None, -math.inf, None, None, [None], {}, False)
+    doc = json.loads(json.dumps(est.to_json(), allow_nan=False))
+    assert doc["lower"] == "-inf" and doc["upper"] is None
+    est = EnvelopeEstimate(0.25, None, 0.125, "constant", 0.125, [0.25], {}, True)
+    doc = json.loads(json.dumps(est.to_json(), allow_nan=False))
+    assert (doc["upper"], doc["lower"], doc["gap"]) == (0.25, 0.125, 0.125)
