@@ -6,7 +6,11 @@ over 20 restarts x 256 search nodes, and one 1024-node final grid),
 checked against a pairwise atan2 FS-distance reference, and timings of
 riesz_area_term on the default and doubled area quadratures (degree 6,
 m = 3) against the pointwise kernels.fs_density route over the flat
-node list, checked to agree to 1e-13.
+node list, checked to agree to 1e-13, and the sz-mode search path of a
+minimize on the unit ball: AffineBall.clearance_many at 5120 rows (20
+restarts x 256 search nodes) in C and C^2, checked against a per-row
+reference, one lock-step _objective call over 20 restarts x 256 nodes,
+and the 65536-node sz_interior_jensen of one witness.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -18,13 +22,20 @@ import time
 
 import numpy as np
 
-from discenv.discs import AnalyticDiscLift, AreaQuadrature, riesz_area_term
-from discenv.projective import ProjPoint, Tube
+from discenv.discs import (AnalyticDiscLift, AreaQuadrature, random_disc,
+                           riesz_area_term)
+from discenv.envelope import (DiscFamilySpec, OptimizerConfig, _objective,
+                              build_objective_spec)
+from discenv.functionals import sz_interior_jensen
+from discenv.projective import (AffineBall, ProjPoint, Tube, ZeroWeight,
+                                affine_lift)
 
 # (rows, samples): the hull_test sizes on the 64-point circle in P^1
 TUBE_SIZES = ((5120, 64), (1024, 64))
 # (n_r, n_theta): identity-check's default and doubled area quadratures
 AREA_SIZES = ((256, 512), (512, 1024))
+# restarts x search nodes of one lock-step sz objective call
+SZ_RESTARTS, SZ_NODES = 20, 256
 
 
 def load_backends():
@@ -86,6 +97,7 @@ def main() -> int:
     print("backend agreement OK")
     bench_tube(rng, args.repeats)
     bench_riesz(fast, rng, min(args.repeats, 10))
+    bench_sz(rng, args.repeats)
     return 0
 
 
@@ -137,6 +149,37 @@ def bench_riesz(kern, rng, repeats: int) -> None:
         diff = abs(riesz_area_term(disc, quad) - pointwise(quad))
         assert diff <= 1e-13, f"riesz_area_term differs by {diff:.2e}"
     print("riesz_area_term agrees with the pointwise route")
+
+
+def affine_ball_reference(ball: AffineBall, z: np.ndarray) -> np.ndarray:
+    """R - |z_*/z_0 - c|, one row at a time."""
+    return np.array([ball.radius - np.linalg.norm(row[1:] / row[0] - ball.center)
+                     for row in z])
+
+
+def bench_sz(rng, repeats: int) -> None:
+    rows = SZ_RESTARTS * SZ_NODES
+    print(f"{'sz search path':<24} {'time':>12}")
+    for m in (2, 3):
+        ball = AffineBall(np.zeros(m - 1, dtype=complex), 1.0)
+        z = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+        t = bench(ball.clearance_many, (z,), repeats)
+        print(f"{f'AffineBall {rows}, m={m}':<24} {t * 1e6:>10.1f}us")
+        assert np.allclose(ball.clearance_many(z), affine_ball_reference(ball, z),
+                           rtol=1e-13, atol=1e-13), "affine ball clearance"
+
+        x = ProjPoint(affine_lift(np.full(m - 1, 0.3 - 0.2j)))
+        spec = build_objective_spec(
+            "sz", x, ball, ZeroWeight(), DiscFamilySpec(degree=6, m=m, center=x),
+            OptimizerConfig(search_nodes=SZ_NODES))
+        thetas = 0.3 * rng.standard_normal((SZ_RESTARTS, spec.dim))
+        t = bench(_objective, (spec, thetas), repeats)
+        print(f"{f'_objective {SZ_RESTARTS}x{SZ_NODES}, m={m}':<24} "
+              f"{t * 1e6:>10.1f}us")
+    print("affine ball clearance agrees with the per-row reference")
+    disc = random_disc(rng, 3, 6)
+    t = bench(sz_interior_jensen, (disc,), min(repeats, 20))
+    print(f"{'sz_interior_jensen':<24} {t * 1e3:>10.2f}ms")
 
 
 if __name__ == "__main__":

@@ -363,6 +363,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as e:
+        # a ValueError subclass, but a numerical failure, not a bad input
+        print(f"numerical error: {e}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -191,12 +191,8 @@ class AreaQuadrature:
     radial_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xs, ws = np.polynomial.legendre.leggauss(self.n_r)
-        s = 0.5 * (xs + 1.0)
-        ws = 0.5 * ws
-        r = s ** 3
-        wr = ws * 3.0 * s ** 2 * r  # dr = 3 s^2 ds, area element r dr
-        object.__setattr__(self, "radii", _read_only(r))
+        r, wr = _radial_rule(self.n_r)
+        object.__setattr__(self, "radii", r)
         object.__setattr__(self, "radial_weights",
                            _read_only(wr * (2.0 * np.pi / self.n_theta)))
 
@@ -227,12 +223,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=8)
+def _radial_rule(n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r = s^3 of the n_r-point Gauss-Legendre rule in s on (0,1)
+    and the weight factor of each radius, before the angular 2pi/n_theta;
+    read-only and built once per n_r."""
+    xs, ws = np.polynomial.legendre.leggauss(n_r)
+    s = 0.5 * (xs + 1.0)
+    ws = 0.5 * ws
+    r = s ** 3
+    wr = ws * 3.0 * s ** 2 * r  # dr = 3 s^2 ds, area element r dr
+    return _read_only(r), _read_only(wr)
+
+
+@lru_cache(maxsize=8)
 def validation_grid(n_r: int = _VALIDATION_RADIAL,
                     n_theta: int = _VALIDATION_ANGULAR) -> np.ndarray:
-    """Polar grid on the closed unit disc (includes r=0 and r=1)."""
+    """Polar grid on the closed unit disc (includes r=0 and r=1);
+    read-only, built once per size."""
     r = np.linspace(0.0, 1.0, n_r)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    return (r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)
+    return _read_only((r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1))
 
 
 def eval_disc(disc, t):

@@ -78,7 +78,11 @@ class EnvelopeEstimate:
 
 @dataclass(frozen=True)
 class _ObjectiveSpec:
-    """Everything the search needs besides its starting points."""
+    """Everything the search needs besides its starting points.
+
+    node_powers and interior_powers are the Vandermonde matrices
+    t^k (N, degree+1) of the search and interior probe nodes, built once.
+    """
 
     mode: str
     c0: np.ndarray
@@ -89,6 +93,16 @@ class _ObjectiveSpec:
     eta_search: float
     nodes: np.ndarray
     interior_nodes: np.ndarray
+    node_powers: np.ndarray = field(init=False, repr=False, compare=False)
+    interior_powers: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = np.arange(self.degree + 1)
+        for name, t in (("node_powers", self.nodes),
+                        ("interior_powers", self.interior_nodes)):
+            powers = np.asarray(t)[:, None] ** k
+            powers.setflags(write=False)
+            object.__setattr__(self, name, powers)
 
     @property
     def m(self) -> int:
@@ -127,13 +141,12 @@ def _clip_bound(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _eval_rows(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Values of R discs, coeffs (R, d+1, m), at the nodes as (R*N, m)
-    rows, disc by disc: one eval_poly call on the R coefficient sets
-    side by side, (d+1, R*m)."""
-    r, dp1, m = coeffs.shape
-    vals = kernels.eval_poly(coeffs.transpose(1, 0, 2).reshape(dp1, r * m), nodes)
-    return vals.reshape(len(nodes), r, m).transpose(1, 0, 2).reshape(-1, m)
+def _eval_rows(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Values of R discs, coeffs (R, d+1, m), at the N nodes whose
+    Vandermonde matrix is powers (N, d+1), as (R*N, m) rows, disc by
+    disc.  Each disc is its own matrix product, so a row does not depend
+    on the other discs of the batch."""
+    return (powers @ coeffs).reshape(-1, coeffs.shape[-1])
 
 
 def _lognorms(rows: np.ndarray) -> np.ndarray:
@@ -148,7 +161,7 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """
     r, n = thetas.shape[0], spec.nodes.size
     coeffs = _theta_to_coeffs(spec, thetas)
-    pts = _eval_rows(coeffs, spec.nodes)
+    pts = _eval_rows(coeffs, spec.node_powers)
     with np.errstate(divide="ignore", invalid="ignore"):
         lognorms = _lognorms(pts).reshape(r, n)
         if spec.mode == "omega":
@@ -165,7 +178,7 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
         clear = np.clip(spec.domain.clearance_many(pts), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = _lognorms(_eval_rows(coeffs, spec.interior_nodes)).reshape(r, -1)
+        inner = _lognorms(_eval_rows(coeffs, spec.interior_powers)).reshape(r, -1)
         min_ln = np.minimum(lognorms.min(axis=1), inner.min(axis=1))
         floor_ln = math.log(ORIGIN_FLOOR)
         for i in np.flatnonzero(min_ln < floor_ln):

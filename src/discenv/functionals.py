@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,18 +106,28 @@ def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
                            "lifted", {"nodes": grid.n})
 
 
+@lru_cache(maxsize=4)
+def _jensen_nodes(n_nodes: int) -> np.ndarray:
+    """The n_nodes equispaced nodes on the unit circle, read-only and
+    built once per size."""
+    t = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    t.setflags(write=False)
+    return t
+
+
 def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
     """-log|f_0(0)| + mean over T of log|f_0|."""
     f0 = np.ascontiguousarray(disc.coeffs[:, :1])
     center = complex(disc.coeffs[0, 0])
     if center == 0:
         return math.inf
-    t = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    vals = kernels.eval_poly(f0, t)[:, 0]
+    vals = kernels.eval_poly(f0, _jensen_nodes(n_nodes))[:, 0]
     mags = np.abs(vals)
     if np.any(mags == 0):
         raise InfeasibleDiscError("f_0 vanishes on the unit circle")
-    return float(np.log(mags).mean()) - math.log(abs(center))
+    # log in place: at 65536 nodes the page faults of a fresh array can
+    # cost more than the log itself
+    return float(np.log(mags, out=mags).mean()) - math.log(abs(center))
 
 
 def sz_interior_roots(disc, count_multiplicity: bool = True) -> float:

@@ -316,15 +316,17 @@ class AffineBall(Domain):
         object.__setattr__(self, "center", c)
 
     def clearance_many(self, z_rows):
+        """R - |z_*/z_0 - c| per row, in real arithmetic: with
+        d = z_* - c z_0, R - sqrt(|d|^2 / |z_0|^2).  A row on the hyperplane
+        z_0 = 0 (the zero row included) gets -pi/2."""
         z0 = z_rows[:, 0]
-        nrm = np.linalg.norm(z_rows, axis=1)
-        out = np.full(z_rows.shape[0], -np.inf)
-        ok = np.abs(z0) > 1e-300 * np.where(nrm == 0, 1.0, nrm)
-        if np.any(ok):
-            u = z_rows[ok, 1:] / z0[ok, None]
-            out[ok] = self.radius - np.linalg.norm(u - self.center[None, :], axis=1)
-        bad = ~np.isfinite(out)
-        out[bad] = -np.pi / 2
+        d = z_rows[:, 1:] - z0[:, None] * self.center[None, :]
+        dr = d.view(np.float64)
+        num = np.einsum("ij,ij->i", dr, dr)
+        den = z0.real * z0.real + z0.imag * z0.imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.radius - np.sqrt(num / den)
+        out[~np.isfinite(out)] = -np.pi / 2
         return out
 
     def dist_lb(self, w):

@@ -203,6 +203,19 @@ def test_unknown_domain_type_exit_1(files):
     assert rc == 1
 
 
+def test_linalg_error_exit_3(files, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it is a numerical failure, exit 3
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr("discenv.cli.omega_functional_lifted", fail)
+    rc = main(["functional", "eval", "--disc", files["disc"],
+               "--weight", files["zero"], "--route", "lifted",
+               "--out", str(files["tmp"] / "o.json")])
+    assert rc == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
 def test_infeasible_exit_2(files):
     # disc (1, t) boundary leaves a tiny ball around [1:0]
     dom = write(files["tmp"] / "tiny.json",

@@ -10,7 +10,7 @@ from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            harmonic_extension_and_conjugate,
                            holomorphic_completion_coeffs, random_disc,
                            riesz_area_term, roots_in_unit_disc,
-                           winding_number)
+                           validation_grid, winding_number)
 from discenv.errors import (BoundaryZeroError, NumericalError,
                             OriginViolation)
 
@@ -421,3 +421,22 @@ def test_reparametrized_rotation_matches():
     rot = d.reparametrized(np.exp(0.4j))
     t = 0.5 - 0.2j
     assert np.allclose(rot(t), eval_disc(d, np.exp(0.4j) * t))
+
+
+def test_area_quadrature_radial_rule_shared():
+    # the radial rule is built once per n_r and shared, read-only
+    a, b = AreaQuadrature(33, 70), AreaQuadrature(33, 140)
+    assert a.radii is b.radii and not a.radii.flags.writeable
+    assert not a.radial_weights.flags.writeable
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(64, 64), (5, 12)])
+def test_validation_grid_cached_bitwise(n_r, n_theta):
+    r = np.linspace(0.0, 1.0, n_r)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    want = (r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)
+    got = validation_grid(n_r, n_theta)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    assert validation_grid(n_r, n_theta) is got

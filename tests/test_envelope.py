@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from discenv import kernels
 from discenv.discs import BoundaryGrid
 from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
-                              EnvelopeEstimate, OptimizerConfig, _objective, _search,
+                              EnvelopeEstimate, OptimizerConfig, _eval_rows,
+                              _objective, _search,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
 from discenv.errors import ConfigError
@@ -203,6 +205,23 @@ def test_batched_objective_matches_single_rows(mode, x, dom):
     assert batched[2] == math.inf
     assert np.isfinite(np.delete(batched, 2)).all()
     assert batched.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_eval_rows_matches_horner(m):
+    x = ProjPoint(affine_lift(np.full(m - 1, 0.2 - 0.1j)))
+    spec = build_objective_spec("sz", x, AffineBall(np.zeros(m - 1, dtype=complex), 1.0),
+                                ZeroWeight(), DiscFamilySpec(degree=6, m=m, center=x),
+                                OptimizerConfig(search_nodes=256))
+    rng = np.random.default_rng(17)
+    coeffs = rng.standard_normal((5, 7, m)) + 1j * rng.standard_normal((5, 7, m))
+    for nodes, powers in ((spec.nodes, spec.node_powers),
+                          (spec.interior_nodes, spec.interior_powers)):
+        assert not powers.flags.writeable
+        want = np.concatenate([kernels.eval_poly(c, nodes) for c in coeffs])
+        got = _eval_rows(coeffs, powers)
+        assert got.shape == (5 * len(nodes), m)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def _independence_cases():

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from discenv import kernels
 from discenv.discs import AnalyticDiscLift, AreaQuadrature, BoundaryGrid, \
     random_disc
 from discenv.errors import InfeasibleDiscError, NumericalError
 from discenv.functionals import (identity_check_eqH, omega_functional_direct,
                                  omega_functional_lifted, poisson_functional,
                                  riesz_residual, sz_functional,
-                                 sz_interior_jensen, sz_interior_roots)
+                                 sz_interior_jensen, sz_interior_roots,
+                                 _jensen_nodes)
 from discenv.projective import (ConstantWeight, FsBall, HomPolynomial,
                                 LiftedWeight, LogPolyWeight, ProjPoint,
                                 ZeroWeight)
@@ -197,6 +199,30 @@ def test_sz_route_agreement_random():
             raise
         assert a == pytest.approx(b, abs=1e-9)
         checked += 1
+
+
+@pytest.mark.parametrize("n", [65536, 1000])
+def test_jensen_nodes_cached_bitwise(n):
+    got = _jensen_nodes(n)
+    want = np.exp(2j * np.pi * np.arange(n) / n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    assert _jensen_nodes(n) is got
+
+
+def test_sz_interior_jensen_bitwise_on_cached_nodes():
+    # the value computed on freshly built nodes, as before the cache
+    def uncached(disc, n):
+        t = np.exp(2j * np.pi * np.arange(n) / n)
+        vals = kernels.eval_poly(np.ascontiguousarray(disc.coeffs[:, :1]), t)[:, 0]
+        return float(np.log(np.abs(vals)).mean()) - math.log(abs(disc.coeffs[0, 0]))
+
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        d = random_disc(rng, 3, 6)
+        for n in (65536, 4096):
+            assert sz_interior_jensen(d, n) == uncached(d, n)
 
 
 def test_inf_arithmetic_guard():

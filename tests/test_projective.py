@@ -193,6 +193,46 @@ def test_affine_ball_membership():
     assert not aff.contains(np.array([0.0, 1.0]))  # hyperplane at infinity
 
 
+def _affine_ball_reference(ball, z):
+    """R - |z_*/z_0 - c| one row at a time."""
+    return np.array([ball.radius - np.linalg.norm(row[1:] / row[0] - ball.center)
+                     for row in z])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_affine_ball_clearance_matches_row_reference(n):
+    rng = np.random.default_rng(40 + n)
+    ball = AffineBall(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                      1.7)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    z = 2.0 * cplx(200, n + 1)
+    # rows 1e-6 inside and outside the sphere, in random projective scale
+    dirs = cplx(40, n)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rel = np.where(np.arange(40) % 2 == 0, 1.0 - 1e-6, 1.0 + 1e-6)
+    u = ball.center + ball.radius * rel[:, None] * dirs
+    near = np.concatenate([np.ones((40, 1)), u], axis=1) * cplx(40, 1)
+    rows = np.concatenate([z, near])
+    got = ball.clearance_many(rows)
+    ref = _affine_ball_reference(ball, rows)
+    # the distances to the centre agree to rounding
+    np.testing.assert_allclose(ball.radius - got, ball.radius - ref,
+                               rtol=1e-13, atol=0)
+    assert np.all(np.sign(got[200:]) == np.where(rel < 1, 1.0, -1.0))
+    # a point and its scaled copies are one point of P^n
+    assert ball.clearance_many(rows * 4.0).tobytes() == got.tobytes()
+    assert ball.clearance_many(rows * 2.0 ** -40).tobytes() == got.tobytes()
+    np.testing.assert_allclose(ball.clearance_many(rows * (3e5 - 7e4j)), got,
+                               rtol=1e-13, atol=1e-13)
+    # z_0 = 0, and the zero row
+    off = np.zeros((2, n + 1), dtype=complex)
+    off[0, 1:] = cplx(n)
+    assert ball.clearance_many(off).tolist() == [-math.pi / 2, -math.pi / 2]
+
+
 def test_chart_roundtrip():
     u = np.array([0.3 - 0.1j, 2.0j])
     assert np.allclose(chart(affine_lift(u)), u)
