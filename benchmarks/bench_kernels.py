@@ -1,6 +1,5 @@
-"""Timing comparison of the compiled kernel extension vs the numpy
-fallback on the three hot kernels (polynomial evaluation, log-norm,
-Fubini-Study pullback density), timings of Tube.clearance_many at the
+"""Timings of the three hot kernels (polynomial evaluation, log-norm,
+Fubini-Study pullback density), of Tube.clearance_many at the
 sizes of a hull_test on the 64-point circle (one lock-step objective call
 over 20 restarts x 256 search nodes, and one 1024-node final grid),
 checked against a pairwise atan2 FS-distance reference, and timings of
@@ -15,13 +14,12 @@ and the 65536-node sz_interior_jensen of one witness.
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
 import argparse
-import importlib
-import os
 import sys
 import time
 
 import numpy as np
 
+from discenv import kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, random_disc,
                            riesz_area_term)
 from discenv.envelope import (DiscFamilySpec, OptimizerConfig, _objective,
@@ -36,19 +34,6 @@ TUBE_SIZES = ((5120, 64), (1024, 64))
 AREA_SIZES = ((256, 512), (512, 1024))
 # restarts x search nodes of one lock-step sz objective call
 SZ_RESTARTS, SZ_NODES = 20, 256
-
-
-def load_backends():
-    os.environ.pop("DISCENV_PURE_PYTHON", None)
-    import discenv.kernels as fast
-
-    importlib.reload(fast)
-    if fast.BACKEND != "cython":
-        print("warning: compiled extension unavailable; comparing numpy "
-              "against itself", file=sys.stderr)
-    from discenv import _kernels_np as slow
-
-    return fast, slow
 
 
 def bench(fn, args, repeats: int = 50) -> float:
@@ -69,7 +54,6 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=50)
     args = ap.parse_args()
 
-    fast, slow = load_backends()
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal((args.degree + 1, args.m)) + \
         1j * rng.standard_normal((args.degree + 1, args.m))
@@ -78,25 +62,12 @@ def main() -> int:
 
     print(f"nodes={args.nodes} degree={args.degree} m={args.m} "
           f"(best of {args.repeats})")
-    print(f"{'kernel':<12} {'compiled':>12} {'numpy':>12} {'speedup':>9}")
+    print(f"{'kernel':<12} {'time':>12}")
     for name in ("eval_poly", "lognorm", "fs_density"):
-        tf = bench(getattr(fast, name), (coeffs, t), args.repeats)
-        ts = bench(getattr(slow, name), (coeffs, t), args.repeats)
-        print(f"{name:<12} {tf * 1e6:>10.1f}us {ts * 1e6:>10.1f}us "
-              f"{ts / tf:>8.2f}x")
-
-    # cross-check agreement while we are here
-    for name in ("eval_poly", "lognorm"):
-        a = getattr(fast, name)(coeffs, t)
-        b = getattr(slow, name)(coeffs, t)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
-    da, sa = fast.fs_density(coeffs, t)
-    db, sb = slow.fs_density(coeffs, t)
-    assert np.allclose(da, db, rtol=1e-9, atol=1e-12)
-    assert np.allclose(sa, sb, rtol=1e-12)
-    print("backend agreement OK")
+        tk = bench(getattr(kernels, name), (coeffs, t), args.repeats)
+        print(f"{name:<12} {tk * 1e6:>10.1f}us")
     bench_tube(rng, args.repeats)
-    bench_riesz(fast, rng, min(args.repeats, 10))
+    bench_riesz(rng, min(args.repeats, 10))
     bench_sz(rng, args.repeats)
     return 0
 
@@ -129,13 +100,13 @@ def bench_tube(rng, repeats: int) -> None:
     print("tube clearance agrees with the pairwise reference")
 
 
-def bench_riesz(kern, rng, repeats: int) -> None:
+def bench_riesz(rng, repeats: int) -> None:
     coeffs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     coeffs[0] += 3.0  # keeps |f| away from 0 on the disc
     disc = AnalyticDiscLift(coeffs)
 
     def pointwise(quad):
-        dens, _sq = kern.fs_density(disc.coeffs, quad.nodes)
+        dens, _sq = kernels.fs_density(disc.coeffs, quad.nodes)
         return quad.integral(quad.log_r * dens) / (2.0 * np.pi)
 
     print(f"{'riesz_area_term, d=6 m=3':<24} {'tensor':>12} {'pointwise':>12} "

@@ -20,7 +20,7 @@ from . import envelope as env
 from . import hull as hull_mod
 from . import structure as struct_mod
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                    random_disc)
+                    boundary_lognorms, random_disc)
 from .errors import (BoundaryZeroError, ConfigError, DiscEnvError,
                      DomainError, InfeasibleDiscError, NumericalError,
                      OriginViolation)
@@ -28,7 +28,7 @@ from .functionals import (identity_check_eqH, omega_functional_direct,
                           omega_functional_lifted, riesz_residual,
                           sz_functional)
 from .projective import (Domain, LiftedWeight, ProjPoint, Weight,
-                         affine_lift, vec_from_json)
+                         ZeroWeight, affine_lift, vec_from_json)
 
 SCHEMA_VERSION = "1"
 
@@ -100,8 +100,6 @@ def cmd_identity_check(args) -> int:
     grid, quad = _grids(args)
     grid2 = BoundaryGrid(2 * args.nodes)
     quad2 = AreaQuadrature(2 * args.radial, 2 * args.angular)
-    from .projective import ZeroWeight
-
     rows = []
     worst = (-1.0, None)
     for i in range(args.count):
@@ -212,8 +210,6 @@ def cmd_hull_normalize(args) -> int:
     grid = BoundaryGrid(args.nodes)
     comp = hull_mod.normalize_disc(disc, args.r, grid)
     rep = hull_mod.center_report(comp)
-    from .discs import boundary_lognorms
-
     worst = float(np.abs(boundary_lognorms(comp, grid)).max())
     payload = {"disc": comp.to_json(),
                "center_norm": rep["norm"],

@@ -67,12 +67,6 @@ class AnalyticDiscLift:
     def __call__(self, t):
         return eval_disc(self, t)
 
-    def derivative_coeffs(self) -> np.ndarray:
-        if self.degree == 0:
-            return np.zeros((1, self.m), dtype=np.complex128)
-        k = np.arange(1, self.degree + 1, dtype=np.complex128)
-        return self.coeffs[1:] * k[:, None]
-
     def scaled(self, lam: complex) -> "AnalyticDiscLift":
         return AnalyticDiscLift(self.coeffs * lam, delta_min=abs(lam) * self.delta_min)
 
@@ -246,25 +240,26 @@ def validation_grid(n_r: int = _VALIDATION_RADIAL,
     return _read_only((r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1))
 
 
+def disc_values(disc, t: np.ndarray) -> np.ndarray:
+    """Values (N, m) of a disc at the points t (N,), unchecked: a plain
+    disc's polynomial, or base / exp(g) for a CompositeDisc."""
+    if isinstance(disc, CompositeDisc):
+        vals = kernels.eval_poly(disc.base.coeffs, t)
+        return vals / np.exp(disc.exponent_values(t))[:, None]
+    return kernels.eval_poly(disc.coeffs, t)
+
+
 def eval_disc(disc, t):
     """Evaluate a disc at points t with |t| <= 1 (+1e-12 slack)."""
     t_arr = np.asarray(t, dtype=np.complex128)
-    scalar = t_arr.ndim == 0
     flat = t_arr.reshape(-1)
     if np.any(np.abs(flat) > 1.0 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disc")
-    if isinstance(disc, CompositeDisc):
-        vals = kernels.eval_poly(disc.base.coeffs, flat)
-        vals = vals / np.exp(disc.exponent_values(flat))[:, None]
-        floor = disc.base.delta_min
-    else:
-        vals = kernels.eval_poly(disc.coeffs, flat)
-        floor = disc.delta_min
+    vals = disc_values(disc, flat)
+    floor = (disc.base if isinstance(disc, CompositeDisc) else disc).delta_min
     norms = np.sqrt(np.einsum("ij,ij->i", vals, vals.conj()).real)
     if np.any(norms < 0.5 * floor):
         raise OriginViolation("disc value within delta_min/2 of the origin")
-    if scalar:
-        return vals[0]
     return vals.reshape(t_arr.shape + (vals.shape[-1],))
 
 

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES
+from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES, disc_values
 from .errors import ConfigError, DomainError
-from .functionals import encode_float, omega_functional_lifted, sz_functional
+from .functionals import _omega_lifted, _sz, encode_float
+from .kernels import row_lognorms
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
                          Tube, Weight, chart)
 
@@ -149,10 +149,6 @@ def _eval_rows(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return (powers @ coeffs).reshape(-1, coeffs.shape[-1])
 
 
-def _lognorms(rows: np.ndarray) -> np.ndarray:
-    return 0.5 * np.log(np.einsum("ij,ij->i", rows, rows.conj()).real)
-
-
 def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """Penalized functional of the discs thetas (R, dim), shape (R,).
 
@@ -163,7 +159,7 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     coeffs = _theta_to_coeffs(spec, thetas)
     pts = _eval_rows(coeffs, spec.node_powers)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lognorms = _lognorms(pts).reshape(r, n)
+        lognorms = row_lognorms(pts).reshape(r, n)
         if spec.mode == "omega":
             # center is a unit vector, so -log|f(0)| = 0
             value = np.mean(spec.weight.value_proj_many(pts).reshape(r, n) +
@@ -178,7 +174,7 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
         clear = np.clip(spec.domain.clearance_many(pts), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = _lognorms(_eval_rows(coeffs, spec.interior_powers)).reshape(r, -1)
+        inner = row_lognorms(_eval_rows(coeffs, spec.interior_powers)).reshape(r, -1)
         min_ln = np.minimum(lognorms.min(axis=1), inner.min(axis=1))
         floor_ln = math.log(ORIGIN_FLOOR)
         for i in np.flatnonzero(min_ln < floor_ln):
@@ -272,15 +268,16 @@ def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
     """Penalty-free functional value and feasibility of a witness disc.
 
     The value of an infeasible disc is not computed: it is (inf, False).
+    The boundary values of the clearance check also give the value.
     """
-    pts = kernels.eval_poly(disc.coeffs, grid.nodes)
+    pts = disc_values(disc, grid.nodes)
     clear = domain.clearance_many(pts)
     if not (np.all(clear >= eta) and disc.min_norm_on_grid() >= disc.delta_min):
         return math.inf, False
     if mode == "omega":
-        value = omega_functional_lifted(LiftedWeight(weight), disc, grid).total
+        value = _omega_lifted(LiftedWeight(weight), disc, grid, pts).total
     else:
-        value = sz_functional(weight, disc, None, grid, route="jensen").total
+        value = _sz(weight, disc, None, grid, pts, "jensen").total
     return value, True
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kernels
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                    CompositeDisc, boundary_lognorms, circle_mean,
+                    boundary_lognorms, circle_mean, disc_values,
                     riesz_area_term, roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError
 from .projective import Domain, LiftedWeight, Weight
@@ -52,13 +52,6 @@ def _combine(boundary: float, interior: float) -> float:
     return boundary + interior
 
 
-def _boundary_points(disc, grid: BoundaryGrid) -> np.ndarray:
-    if isinstance(disc, CompositeDisc):
-        vals = kernels.eval_poly(disc.base.coeffs, grid.nodes)
-        return vals / np.exp(disc.exponent_values(grid.nodes))[:, None]
-    return kernels.eval_poly(disc.coeffs, grid.nodes)
-
-
 def _check_boundary(domain: Domain | None, pts: np.ndarray):
     if domain is None:
         return
@@ -72,7 +65,7 @@ def poisson_functional(phi_tilde: LiftedWeight, disc,
                        grid: BoundaryGrid | None = None) -> FunctionalValue:
     """H(f) = mean over T of phi~(f)."""
     grid = grid or BoundaryGrid()
-    pts = _boundary_points(disc, grid)
+    pts = disc_values(disc, grid.nodes)
     b = circle_mean(phi_tilde.value_many(pts))
     return FunctionalValue(b, b, 0.0, "poisson", {"nodes": grid.n})
 
@@ -84,7 +77,7 @@ def omega_functional_direct(phi: Weight, disc, domain: Domain | None = None,
     Fubini-Study pullback density, boundary term from phi on pi(f(T))."""
     grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    pts = _boundary_points(disc, grid)
+    pts = disc_values(disc, grid.nodes)
     _check_boundary(domain, pts)
     interior = -riesz_area_term(disc, quad)
     if interior < -1e-10:
@@ -99,7 +92,12 @@ def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
                             grid: BoundaryGrid | None = None) -> FunctionalValue:
     """H_{omega,phi}(f) = H_{phi~}(f~) - log|f~(0)|."""
     grid = grid or BoundaryGrid()
-    pts = _boundary_points(disc, grid)
+    return _omega_lifted(phi_tilde, disc, grid, disc_values(disc, grid.nodes))
+
+
+def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
+                  pts: np.ndarray) -> FunctionalValue:
+    """omega_functional_lifted from the disc's values pts on grid.nodes."""
     boundary = circle_mean(phi_tilde.value_many(pts))
     interior = -math.log(float(np.linalg.norm(disc.center)))
     return FunctionalValue(_combine(boundary, interior), boundary, interior,
@@ -153,7 +151,12 @@ def sz_functional(phi: Weight, disc: AnalyticDiscLift,
     (multiplicity counted; the multiplicity-free sum is in meta).
     """
     grid = grid or BoundaryGrid()
-    pts = _boundary_points(disc, grid)
+    return _sz(phi, disc, domain, grid, disc_values(disc, grid.nodes), route)
+
+
+def _sz(phi: Weight, disc: AnalyticDiscLift, domain: Domain | None,
+        grid: BoundaryGrid, pts: np.ndarray, route: str) -> FunctionalValue:
+    """sz_functional from the disc's values pts on grid.nodes."""
     mags0 = np.abs(pts[:, 0])
     if np.any(mags0 == 0):
         raise InfeasibleDiscError("disc boundary meets the hyperplane at infinity")

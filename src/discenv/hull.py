@@ -12,12 +12,12 @@ import numpy as np
 
 from . import kernels
 from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
-                    boundary_lognorms, circle_mean,
+                    boundary_lognorms, circle_mean, disc_values,
                     holomorphic_completion_coeffs)
 from .envelope import (CandidateLibrary, DiscFamilySpec, OptimizerConfig,
                        evaluate_witness, minimize)
 from .errors import InfeasibleDiscError, NumericalError
-from .functionals import omega_functional_lifted
+from .functionals import _omega_lifted
 from .projective import (Domain, LiftedWeight, ProjPoint, Tube, ZeroWeight,
                          fs_distance, lift)
 
@@ -74,11 +74,11 @@ class HullCertificate:
                    tol: float = 1e-8) -> dict:
         """Recheck boundary-in-tube, center, and value (doubled resolution)."""
         grid = grid or BoundaryGrid(2 * int(self.settings.get("final_nodes", 1024)))
-        pts = kernels.eval_poly(self.witness.coeffs, grid.nodes)
+        pts = disc_values(self.witness, grid.nodes)
         clear = K.tube(self.delta).clearance_many(pts)
         center_ok = ProjPoint(self.witness.center).isclose(self.x, 1e-9)
-        revalue = omega_functional_lifted(LiftedWeight(ZeroWeight()),
-                                          self.witness, grid).total
+        revalue = _omega_lifted(LiftedWeight(ZeroWeight()), self.witness,
+                                grid, pts).total
         return {
             "boundary_in_tube": bool(np.all(clear > 0)),
             "center_ok": center_ok,
@@ -228,8 +228,7 @@ def b_to_bprime(cert: HullCertificate, K: CompactSetSpec, n_phase: int,
     grid = grid or BoundaryGrid()
     norm_disc = normalize_disc(cert.witness, r, grid)
     lifted = spherical_lift(K, n_phase)
-    pts = kernels.eval_poly(norm_disc.base.coeffs, grid.nodes)
-    pts = pts / np.exp(norm_disc.exponent_values(grid.nodes))[:, None]
+    pts = disc_values(norm_disc, grid.nodes)
     dists = lifted.min_distance(pts)
     worst = float(dists.max())
     if worst > tube_radius:

@@ -446,12 +446,6 @@ class Weight:
         """phi at affine chart points u (rows in C^n)."""
         raise NotImplementedError
 
-    def value_proj(self, z) -> float:
-        return float(self.value_proj_many(np.asarray(z, dtype=np.complex128).reshape(1, -1))[0])
-
-    def value_affine(self, u) -> float:
-        return float(self.value_affine_many(np.atleast_2d(np.asarray(u, dtype=np.complex128)))[0])
-
     def to_json(self) -> dict:
         raise NotImplementedError
 

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from discenv import kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            CompositeDisc, boundary_lognorms, circle_mean,
-                           eval_disc, fs_pullback_density,
+                           disc_values, eval_disc, fs_pullback_density,
                            harmonic_extension_and_conjugate,
                            holomorphic_completion_coeffs, random_disc,
                            riesz_area_term, roots_in_unit_disc,
@@ -406,6 +407,19 @@ def test_composite_disc_center_and_values():
     ref = base(t) / np.exp(0.5 + 0.1j * t)
     assert np.allclose(comp(t), ref)
     assert np.allclose(comp.center, base.center / math.exp(0.5))
+
+
+def test_disc_values_match_eval_disc_bitwise():
+    plain = random_disc(np.random.default_rng(4), 3, 5)
+    comp = CompositeDisc(plain, np.array([0.3 - 0.1j, 0.2j, -0.05]))
+    nodes = BoundaryGrid(256).nodes
+    t = np.concatenate([nodes, 0.7 * nodes[:64], [0.0]])
+    for disc in (plain, comp):
+        assert disc_values(disc, t).tobytes() == eval_disc(disc, t).tobytes()
+    # the composite's values are the base's divided by exp(g)
+    want = kernels.eval_poly(plain.coeffs, t) / \
+        np.exp(comp.exponent_values(t))[:, None]
+    assert disc_values(comp, t).tobytes() == want.tobytes()
 
 
 def test_composite_json_roundtrip():

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from discenv import kernels
-from discenv.discs import BoundaryGrid
+from discenv.discs import AnalyticDiscLift, BoundaryGrid
 from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
                               EnvelopeEstimate, OptimizerConfig, _eval_rows,
                               _objective, _search,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
 from discenv.errors import ConfigError
-from discenv.projective import (AffineBall, ConstantWeight, FsBall, ProjPoint,
-                                Tube, ZeroWeight, affine_lift)
+from discenv.functionals import omega_functional_lifted, sz_functional
+from discenv.projective import (AffineBall, AffineLogPolyWeight,
+                                ConstantWeight, FsBall, HomPolynomial,
+                                LiftedWeight, ProjPoint, Tube, ZeroWeight,
+                                affine_lift)
 
 SMALL = OptimizerConfig(starts=6, budget=300, seed=3, search_nodes=128)
 
@@ -170,6 +173,41 @@ def test_degree_monotonicity_warm_start():
     est5 = minimize("omega", x, dom, ZeroWeight(), fam5, SMALL,
                     warm_theta=warm)
     assert est5.upper <= est3.upper + 1e-9
+
+
+def _witness_case(mode, c1):
+    """(disc, domain, weight) of a degree-2 disc with first coefficient c1;
+    each weight depends on the boundary values."""
+    if mode == "omega":
+        x = ProjPoint(np.array([1.0, 0.2]))
+        dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.6)
+        weight = ConstantWeight(0.25)
+    else:
+        x = ProjPoint(affine_lift(np.array([0.3 - 0.2j])))
+        dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
+        weight = AffineLogPolyWeight(HomPolynomial(((1,),), (1.0,)))  # log|u|
+    coeffs = np.array([x.vec, c1 * np.array([-0.2, 1.0]), [0.02j, -0.03]])
+    return AnalyticDiscLift(coeffs), dom, weight
+
+
+@pytest.mark.parametrize("mode", ["omega", "sz"])
+def test_evaluate_witness_equals_functional(mode):
+    disc, dom, weight = _witness_case(mode, 0.1)
+    grid = BoundaryGrid(512)
+    value, feasible = evaluate_witness(mode, disc, dom, weight, 1e-3, grid)
+    if mode == "omega":
+        want = omega_functional_lifted(LiftedWeight(weight), disc, grid)
+    else:
+        want = sz_functional(weight, disc, None, grid, route="jensen")
+    assert feasible
+    assert value == want.total
+
+
+@pytest.mark.parametrize("mode", ["omega", "sz"])
+def test_evaluate_witness_infeasible_disc(mode):
+    disc, dom, weight = _witness_case(mode, 3.0)
+    assert evaluate_witness(mode, disc, dom, weight, 1e-3,
+                            BoundaryGrid(512)) == (math.inf, False)
 
 
 def _objective_cases():
