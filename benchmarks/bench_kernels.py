@@ -8,8 +8,11 @@ m = 3) against the pointwise kernels.fs_density route over the flat
 node list, checked to agree to 1e-13, and the sz-mode search path of a
 minimize on the unit ball: AffineBall.clearance_many at 5120 rows (20
 restarts x 256 search nodes) in C and C^2, checked against a per-row
-reference, one lock-step _objective call over 20 restarts x 256 nodes,
-and the 65536-node sz_interior_jensen of one witness.
+reference, and one lock-step _objective call over 20 restarts x 256
+nodes; and the re-evaluation of one sz witness on the unit ball in C and
+C^2: evaluate_witness on the 1024-node final grid and the 65536-node
+sz_interior_jensen, each against an inline Horner reference of the same
+quantity on freshly built nodes, checked to agree to 1e-13.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -20,11 +23,11 @@ import time
 import numpy as np
 
 from discenv import kernels
-from discenv.discs import (AnalyticDiscLift, AreaQuadrature, random_disc,
-                           riesz_area_term)
+from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
+                           riesz_area_term, validation_grid)
 from discenv.envelope import (DiscFamilySpec, OptimizerConfig, _objective,
-                              build_objective_spec)
-from discenv.functionals import sz_interior_jensen
+                              build_objective_spec, evaluate_witness)
+from discenv.functionals import SZ_JENSEN_NODES, sz_interior_jensen
 from discenv.projective import (AffineBall, ProjPoint, Tube, ZeroWeight,
                                 affine_lift)
 
@@ -69,6 +72,7 @@ def main() -> int:
     bench_tube(rng, args.repeats)
     bench_riesz(rng, min(args.repeats, 10))
     bench_sz(rng, args.repeats)
+    bench_witness(rng, min(args.repeats, 20))
     return 0
 
 
@@ -148,9 +152,68 @@ def bench_sz(rng, repeats: int) -> None:
         print(f"{f'_objective {SZ_RESTARTS}x{SZ_NODES}, m={m}':<24} "
               f"{t * 1e6:>10.1f}us")
     print("affine ball clearance agrees with the per-row reference")
-    disc = random_disc(rng, 3, 6)
-    t = bench(sz_interior_jensen, (disc,), min(repeats, 20))
-    print(f"{'sz_interior_jensen':<24} {t * 1e3:>10.2f}ms")
+
+
+def circle_nodes(n: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def horner_jensen(disc, nodes: np.ndarray) -> float:
+    """sz_interior_jensen by Horner on the given circle nodes."""
+    vals = kernels.eval_poly(disc.coeffs[:, :1], nodes)[:, 0]
+    return float(np.log(np.abs(vals)).mean()) - np.log(abs(disc.coeffs[0, 0]))
+
+
+def horner_witness(disc, ball: AffineBall, eta: float, nodes: np.ndarray,
+                   jensen_nodes: np.ndarray):
+    """evaluate_witness('sz', ...) with the zero weight, by Horner: the
+    clearance on the grid nodes, the origin floor on validation_grid, and
+    the interior term of horner_jensen."""
+    pts = kernels.eval_poly(disc.coeffs, nodes)
+    floor = np.linalg.norm(kernels.eval_poly(disc.coeffs, validation_grid()), axis=1)
+    if not (np.all(ball.clearance_many(pts) >= eta) and floor.min() >= disc.delta_min):
+        return np.inf, False
+    return horner_jensen(disc, jensen_nodes), True
+
+
+def sz_witness(rng, m: int) -> AnalyticDiscLift:
+    """A feasible degree-6 witness for the unit ball in C^(m-1): f_0 =
+    1 + t/2 and chart u_0 + 0.3 t e / f_0 with |u_0| < 0.4, |e| = 1,
+    plus small terms of degree 2 to 6; centre (1, u_0) / |(1, u_0)|."""
+    u0 = np.full(m - 1, 0.25 - 0.1j) / np.sqrt(m - 1)
+    e = np.full(m - 1, 1.0) / np.sqrt(m - 1)
+    c = np.zeros((7, m), dtype=complex)
+    c[0] = np.concatenate([[1.0], u0])
+    c[1] = np.concatenate([[0.5], 0.5 * u0 + 0.3 * e])
+    c[2:] = 0.005 * (rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m)))
+    return AnalyticDiscLift(c / np.linalg.norm(c[0]))
+
+
+def bench_witness(rng, repeats: int) -> None:
+    # the reference's nodes are built once, outside the timed calls
+    grid = BoundaryGrid(1024)
+    nodes, jensen_nodes = circle_nodes(grid.n), circle_nodes(SZ_JENSEN_NODES)
+    print(f"{'sz witness re-evaluation':<24} {'tables':>12} {'Horner':>12} "
+          f"{'speedup':>9}")
+    for m in (2, 3):
+        ball = AffineBall(np.zeros(m - 1, dtype=complex), 1.0)
+        disc = sz_witness(rng, m)
+        args = ("sz", disc, ball, ZeroWeight(), 1e-3, grid)
+        ref_args = (disc, ball, 1e-3, nodes, jensen_nodes)
+        got, want = evaluate_witness(*args), horner_witness(*ref_args)
+        assert got[1] and want[1], "the witness is feasible"
+        assert abs(got[0] - want[0]) <= 1e-13, "evaluate_witness value"
+        tt = bench(evaluate_witness, args, repeats)
+        th = bench(horner_witness, ref_args, repeats)
+        print(f"{f'evaluate_witness, m={m}':<24} {tt * 1e3:>10.2f}ms "
+              f"{th * 1e3:>10.2f}ms {th / tt:>8.2f}x")
+        assert abs(sz_interior_jensen(disc) - horner_jensen(disc, jensen_nodes)) \
+            <= 1e-13, "sz_interior_jensen"
+        tt = bench(sz_interior_jensen, (disc,), repeats)
+        th = bench(horner_jensen, (disc, jensen_nodes), repeats)
+        print(f"{f'sz_interior_jensen, m={m}':<24} {tt * 1e3:>10.2f}ms "
+              f"{th * 1e3:>10.2f}ms {th / tt:>8.2f}x")
+    print("witness re-evaluation agrees with the Horner reference")
 
 
 if __name__ == "__main__":

@@ -77,8 +77,17 @@ class AnalyticDiscLift:
 
     def min_norm_on_grid(self, n_r: int = _VALIDATION_RADIAL,
                          n_theta: int = _VALIDATION_ANGULAR) -> float:
-        t = validation_grid(n_r, n_theta)
-        return float(np.exp(kernels.lognorm(self.coeffs, t)).min())
+        """Least norm of the disc over validation_grid(n_r, n_theta).
+
+        On the polar grid the values are matrix products: with R = r^k
+        and E = e^{ik theta}, f_j = (R * c_j) @ E; one sqrt is taken, of
+        the least squared norm.
+        """
+        radial, waves = _validation_tables(n_r, n_theta, self.degree)
+        d1, m = self.coeffs.shape
+        f = (self.coeffs.T[:, None, :] * radial).reshape(m * n_r, d1) @ waves
+        sq = (f.real ** 2 + f.imag ** 2).reshape(m, -1).sum(axis=0)
+        return float(np.sqrt(sq.min()))
 
     def validate(self) -> float:
         mn = self.min_norm_on_grid()
@@ -125,6 +134,18 @@ class CompositeDisc:
         t = np.asarray(t, dtype=np.complex128)
         return kernels.eval_poly(self.exponent[:, None], t.reshape(-1))[:, 0].reshape(t.shape)
 
+    def exponent_on_grid(self, grid: "BoundaryGrid") -> np.ndarray:
+        """g at the grid's n nodes, shape (n,), by one inverse FFT.
+
+        The exponent of a normalized disc has up to n/2 + 1 terms, so a
+        power table would be the n x (n/2 + 1) DFT matrix; on the nodes
+        t^k = t^(k mod n), so the coefficients fold modulo n first.
+        """
+        n = grid.n
+        folded = np.zeros(-(-self.exponent.size // n) * n, dtype=np.complex128)
+        folded[:self.exponent.size] = self.exponent
+        return np.fft.ifft(folded.reshape(-1, n).sum(axis=0), norm="forward")
+
     def __call__(self, t):
         return eval_disc(self, t)
 
@@ -154,14 +175,17 @@ class BoundaryGrid:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("need at least 4 boundary nodes")
-        theta = 2.0 * np.pi * np.arange(self.n) / self.n
-        nodes = np.exp(1j * theta)
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _circle_nodes(self.n))
 
     @property
     def weights(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n)
+
+    def powers(self, degree: int) -> np.ndarray:
+        """The table t^k (n, degree+1) at the nodes, read-only, shared
+        by every grid of n nodes."""
+        width = -(-(degree + 1) // _TABLE_COLUMNS) * _TABLE_COLUMNS
+        return _circle_powers(self.n, width)[:, :degree + 1]
 
 
 @dataclass(frozen=True)
@@ -218,6 +242,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _circle_nodes(n: int) -> np.ndarray:
+    """The n equispaced nodes e^{2 pi i j/n} of BoundaryGrid(n), read-only."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return _read_only(np.exp(1j * theta))
+
+
+# power tables are built _TABLE_COLUMNS columns at a time and sliced, so
+# discs of degree 0 to 7 share one table per node count; column k is t^k
+# whatever the width, so a slice has the bits of a table of its own
+_TABLE_COLUMNS = 8
+
+
+@lru_cache(maxsize=8)
+def _circle_powers(n: int, width: int) -> np.ndarray:
+    return _read_only(_circle_nodes(n)[:, None] ** np.arange(width))
+
+
+@lru_cache(maxsize=8)
 def _radial_rule(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     """Radii r = s^3 of the n_r-point Gauss-Legendre rule in s on (0,1)
     and the weight factor of each radius, before the angular 2pi/n_theta;
@@ -230,23 +272,49 @@ def _radial_rule(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(r), _read_only(wr)
 
 
+def _validation_axes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    return (np.linspace(0.0, 1.0, n_r),
+            2.0 * np.pi * np.arange(n_theta) / n_theta)
+
+
 @lru_cache(maxsize=8)
 def validation_grid(n_r: int = _VALIDATION_RADIAL,
                     n_theta: int = _VALIDATION_ANGULAR) -> np.ndarray:
-    """Polar grid on the closed unit disc (includes r=0 and r=1);
-    read-only, built once per size."""
-    r = np.linspace(0.0, 1.0, n_r)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    """Polar grid on the closed unit disc (includes r=0 and r=1), radius
+    major; read-only, built once per size."""
+    r, theta = _validation_axes(n_r, n_theta)
     return _read_only((r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1))
 
 
+@lru_cache(maxsize=8)
+def _validation_tables(n_r: int, n_theta: int,
+                       degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor factors of validation_grid's power table: r^k (n_r,
+    degree+1) and e^{ik theta} (degree+1, n_theta), read-only."""
+    r, theta = _validation_axes(n_r, n_theta)
+    k = np.arange(degree + 1)
+    return (_read_only(r[:, None] ** k),
+            _read_only(np.exp(1j * np.outer(k, theta))))
+
+
 def disc_values(disc, t: np.ndarray) -> np.ndarray:
-    """Values (N, m) of a disc at the points t (N,), unchecked: a plain
-    disc's polynomial, or base / exp(g) for a CompositeDisc."""
+    """Values (N, m) of a disc at arbitrary points t (N,), unchecked, by
+    Horner: a plain disc's polynomial, or base / exp(g) for a
+    CompositeDisc.  On a BoundaryGrid use grid_values."""
     if isinstance(disc, CompositeDisc):
         vals = kernels.eval_poly(disc.base.coeffs, t)
         return vals / np.exp(disc.exponent_values(t))[:, None]
     return kernels.eval_poly(disc.coeffs, t)
+
+
+def grid_values(disc, grid: BoundaryGrid) -> np.ndarray:
+    """Values (n, m) of a disc at the grid's nodes, unchecked: the grid's
+    cached power table times the coefficients, or base / exp(g) for a
+    CompositeDisc."""
+    if isinstance(disc, CompositeDisc):
+        return grid_values(disc.base, grid) / \
+            np.exp(disc.exponent_on_grid(grid))[:, None]
+    return grid.powers(disc.degree) @ disc.coeffs
 
 
 def eval_disc(disc, t):
@@ -278,10 +346,11 @@ def circle_mean(samples) -> float:
 
 
 def boundary_lognorms(disc, grid: BoundaryGrid) -> np.ndarray:
+    """log|f| at the grid's nodes; a CompositeDisc's is log|base| - Re g."""
     if isinstance(disc, CompositeDisc):
-        base = kernels.lognorm(disc.base.coeffs, grid.nodes)
-        return base - disc.exponent_values(grid.nodes).real
-    return kernels.lognorm(disc.coeffs, grid.nodes)
+        return boundary_lognorms(disc.base, grid) - \
+            disc.exponent_on_grid(grid).real
+    return kernels.row_lognorms(grid_values(disc, grid))
 
 
 def fs_pullback_density(disc, t):

@@ -9,12 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES, disc_values
+from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES, grid_values
 from .errors import ConfigError, DomainError
 from .functionals import _omega_lifted, _sz, encode_float
 from .kernels import row_lognorms
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
-                         Tube, Weight, chart)
+                         Tube, Weight, ZeroWeight, chart)
 
 # exterior penalty weight and the search-time margin inflation; the final
 # witness is re-checked penalty-free against the family margin itself
@@ -81,7 +81,8 @@ class _ObjectiveSpec:
     """Everything the search needs besides its starting points.
 
     node_powers and interior_powers are the Vandermonde matrices
-    t^k (N, degree+1) of the search and interior probe nodes, built once.
+    t^k (N, degree+1) of the search nodes (the grid's cached table) and
+    of the interior probe nodes (built once).
     """
 
     mode: str
@@ -91,18 +92,22 @@ class _ObjectiveSpec:
     weight: Weight
     bound: float
     eta_search: float
-    nodes: np.ndarray
+    grid: BoundaryGrid
     interior_nodes: np.ndarray
-    node_powers: np.ndarray = field(init=False, repr=False, compare=False)
     interior_powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = np.arange(self.degree + 1)
-        for name, t in (("node_powers", self.nodes),
-                        ("interior_powers", self.interior_nodes)):
-            powers = np.asarray(t)[:, None] ** k
-            powers.setflags(write=False)
-            object.__setattr__(self, name, powers)
+        powers = np.asarray(self.interior_nodes)[:, None] ** np.arange(self.degree + 1)
+        powers.setflags(write=False)
+        object.__setattr__(self, "interior_powers", powers)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.grid.nodes
+
+    @property
+    def node_powers(self) -> np.ndarray:
+        return self.grid.powers(self.degree)
 
     @property
     def m(self) -> int:
@@ -166,10 +171,14 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
                             lognorms, axis=1)
         else:
             mags0 = np.abs(pts[:, 0]).reshape(r, n)
-            charts = pts[:, 1:] / pts[:, :1]
             interior = np.mean(np.log(mags0), axis=1) - math.log(abs(spec.c0[0]))
-            value = interior + np.mean(
-                spec.weight.value_affine_many(charts).reshape(r, n), axis=1)
+            if isinstance(spec.weight, ZeroWeight):
+                # the zero weight's mean is 0.0: no chart is needed
+                value = interior + 0.0
+            else:
+                charts = pts[:, 1:] / pts[:, :1]
+                value = interior + np.mean(
+                    spec.weight.value_affine_many(charts).reshape(r, n), axis=1)
             value[np.any(mags0 == 0, axis=1)] = math.inf
         clear = np.clip(spec.domain.clearance_many(pts), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
@@ -270,7 +279,7 @@ def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
     The value of an infeasible disc is not computed: it is (inf, False).
     The boundary values of the clearance check also give the value.
     """
-    pts = disc_values(disc, grid.nodes)
+    pts = grid_values(disc, grid)
     clear = domain.clearance_many(pts)
     if not (np.all(clear >= eta) and disc.min_norm_on_grid() >= disc.delta_min):
         return math.inf, False
@@ -289,10 +298,10 @@ def build_objective_spec(mode: str, x: ProjPoint, domain: Domain,
     c0 = np.array(x.vec)
     if mode == "sz" and abs(c0[0]) < 1e-14:
         raise DomainError("sz mode needs a center in the chart z_0 != 0")
-    grid = BoundaryGrid(opt.search_nodes)
     return _ObjectiveSpec(mode, c0, family.degree, domain, weight,
                           family.bound, ETA_INFLATION * family.eta,
-                          grid.nodes, _interior_probe_nodes())
+                          BoundaryGrid(opt.search_nodes),
+                          _interior_probe_nodes())
 
 
 def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,

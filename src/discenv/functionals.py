@@ -9,9 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                    boundary_lognorms, circle_mean, disc_values,
+                    _read_only, boundary_lognorms, circle_mean, grid_values,
                     riesz_area_term, roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError
 from .projective import Domain, LiftedWeight, Weight
@@ -65,7 +64,7 @@ def poisson_functional(phi_tilde: LiftedWeight, disc,
                        grid: BoundaryGrid | None = None) -> FunctionalValue:
     """H(f) = mean over T of phi~(f)."""
     grid = grid or BoundaryGrid()
-    pts = disc_values(disc, grid.nodes)
+    pts = grid_values(disc, grid)
     b = circle_mean(phi_tilde.value_many(pts))
     return FunctionalValue(b, b, 0.0, "poisson", {"nodes": grid.n})
 
@@ -77,7 +76,7 @@ def omega_functional_direct(phi: Weight, disc, domain: Domain | None = None,
     Fubini-Study pullback density, boundary term from phi on pi(f(T))."""
     grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    pts = disc_values(disc, grid.nodes)
+    pts = grid_values(disc, grid)
     _check_boundary(domain, pts)
     interior = -riesz_area_term(disc, quad)
     if interior < -1e-10:
@@ -92,7 +91,7 @@ def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
                             grid: BoundaryGrid | None = None) -> FunctionalValue:
     """H_{omega,phi}(f) = H_{phi~}(f~) - log|f~(0)|."""
     grid = grid or BoundaryGrid()
-    return _omega_lifted(phi_tilde, disc, grid, disc_values(disc, grid.nodes))
+    return _omega_lifted(phi_tilde, disc, grid, grid_values(disc, grid))
 
 
 def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
@@ -104,23 +103,39 @@ def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
                            "lifted", {"nodes": grid.n})
 
 
-@lru_cache(maxsize=4)
-def _jensen_nodes(n_nodes: int) -> np.ndarray:
-    """The n_nodes equispaced nodes on the unit circle, read-only and
-    built once per size."""
-    t = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    t.setflags(write=False)
-    return t
+def _jensen_split(n_nodes: int) -> tuple[int, int]:
+    """(b, a) with b * a = n_nodes and b the largest divisor of n_nodes
+    not above its square root: 256 * 256 for 65536 nodes."""
+    b = math.isqrt(n_nodes)
+    while n_nodes % b:
+        b -= 1
+    return b, n_nodes // b
+
+
+@lru_cache(maxsize=8)
+def _jensen_tables(n_nodes: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The polyphase power tables of the n_nodes equispaced nodes.
+
+    With n_nodes = b * a, omega = e^{2 pi i/n_nodes} and zeta = omega^b,
+    node j + b l is omega^j zeta^l, so a polynomial's value there is
+    sum_k (c_k omega^{jk}) zeta^{lk}: all values are one product
+    (W * c) @ Z of W = omega^{jk} (b, degree+1) and Z = zeta^{lk}
+    (degree+1, a), read-only and far smaller than the nodes themselves.
+    """
+    b, a = _jensen_split(n_nodes)
+    k = np.arange(degree + 1)
+    w = np.exp(2j * np.pi * np.arange(b) / n_nodes)
+    z = np.exp(2j * np.pi * (b * np.arange(a)) / n_nodes)
+    return _read_only(w[:, None] ** k), _read_only(z[None, :] ** k[:, None])
 
 
 def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
     """-log|f_0(0)| + mean over T of log|f_0|."""
-    f0 = np.ascontiguousarray(disc.coeffs[:, :1])
     center = complex(disc.coeffs[0, 0])
     if center == 0:
         return math.inf
-    vals = kernels.eval_poly(f0, _jensen_nodes(n_nodes))[:, 0]
-    mags = np.abs(vals)
+    w, z = _jensen_tables(n_nodes, disc.degree)
+    mags = np.abs((w * disc.coeffs[:, 0]) @ z)
     if np.any(mags == 0):
         raise InfeasibleDiscError("f_0 vanishes on the unit circle")
     # log in place: at 65536 nodes the page faults of a fresh array can
@@ -151,7 +166,7 @@ def sz_functional(phi: Weight, disc: AnalyticDiscLift,
     (multiplicity counted; the multiplicity-free sum is in meta).
     """
     grid = grid or BoundaryGrid()
-    return _sz(phi, disc, domain, grid, disc_values(disc, grid.nodes), route)
+    return _sz(phi, disc, domain, grid, grid_values(disc, grid), route)
 
 
 def _sz(phi: Weight, disc: AnalyticDiscLift, domain: Domain | None,

@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
-                    boundary_lognorms, circle_mean, disc_values,
+                    boundary_lognorms, circle_mean, grid_values,
                     holomorphic_completion_coeffs)
 from .envelope import (CandidateLibrary, DiscFamilySpec, OptimizerConfig,
                        evaluate_witness, minimize)
@@ -74,7 +73,7 @@ class HullCertificate:
                    tol: float = 1e-8) -> dict:
         """Recheck boundary-in-tube, center, and value (doubled resolution)."""
         grid = grid or BoundaryGrid(2 * int(self.settings.get("final_nodes", 1024)))
-        pts = disc_values(self.witness, grid.nodes)
+        pts = grid_values(self.witness, grid)
         clear = K.tube(self.delta).clearance_many(pts)
         center_ok = ProjPoint(self.witness.center).isclose(self.x, 1e-9)
         revalue = _omega_lifted(LiftedWeight(ZeroWeight()), self.witness,
@@ -208,7 +207,7 @@ def normalize_disc(f0: AnalyticDiscLift, r: float,
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0,1)")
     grid = grid or BoundaryGrid()
-    g = kernels.lognorm(f0.coeffs, grid.nodes)
+    g = boundary_lognorms(f0, grid)
     expo = holomorphic_completion_coeffs(g, r)
     return CompositeDisc(f0, expo)
 
@@ -228,7 +227,7 @@ def b_to_bprime(cert: HullCertificate, K: CompactSetSpec, n_phase: int,
     grid = grid or BoundaryGrid()
     norm_disc = normalize_disc(cert.witness, r, grid)
     lifted = spherical_lift(K, n_phase)
-    pts = disc_values(norm_disc, grid.nodes)
+    pts = grid_values(norm_disc, grid)
     dists = lifted.min_distance(pts)
     worst = float(dists.max())
     if worst > tube_radius:
@@ -253,14 +252,15 @@ def bprime_to_b(disc: CompositeDisc, eps: float,
     """From a disc with near-unit boundary norm, bound the interior mass
     functional by -log|p| + eps."""
     grid = grid or BoundaryGrid()
-    lognorms = boundary_lognorms(disc, grid)
+    base_lognorms = boundary_lognorms(disc.base, grid)
+    lognorms = base_lognorms - disc.exponent_on_grid(grid).real
     worst = float(np.abs(lognorms).max())
     if float(lognorms.max()) > eps:
         raise InfeasibleDiscError(
             f"max log-norm on the boundary is {lognorms.max():.3e} > eps")
     rep = center_report(disc)
     functional = -math.log(float(np.linalg.norm(disc.base.center))) + \
-        circle_mean(kernels.lognorm(disc.base.coeffs, grid.nodes))
+        circle_mean(base_lognorms)
     slack = 1e-8
     ok = functional <= rep["neg_log_norm"] + eps + slack
     if not ok:

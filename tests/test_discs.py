@@ -8,6 +8,7 @@ from discenv import kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            CompositeDisc, boundary_lognorms, circle_mean,
                            disc_values, eval_disc, fs_pullback_density,
+                           grid_values,
                            harmonic_extension_and_conjugate,
                            holomorphic_completion_coeffs, random_disc,
                            riesz_area_term, roots_in_unit_disc,
@@ -420,6 +421,72 @@ def test_disc_values_match_eval_disc_bitwise():
     want = kernels.eval_poly(plain.coeffs, t) / \
         np.exp(comp.exponent_values(t))[:, None]
     assert disc_values(comp, t).tobytes() == want.tobytes()
+
+
+def _rel_diff(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_grid_values_match_horner(m):
+    rng = np.random.default_rng(40 + m)
+    for n in (16, 256, 1024):
+        grid = BoundaryGrid(n)
+        for degree in range(9):
+            c = rng.standard_normal((degree + 1, m)) + \
+                1j * rng.standard_normal((degree + 1, m))
+            plain = AnalyticDiscLift(c)
+            want = kernels.eval_poly(c, grid.nodes)
+            assert grid_values(plain, grid).shape == (n, m)
+            assert _rel_diff(grid_values(plain, grid), want) <= 1e-13
+            # an exponent longer than the grid folds modulo n
+            for terms in (1, 3, 40):
+                e = 0.1 * (rng.standard_normal(terms) +
+                           1j * rng.standard_normal(terms))
+                comp = CompositeDisc(plain, e)
+                assert _rel_diff(comp.exponent_on_grid(grid),
+                                 comp.exponent_values(grid.nodes)) <= 1e-13
+                assert _rel_diff(grid_values(comp, grid),
+                                 disc_values(comp, grid.nodes)) <= 1e-13
+
+
+def test_grid_powers_cached_bitwise():
+    for n in (4, 256, 1000):
+        # BoundaryGrid's nodes and powers, as built before the cache
+        theta = 2.0 * np.pi * np.arange(n) / n
+        nodes = np.exp(1j * theta)
+        a, b = BoundaryGrid(n), BoundaryGrid(n)
+        assert a.nodes.tobytes() == nodes.tobytes() and a.nodes is b.nodes
+        for degree in range(12):
+            got = a.powers(degree)
+            want = nodes[:, None] ** np.arange(degree + 1)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            assert np.shares_memory(got, b.powers(degree))
+
+
+def test_boundary_lognorms_composite_matches_values():
+    plain = random_disc(np.random.default_rng(5), 3, 6)
+    comp = CompositeDisc(plain, np.array([0.3 - 0.1j, 0.2j, -0.05]))
+    grid = BoundaryGrid(512)
+    want = np.log(np.linalg.norm(grid_values(comp, grid), axis=1))
+    np.testing.assert_allclose(boundary_lognorms(comp, grid), want,
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(64, 64), (5, 12)])
+def test_min_norm_on_grid_matches_horner(n_r, n_theta):
+    rng = np.random.default_rng(12)
+    t = validation_grid(n_r, n_theta)
+    for degree in (0, 1, 6, 8):
+        for m in (1, 3):
+            c = rng.standard_normal((degree + 1, m)) + \
+                1j * rng.standard_normal((degree + 1, m))
+            disc = AnalyticDiscLift(c)
+            want = float(np.linalg.norm(kernels.eval_poly(c, t), axis=1).min())
+            assert disc.min_norm_on_grid(n_r, n_theta) == pytest.approx(
+                want, rel=1e-13)
 
 
 def test_composite_json_roundtrip():

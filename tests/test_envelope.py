@@ -7,9 +7,10 @@ import pytest
 
 from discenv import kernels
 from discenv.discs import AnalyticDiscLift, BoundaryGrid
-from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
-                              EnvelopeEstimate, OptimizerConfig, _eval_rows,
-                              _objective, _search,
+from discenv.envelope import (ORIGIN_FLOOR, PENALTY_RHO, CandidateLibrary,
+                              DiscFamilySpec, EnvelopeEstimate,
+                              OptimizerConfig, _eval_rows, _objective,
+                              _search, _theta_to_coeffs,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
 from discenv.errors import ConfigError
@@ -260,6 +261,65 @@ def test_eval_rows_matches_horner(m):
         got = _eval_rows(coeffs, powers)
         assert got.shape == (5 * len(nodes), m)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("nodes", [64, 256])
+def test_node_powers_match_vandermonde_expression(nodes):
+    # the search nodes and their powers, as _ObjectiveSpec built them
+    # before they came from the grid's cached table
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    want_nodes = np.exp(1j * theta)
+    x = ProjPoint(np.array([1.0, 0.2]))
+    for degree in range(1, 10):
+        spec = build_objective_spec("omega", x, FsBall(x, 0.5), ZeroWeight(),
+                                    DiscFamilySpec(degree=degree, m=2, center=x),
+                                    OptimizerConfig(search_nodes=nodes))
+        want = np.asarray(want_nodes)[:, None] ** np.arange(degree + 1)
+        assert spec.nodes.tobytes() == want_nodes.tobytes()
+        assert spec.node_powers.shape == want.shape
+        assert spec.node_powers.tobytes() == want.tobytes()
+
+
+def _sz_objective_with_chart(spec, thetas):
+    """The sz-mode objective as computed with the chart for every weight."""
+    r, n = thetas.shape[0], spec.nodes.size
+    coeffs = _theta_to_coeffs(spec, thetas)
+    pts = _eval_rows(coeffs, spec.node_powers)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lognorms = kernels.row_lognorms(pts).reshape(r, n)
+        mags0 = np.abs(pts[:, 0]).reshape(r, n)
+        charts = pts[:, 1:] / pts[:, :1]
+        interior = np.mean(np.log(mags0), axis=1) - math.log(abs(spec.c0[0]))
+        value = interior + np.mean(
+            spec.weight.value_affine_many(charts).reshape(r, n), axis=1)
+        value[np.any(mags0 == 0, axis=1)] = math.inf
+        clear = np.clip(spec.domain.clearance_many(pts), -10.0, None).reshape(r, n)
+        pen = PENALTY_RHO * np.mean(np.square(
+            np.maximum(0.0, spec.eta_search - clear)), axis=1)
+        inner = kernels.row_lognorms(
+            _eval_rows(coeffs, spec.interior_powers)).reshape(r, -1)
+        min_ln = np.minimum(lognorms.min(axis=1), inner.min(axis=1))
+        floor_ln = math.log(ORIGIN_FLOOR)
+        for i in np.flatnonzero(min_ln < floor_ln):
+            pen[i] += 10.0 * (floor_ln - float(min_ln[i])) ** 2
+        return np.where(np.isfinite(value), value + pen, math.inf)
+
+
+@pytest.mark.parametrize("weight", [ZeroWeight(), ConstantWeight(0.3)],
+                         ids=["zero", "constant"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_sz_objective_matches_chart_formula(weight, m):
+    x = ProjPoint(affine_lift(np.full(m - 1, 0.2 - 0.1j)))
+    spec = build_objective_spec("sz", x, AffineBall(np.zeros(m - 1, dtype=complex), 1.0),
+                                weight, DiscFamilySpec(degree=6, m=m, center=x),
+                                OptimizerConfig(search_nodes=256))
+    thetas = 0.4 * np.random.default_rng(8).standard_normal((20, spec.dim))
+    thetas[3] = 0.0  # the constant disc: interior term exactly 0
+    thetas[5] = 0.0  # f_0(1) = 0 at the search node t = 1
+    thetas[5, 0] = -x.vec[0].real
+    got = _objective(spec, thetas)
+    assert math.isinf(got[5]) and np.isfinite(np.delete(got, 5)).all()
+    assert got.tobytes() == _sz_objective_with_chart(spec, thetas).tobytes()
 
 
 def _independence_cases():

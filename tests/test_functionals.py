@@ -12,7 +12,7 @@ from discenv.functionals import (identity_check_eqH, omega_functional_direct,
                                  omega_functional_lifted, poisson_functional,
                                  riesz_residual, sz_functional,
                                  sz_interior_jensen, sz_interior_roots,
-                                 _jensen_nodes)
+                                 _jensen_split, _jensen_tables)
 from discenv.projective import (ConstantWeight, FsBall, HomPolynomial,
                                 LiftedWeight, LogPolyWeight, ProjPoint,
                                 ZeroWeight)
@@ -202,18 +202,26 @@ def test_sz_route_agreement_random():
 
 
 @pytest.mark.parametrize("n", [65536, 1000])
-def test_jensen_nodes_cached_bitwise(n):
-    got = _jensen_nodes(n)
-    want = np.exp(2j * np.pi * np.arange(n) / n)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    assert not got.flags.writeable
-    assert _jensen_nodes(n) is got
+def test_jensen_tables_bitwise(n):
+    b, a = _jensen_split(n)
+    assert b * a == n and b <= a
+    w, z = _jensen_tables(n, 6)
+    assert w.shape == (b, 7) and z.shape == (7, a)
+    assert not w.flags.writeable and not z.flags.writeable
+    assert _jensen_tables(n, 6)[0] is w
+    # the first powers are the nodes j and b*l, as np.exp builds all n of them
+    nodes = np.exp(2j * np.pi * np.arange(n) / n)
+    assert w[:, 1].tobytes() == nodes[:b].tobytes()
+    assert z[1].tobytes() == nodes[::b].tobytes()
+    k = np.arange(7)
+    assert w.tobytes() == (w[:, 1:2] ** k).tobytes()
+    assert z.tobytes() == (z[1:2].T ** k).T.copy().tobytes()
 
 
-def test_sz_interior_jensen_bitwise_on_cached_nodes():
-    # the value computed on freshly built nodes, as before the cache
-    def uncached(disc, n):
+@pytest.mark.parametrize("n", [65536, 4096])
+def test_sz_interior_jensen_product_matches_horner(n):
+    # the n-node mean by Horner on freshly built nodes
+    def horner(disc):
         t = np.exp(2j * np.pi * np.arange(n) / n)
         vals = kernels.eval_poly(np.ascontiguousarray(disc.coeffs[:, :1]), t)[:, 0]
         return float(np.log(np.abs(vals)).mean()) - math.log(abs(disc.coeffs[0, 0]))
@@ -221,8 +229,33 @@ def test_sz_interior_jensen_bitwise_on_cached_nodes():
     rng = np.random.default_rng(23)
     for _ in range(4):
         d = random_disc(rng, 3, 6)
+        assert sz_interior_jensen(d, n) == pytest.approx(horner(d), rel=0, abs=1e-13)
+
+
+def test_sz_interior_jensen_exact_discrete_identity():
+    # f_0 = c prod (t - z_k) and prod_j (z - t_j) = z^N - 1 over the N-th
+    # roots of unity t_j, so the N-node mean is exactly
+    # sum_k [(1/N) log|z_k^N - 1| - log|z_k|]
+    def discrete(f0, n):
+        total = 0.0
+        for z in np.roots(f0[::-1]):
+            if abs(z) > 1.0:  # log|z^N - 1| = N log|z| + log|1 - z^-N|
+                total += math.log(abs(1.0 - z ** -n)) / n
+            else:
+                total += math.log(abs(1.0 - z ** n)) / n - math.log(abs(z))
+        return total
+
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 12:
+        d = random_disc(rng, 2, int(rng.integers(1, 7)))
+        zeros = np.roots(d.coeffs[::-1, 0])
+        if np.any(np.abs(np.abs(zeros) - 1.0) < 1e-3):
+            continue
         for n in (65536, 4096):
-            assert sz_interior_jensen(d, n) == uncached(d, n)
+            assert sz_interior_jensen(d, n) == pytest.approx(
+                discrete(d.coeffs[:, 0], n), rel=0, abs=1e-12)
+        checked += 1
 
 
 def test_inf_arithmetic_guard():

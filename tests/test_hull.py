@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from discenv.discs import AnalyticDiscLift, BoundaryGrid, CompositeDisc
+from discenv import kernels
+from discenv.discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
+                           boundary_lognorms)
 from discenv.envelope import DiscFamilySpec, OptimizerConfig
 from discenv.errors import InfeasibleDiscError
 from discenv.hull import (CompactSetSpec, HullCertificate, b_to_bprime,
@@ -185,6 +187,20 @@ def test_bprime_to_b_unit_boundary():
     assert rep["bound_ok"]
     assert rep["functional"] == pytest.approx(rep["neg_log_center_norm"],
                                               abs=1e-3)
+
+
+def test_bprime_to_b_one_base_evaluation():
+    d = AnalyticDiscLift(np.array([[1.5, 0.3], [0.4, 1.0]], dtype=complex))
+    grid = BoundaryGrid(2048)
+    comp = normalize_disc(d, 0.999, grid)
+    rep = bprime_to_b(comp, 1e-2, grid)
+    # the boundary log-norms are boundary_lognorms' own
+    assert rep["max_abs_boundary_lognorm"] == \
+        float(np.abs(boundary_lognorms(comp, grid)).max())
+    # the functional by Horner on the nodes
+    want = -math.log(float(np.linalg.norm(d.center))) + \
+        float(np.mean(kernels.lognorm(d.coeffs, grid.nodes)))
+    assert rep["functional"] == pytest.approx(want, rel=0, abs=1e-13)
 
 
 def test_bprime_to_b_rejects_large_boundary_norm():
