@@ -12,11 +12,17 @@ reference, and one lock-step _objective call over 20 restarts x 256
 nodes; and the re-evaluation of one sz witness on the unit ball in C and
 C^2: evaluate_witness on the 1024-node final grid and the 65536-node
 sz_interior_jensen, each against an inline Horner reference of the same
-quantity on freshly built nodes, checked to agree to 1e-13.
+quantity on freshly built nodes, checked to agree to 1e-13; and one
+(1+1)-ES _search at 20 restarts x 100 evaluations for sz on the unit ball
+(m = 2, 3) and for omega on the 64-point circle Tube, with the minor page
+faults per search, checked byte for byte against a serial
+one-restart-at-a-time reference of the documented draw contract.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
 import argparse
+import math
+import resource
 import sys
 import time
 
@@ -25,7 +31,8 @@ import numpy as np
 from discenv import kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            riesz_area_term, validation_grid)
-from discenv.envelope import (DiscFamilySpec, OptimizerConfig, _objective,
+from discenv.envelope import (_DRAW_BLOCK, DiscFamilySpec, OptimizerConfig,
+                              _clip_bound, _objective, _search,
                               build_objective_spec, evaluate_witness)
 from discenv.functionals import SZ_JENSEN_NODES, sz_interior_jensen
 from discenv.projective import (AffineBall, ProjPoint, Tube, ZeroWeight,
@@ -37,6 +44,8 @@ TUBE_SIZES = ((5120, 64), (1024, 64))
 AREA_SIZES = ((256, 512), (512, 1024))
 # restarts x search nodes of one lock-step sz objective call
 SZ_RESTARTS, SZ_NODES = 20, 256
+# evaluations per restart of one timed search (the perfbench budget)
+SEARCH_BUDGET = 100
 
 
 def bench(fn, args, repeats: int = 50) -> float:
@@ -73,6 +82,7 @@ def main() -> int:
     bench_riesz(rng, min(args.repeats, 10))
     bench_sz(rng, args.repeats)
     bench_witness(rng, min(args.repeats, 20))
+    bench_search(rng, min(args.repeats, 10))
     return 0
 
 
@@ -214,6 +224,71 @@ def bench_witness(rng, repeats: int) -> None:
         print(f"{f'sz_interior_jensen, m={m}':<24} {tt * 1e3:>10.2f}ms "
               f"{th * 1e3:>10.2f}ms {th / tt:>8.2f}x")
     print("witness re-evaluation agrees with the Horner reference")
+
+
+def serial_search(spec, theta0s, seed: int, budget: int) -> np.ndarray:
+    """_search's documented draw contract, one restart at a time, each
+    proposal scored by a one-row _objective call."""
+    dim = spec.dim
+    ends = []
+    for r, theta0 in enumerate(theta0s):
+        rng = np.random.default_rng([seed, r, 17])
+        theta = _clip_bound(spec, np.array(theta0, dtype=float).reshape(1, dim))
+        best, sigma = _objective(spec, theta)[0], 0.25
+        for step in range(budget - 1):
+            i = step % _DRAW_BLOCK
+            if i == 0:
+                u = rng.uniform(size=_DRAW_BLOCK)
+                z = rng.standard_normal((_DRAW_BLOCK, dim)) * (1.0 / math.sqrt(dim))
+                k = rng.integers(dim, size=_DRAW_BLOCK)
+                g = rng.standard_normal(_DRAW_BLOCK)
+            prop = theta.copy()
+            if u[i] < 0.5:
+                prop[0] = theta[0] + sigma * z[i]
+            else:
+                prop[0, k[i]] += sigma * g[i]
+            prop = _clip_bound(spec, prop)
+            f = _objective(spec, prop)[0]
+            if f < best:
+                theta, best, sigma = prop, f, min(sigma * 1.4, 2.0)
+            else:
+                sigma = max(sigma * 0.98, 1e-10)
+        ends.append(theta[0])
+    return np.array(ends)
+
+
+def search_specs():
+    """(label, spec) of the searches of perfbench's siciak and hull
+    workloads: sz on the unit ball of C^(m-1), omega on the circle's tube."""
+    out = []
+    for m in (2, 3):
+        x = ProjPoint(affine_lift(np.full(m - 1, 0.3 - 0.2j)))
+        out.append((f"sz, m={m}", build_objective_spec(
+            "sz", x, AffineBall(np.zeros(m - 1, dtype=complex), 1.0), ZeroWeight(),
+            DiscFamilySpec(degree=6, m=m, center=x),
+            OptimizerConfig(search_nodes=SZ_NODES))))
+    th = 2.0 * np.pi * np.arange(64) / 64
+    tube = Tube(tuple(ProjPoint(np.array([1.0, np.exp(1j * t)])) for t in th), 0.05)
+    x = ProjPoint(np.array([1.0, 0.0]))
+    out.append(("omega, 64-point Tube", build_objective_spec(
+        "omega", x, tube, ZeroWeight(), DiscFamilySpec(degree=6, m=2, center=x),
+        OptimizerConfig(search_nodes=SZ_NODES))))
+    return out
+
+
+def bench_search(rng, repeats: int) -> None:
+    print(f"{f'_search {SZ_RESTARTS}x{SEARCH_BUDGET}':<24} {'time':>12} "
+          f"{'minflt':>9}")
+    for label, spec in search_specs():
+        theta0s = 0.3 * rng.standard_normal((SZ_RESTARTS, spec.dim))
+        args = (spec, theta0s, 7, SEARCH_BUDGET)
+        got = _search(*args)
+        assert got.tobytes() == serial_search(*args).tobytes(), "search end points"
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t = bench(_search, args, repeats)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(f"{label:<24} {t * 1e3:>10.2f}ms {faults / (repeats + 1):>9.0f}")
+    print("searches equal the serial reference byte for byte")
 
 
 if __name__ == "__main__":

@@ -74,7 +74,9 @@ def _grids(args):
     return BoundaryGrid(args.nodes), AreaQuadrature(args.radial, args.angular)
 
 
-def _config_dict(args, skip=("func",)):
+def _config_dict(args, skip=("func", "out")):
+    # the output path is left out, so an artifact's bytes do not depend on
+    # where it is written
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES, grid_values
 from .errors import ConfigError, DomainError
 from .functionals import _omega_lifted, _sz, encode_float
-from .kernels import row_lognorms
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
                          Tube, Weight, ZeroWeight, chart)
 
@@ -23,6 +22,8 @@ ETA_INFLATION = 1.5
 ORIGIN_FLOOR = 1e-4
 _INTERIOR_RADII = (0.25, 0.5, 0.75)
 _INTERIOR_ANGLES = 16
+# steps of (1+1)-ES draws per restart and block (see _search)
+_DRAW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -146,48 +147,58 @@ def _clip_bound(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _eval_rows(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def _eval_coords(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Values of R discs, coeffs (R, d+1, m), at the N nodes whose
-    Vandermonde matrix is powers (N, d+1), as (R*N, m) rows, disc by
-    disc.  Each disc is its own matrix product, so a row does not depend
-    on the other discs of the batch."""
-    return (powers @ coeffs).reshape(-1, coeffs.shape[-1])
+    Vandermonde matrix is powers (N, d+1), coordinate-major: shape
+    (m, R, N).  One product of the (m*R, d+1) coefficient matrix with the
+    table's transpose; each value is the dot product of one coefficient
+    row with one table row, so it does not depend on the other discs."""
+    r, d1, m = coeffs.shape
+    mat = coeffs.transpose(2, 0, 1).reshape(m * r, d1)
+    return (mat @ powers.T).reshape(m, r, -1)
 
 
 def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """Penalized functional of the discs thetas (R, dim), shape (R,).
 
-    A row is scored on its own: one whose f_0 vanishes at a node (sz mode)
-    or whose value is not finite scores inf and leaves the others alone.
+    A row is scored on its own: one whose value is not finite scores inf
+    and leaves the others alone.  That includes a row whose f_0 vanishes
+    at a node in sz mode, whose mean log|f_0|^2 is -inf.
     """
-    r, n = thetas.shape[0], spec.nodes.size
+    r, n, m = thetas.shape[0], spec.nodes.size, spec.m
     coeffs = _theta_to_coeffs(spec, thetas)
-    pts = _eval_rows(coeffs, spec.node_powers)
+    vals = _eval_coords(coeffs, spec.node_powers)
+    sq = vals.real ** 2 + vals.imag ** 2
+    norm2 = sq.sum(axis=0)
+    # the domain and the weights see (R*N, m) rows: a transposed view
+    rows = vals.reshape(m, r * n).T
+    zero_weight = isinstance(spec.weight, ZeroWeight)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lognorms = row_lognorms(pts).reshape(r, n)
         if spec.mode == "omega":
             # center is a unit vector, so -log|f(0)| = 0
-            value = np.mean(spec.weight.value_proj_many(pts).reshape(r, n) +
-                            lognorms, axis=1)
+            lognorms = 0.5 * np.log(norm2)
+            if zero_weight:
+                value = np.mean(lognorms, axis=1)
+            else:
+                value = np.mean(spec.weight.value_proj_many(rows).reshape(r, n) +
+                                lognorms, axis=1)
         else:
-            mags0 = np.abs(pts[:, 0]).reshape(r, n)
-            interior = np.mean(np.log(mags0), axis=1) - math.log(abs(spec.c0[0]))
-            if isinstance(spec.weight, ZeroWeight):
+            interior = (0.5 * np.mean(np.log(sq[0]), axis=1) -
+                        math.log(abs(spec.c0[0])))
+            if zero_weight:
                 # the zero weight's mean is 0.0: no chart is needed
                 value = interior + 0.0
             else:
-                charts = pts[:, 1:] / pts[:, :1]
+                charts = rows[:, 1:] / rows[:, :1]
                 value = interior + np.mean(
                     spec.weight.value_affine_many(charts).reshape(r, n), axis=1)
-            value[np.any(mags0 == 0, axis=1)] = math.inf
-        clear = np.clip(spec.domain.clearance_many(pts), -10.0, None).reshape(r, n)
+        clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = row_lognorms(_eval_rows(coeffs, spec.interior_powers)).reshape(r, -1)
-        min_ln = np.minimum(lognorms.min(axis=1), inner.min(axis=1))
-        floor_ln = math.log(ORIGIN_FLOOR)
-        for i in np.flatnonzero(min_ln < floor_ln):
-            pen[i] += 10.0 * (floor_ln - float(min_ln[i])) ** 2
+        inner = _eval_coords(coeffs, spec.interior_powers)
+        inner2 = (inner.real ** 2 + inner.imag ** 2).sum(axis=0)
+        min_ln = 0.5 * np.log(np.minimum(norm2.min(axis=1), inner2.min(axis=1)))
+        pen += 10.0 * np.square(np.maximum(0.0, math.log(ORIGIN_FLOOR) - min_ln))
         return np.where(np.isfinite(value), value + pen, math.inf)
 
 
@@ -195,23 +206,35 @@ def _search(spec: _ObjectiveSpec, theta0s, seed: int,
             budget: int) -> np.ndarray:
     """(1+1)-ES from each start, all restarts in lock step.
 
-    Restart r draws its proposals from its own stream
-    default_rng([seed, r, 17]), so its path does not depend on the other
-    restarts; one objective call scores the R proposals of a step.
+    Restart r draws from its own stream default_rng([seed, r, 17]), so its
+    path does not depend on the other restarts; one objective call scores
+    the R proposals of a step.  Every _DRAW_BLOCK steps each restart draws
+    its next block, always in this order: u = uniform(B), z =
+    standard_normal((B, dim)) * (1/sqrt(dim)), k = integers(dim, size=B)
+    and g = standard_normal(B), for B = _DRAW_BLOCK.  Step i of a block
+    proposes theta + sigma * z[i] where u[i] < 0.5, and otherwise adds
+    sigma * g[i] to coordinate k[i] alone; the proposal is clipped to the
+    bound.  A budget-B search is thus a prefix of any longer one.
     Returns the final points, shape (R, dim).
     """
     dim = spec.dim
     theta = _clip_bound(spec, np.array(theta0s, dtype=float).reshape(-1, dim))
     rngs = [np.random.default_rng([seed, r, 17]) for r in range(len(theta))]
+    scale = 1.0 / math.sqrt(dim)
     best = _objective(spec, theta)
     sigma = np.full(len(theta), 0.25)
-    for _ in range(1, budget):
-        prop = theta.copy()
-        for r, rng in enumerate(rngs):
-            if rng.uniform() < 0.5:
-                prop[r] += sigma[r] * rng.standard_normal(dim) / math.sqrt(dim)
-            else:
-                prop[r, rng.integers(dim)] += sigma[r] * rng.standard_normal()
+    for step in range(budget - 1):
+        i = step % _DRAW_BLOCK
+        if i == 0:
+            draws = [(rng.uniform(size=_DRAW_BLOCK),
+                      rng.standard_normal((_DRAW_BLOCK, dim)) * scale,
+                      rng.integers(dim, size=_DRAW_BLOCK),
+                      rng.standard_normal(_DRAW_BLOCK)) for rng in rngs]
+            full, z, k, g = (np.stack(a, axis=1) for a in zip(*draws))
+            full = full < 0.5
+        prop = np.where(full[i, :, None], theta + sigma[:, None] * z[i], theta)
+        one = ~full[i]
+        prop[one, k[i, one]] += sigma[one] * g[i, one]
         prop = _clip_bound(spec, prop)
         f = _objective(spec, prop)
         better = f < best

@@ -13,7 +13,7 @@ from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                     _read_only, boundary_lognorms, circle_mean, grid_values,
                     riesz_area_term, roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError
-from .projective import Domain, LiftedWeight, Weight
+from .projective import Domain, LiftedWeight, Weight, ZeroWeight
 
 # quadrature size for the Jensen-route boundary mean of log|f_0|; the
 # trapezoid aliasing error is |a|^N for a root at distance 1-|a| from T,
@@ -176,8 +176,10 @@ def _sz(phi: Weight, disc: AnalyticDiscLift, domain: Domain | None,
     if np.any(mags0 == 0):
         raise InfeasibleDiscError("disc boundary meets the hyperplane at infinity")
     _check_boundary(domain, pts)
-    charts = pts[:, 1:] / pts[:, :1]
-    boundary = circle_mean(phi.value_affine_many(charts))
+    if isinstance(phi, ZeroWeight):
+        boundary = 0.0  # the zero weight's mean: no chart is needed
+    else:
+        boundary = circle_mean(phi.value_affine_many(pts[:, 1:] / pts[:, :1]))
     meta: dict = {"nodes": grid.n}
     center_at_infinity = complex(disc.coeffs[0, 0]) == 0
     if center_at_infinity:

@@ -208,6 +208,11 @@ class Tube(Domain):
     _mat: np.ndarray = field(init=False, repr=False, compare=False)
     _pairs: tuple = field(init=False, repr=False, compare=False)
     _gram: np.ndarray = field(init=False, repr=False, compare=False)
+    # (K, _TUBE_BLOCK) scratch for the products of clearance_many, so the
+    # calls reuse one buffer instead of allocating (and, for a buffer this
+    # size, mapping and unmapping) a fresh one; a Tube is therefore not
+    # safe for concurrent calls from several threads
+    _work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.stack([p.vec for p in self.samples])
@@ -222,6 +227,7 @@ class Tube(Domain):
                                2.0 * cross.real, -2.0 * cross.imag], axis=1)
         gram.setflags(write=False)
         object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "_work", np.empty((len(mat), _TUBE_BLOCK)))
 
     def _features(self, z_rows):
         """Real features F(z), one column per row of z, shape ((n+1)^2, rows):
@@ -244,7 +250,10 @@ class Tube(Domain):
             feats = self._features(z_rows[i:i + _TUBE_BLOCK])
             sq_norm = feats[:m].sum(axis=0)
             sq_norm[sq_norm == 0] = 1.0
-            cos2[i:i + _TUBE_BLOCK] = (self._gram @ feats).max(axis=0) / sq_norm
+            # the leading K * block entries of the work array, contiguous
+            out = self._work.reshape(-1)[:self._gram.shape[0] * feats.shape[1]]
+            prod = np.matmul(self._gram, feats, out=out.reshape(-1, feats.shape[1]))
+            cos2[i:i + _TUBE_BLOCK] = prod.max(axis=0) / sq_norm
         return self.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
 
     def dist_lb(self, w):
@@ -317,12 +326,15 @@ class AffineBall(Domain):
 
     def clearance_many(self, z_rows):
         """R - |z_*/z_0 - c| per row, in real arithmetic: with
-        d = z_* - c z_0, R - sqrt(|d|^2 / |z_0|^2).  A row on the hyperplane
-        z_0 = 0 (the zero row included) gets -pi/2."""
+        d = z_* - c z_0, R - sqrt(|d|^2 / |z_0|^2), |d|^2 summed one
+        coordinate at a time (a column of a coordinate-major batch is
+        contiguous).  A row on the hyperplane z_0 = 0 (the zero row
+        included) gets -pi/2."""
         z0 = z_rows[:, 0]
-        d = z_rows[:, 1:] - z0[:, None] * self.center[None, :]
-        dr = d.view(np.float64)
-        num = np.einsum("ij,ij->i", dr, dr)
+        num = 0.0
+        for j, c in enumerate(self.center, start=1):
+            d = z_rows[:, j] - c * z0
+            num = num + (d.real * d.real + d.imag * d.imag)
         den = z0.real * z0.real + z0.imag * z0.imag
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.radius - np.sqrt(num / den)

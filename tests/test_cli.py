@@ -87,6 +87,18 @@ def test_identity_check_passes(files):
     assert len(doc["result"]["rows"]) == 5
 
 
+def test_identity_check_bytes_independent_of_out_path(files):
+    # the embedded configuration leaves out the output path
+    outs = []
+    for sub in ("a", "deeper/directory"):
+        (files["tmp"] / sub).mkdir(parents=True)
+        out = str(files["tmp"] / sub / "idc.json")
+        assert main(["identity-check", "--count", "2", "--out", out]) == 0
+        outs.append(open(out, "rb").read())
+    assert outs[0] == outs[1]
+    assert "out" not in json.loads(outs[0])["config"]
+
+
 def test_identity_check_zero_discs(files):
     out = str(files["tmp"] / "idc0.json")
     rc = main(["identity-check", "--count", "0", "--out", out])

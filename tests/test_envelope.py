@@ -7,9 +7,10 @@ import pytest
 
 from discenv import kernels
 from discenv.discs import AnalyticDiscLift, BoundaryGrid
-from discenv.envelope import (ORIGIN_FLOOR, PENALTY_RHO, CandidateLibrary,
-                              DiscFamilySpec, EnvelopeEstimate,
-                              OptimizerConfig, _eval_rows, _objective,
+from discenv.envelope import (_DRAW_BLOCK, ORIGIN_FLOOR, PENALTY_RHO,
+                              CandidateLibrary, DiscFamilySpec,
+                              EnvelopeEstimate, OptimizerConfig,
+                              _clip_bound, _eval_coords, _objective,
                               _search, _theta_to_coeffs,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
@@ -17,8 +18,8 @@ from discenv.errors import ConfigError
 from discenv.functionals import omega_functional_lifted, sz_functional
 from discenv.projective import (AffineBall, AffineLogPolyWeight,
                                 ConstantWeight, FsBall, HomPolynomial,
-                                LiftedWeight, ProjPoint, Tube, ZeroWeight,
-                                affine_lift)
+                                LiftedWeight, LogPolyWeight, ProjPoint, Tube,
+                                ZeroWeight, affine_lift, chart)
 
 SMALL = OptimizerConfig(starts=6, budget=300, seed=3, search_nodes=128)
 
@@ -246,6 +247,68 @@ def test_batched_objective_matches_single_rows(mode, x, dom):
     assert batched.tobytes() == single.tobytes()
 
 
+def _horner_objective(spec, thetas):
+    """_objective one disc at a time, from Horner values (kernels.eval_poly)
+    and complex moduli."""
+    floor_ln = math.log(ORIGIN_FLOOR)
+    out = []
+    for theta in thetas:
+        coeffs = _theta_to_coeffs(spec, theta)
+        pts = kernels.eval_poly(coeffs, spec.nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lognorms = np.log(np.linalg.norm(pts, axis=1))
+            if spec.mode == "omega":
+                value = np.mean(spec.weight.value_proj_many(pts) + lognorms)
+            elif np.any(pts[:, 0] == 0):
+                value = math.inf
+            else:
+                value = (np.mean(np.log(np.abs(pts[:, 0]))) -
+                         math.log(abs(spec.c0[0])) +
+                         np.mean(spec.weight.value_affine_many(chart(pts))))
+            clear = np.clip(spec.domain.clearance_many(pts), -10.0, None)
+            pen = PENALTY_RHO * np.mean(np.maximum(0.0, spec.eta_search - clear) ** 2)
+            inner = kernels.eval_poly(coeffs, spec.interior_nodes)
+            min_ln = min(lognorms.min(), np.log(np.linalg.norm(inner, axis=1)).min())
+        if min_ln < floor_ln:
+            pen += 10.0 * (floor_ln - min_ln) ** 2
+        out.append(value + pen if np.isfinite(value) else math.inf)
+    return np.array(out)
+
+
+def _nonzero_weight(mode):
+    if mode == "omega":
+        return LogPolyWeight(HomPolynomial(((1, 0),), (1.0,)))  # log|z_0| - log|z|
+    return AffineLogPolyWeight(HomPolynomial(((1,),), (1.0,)))  # log|u|
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["zero", "weighted"])
+@pytest.mark.parametrize("mode,x,dom", _objective_cases(),
+                         ids=["omega-tube", "omega-fsball", "sz-affineball"])
+def test_objective_matches_horner_reference(mode, x, dom, weighted):
+    weight = _nonzero_weight(mode) if weighted else ZeroWeight()
+    spec = build_objective_spec(mode, x, dom, weight,
+                                DiscFamilySpec(degree=3, m=2, center=x),
+                                OptimizerConfig(search_nodes=256))
+    thetas = 0.3 * np.random.default_rng(12).standard_normal((6, spec.dim))
+    # row 2: f(1) = 0 (omega) or f_0(1) = 0 (sz) at the search node t = 1
+    thetas[2] = 0.0
+    thetas[2, :2] = -x.vec.real
+    thetas[2, 2:4] = -x.vec.imag
+    if mode == "sz":
+        thetas[2, 1] = thetas[2, 3] = 0.5
+    # row 4: f = c0 (1 - 2(1 - 2^-15) t), so |f| = 2^-15 |c0| at the probe
+    # t = 1/2 (exactly, on both routes) and the origin floor is active
+    c1 = -2.0 * (1.0 - 2.0 ** -15) * x.vec
+    thetas[4] = 0.0
+    thetas[4, :2], thetas[4, 2:4] = c1.real, c1.imag
+    got = _objective(spec, thetas)
+    want = _horner_objective(spec, thetas)
+    assert got[2] == math.inf and np.isfinite(np.delete(got, 2)).all()
+    # the origin floor adds 10 log(1e-4 2^15)^2 = 14.1; the rest is O(1)
+    assert got[4] > 10.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_eval_rows_matches_horner(m):
     x = ProjPoint(affine_lift(np.full(m - 1, 0.2 - 0.1j)))
@@ -257,10 +320,10 @@ def test_eval_rows_matches_horner(m):
     for nodes, powers in ((spec.nodes, spec.node_powers),
                           (spec.interior_nodes, spec.interior_powers)):
         assert not powers.flags.writeable
-        want = np.concatenate([kernels.eval_poly(c, nodes) for c in coeffs])
-        got = _eval_rows(coeffs, powers)
-        assert got.shape == (5 * len(nodes), m)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        want = np.stack([kernels.eval_poly(c, nodes) for c in coeffs])
+        got = _eval_coords(coeffs, powers)
+        assert got.shape == (m, 5, len(nodes))
+        np.testing.assert_allclose(got.transpose(1, 2, 0), want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("nodes", [64, 256])
@@ -282,23 +345,25 @@ def test_node_powers_match_vandermonde_expression(nodes):
 
 def _sz_objective_with_chart(spec, thetas):
     """The sz-mode objective as computed with the chart for every weight."""
-    r, n = thetas.shape[0], spec.nodes.size
+    r, n, m = thetas.shape[0], spec.nodes.size, spec.m
     coeffs = _theta_to_coeffs(spec, thetas)
-    pts = _eval_rows(coeffs, spec.node_powers)
+    vals = _eval_coords(coeffs, spec.node_powers)
+    sq = vals.real ** 2 + vals.imag ** 2
+    rows = vals.reshape(m, r * n).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        lognorms = kernels.row_lognorms(pts).reshape(r, n)
-        mags0 = np.abs(pts[:, 0]).reshape(r, n)
-        charts = pts[:, 1:] / pts[:, :1]
-        interior = np.mean(np.log(mags0), axis=1) - math.log(abs(spec.c0[0]))
+        charts = rows[:, 1:] / rows[:, :1]
+        interior = (0.5 * np.mean(np.log(sq[0]), axis=1) -
+                    math.log(abs(spec.c0[0])))
         value = interior + np.mean(
             spec.weight.value_affine_many(charts).reshape(r, n), axis=1)
-        value[np.any(mags0 == 0, axis=1)] = math.inf
-        clear = np.clip(spec.domain.clearance_many(pts), -10.0, None).reshape(r, n)
+        value[np.any(sq[0] == 0, axis=1)] = math.inf
+        clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = kernels.row_lognorms(
-            _eval_rows(coeffs, spec.interior_powers)).reshape(r, -1)
-        min_ln = np.minimum(lognorms.min(axis=1), inner.min(axis=1))
+        inner = _eval_coords(coeffs, spec.interior_powers)
+        inner2 = (inner.real ** 2 + inner.imag ** 2).sum(axis=0)
+        min_ln = 0.5 * np.log(np.minimum(sq.sum(axis=0).min(axis=1),
+                                         inner2.min(axis=1)))
         floor_ln = math.log(ORIGIN_FLOOR)
         for i in np.flatnonzero(min_ln < floor_ln):
             pen[i] += 10.0 * (floor_ln - float(min_ln[i])) ** 2
@@ -343,15 +408,71 @@ def test_restarts_independent_of_their_number(x, dom, nodes):
                    OptimizerConfig(starts=3, budget=150, seed=4, search_nodes=nodes))
     more = minimize("omega", x, dom, ZeroWeight(), fam,
                     OptimizerConfig(starts=6, budget=150, seed=4, search_nodes=nodes))
-    assert few.trace[-1] is not None
     assert few.trace == more.trace[:3]
     # the trace keeps only the best value so far; the final search points
     # of each of the first three restarts match as well
     spec = build_objective_spec("omega", x, dom, ZeroWeight(), fam,
                                 OptimizerConfig(search_nodes=nodes))
     theta0s = 0.3 * np.random.default_rng(5).standard_normal((6, spec.dim))
-    assert (_search(spec, theta0s[:3], 4, 150).tobytes() ==
-            _search(spec, theta0s, 4, 150)[:3].tobytes())
+    ends = _search(spec, theta0s[:3], 4, 150)
+    assert np.isfinite(_objective(spec, ends)).all()
+    assert ends.tobytes() == _search(spec, theta0s, 4, 150)[:3].tobytes()
+
+
+def _serial_search(spec, theta0s, seed, budget):
+    """_search's documented draw contract, one restart at a time, each
+    proposal scored by a one-row _objective call."""
+    dim = spec.dim
+    ends = []
+    for r, theta0 in enumerate(theta0s):
+        rng = np.random.default_rng([seed, r, 17])
+        theta = _clip_bound(spec, np.array(theta0, dtype=float).reshape(1, dim))
+        best, sigma = _objective(spec, theta)[0], 0.25
+        for step in range(budget - 1):
+            i = step % _DRAW_BLOCK
+            if i == 0:
+                u = rng.uniform(size=_DRAW_BLOCK)
+                z = rng.standard_normal((_DRAW_BLOCK, dim)) * (1.0 / math.sqrt(dim))
+                k = rng.integers(dim, size=_DRAW_BLOCK)
+                g = rng.standard_normal(_DRAW_BLOCK)
+            prop = theta.copy()
+            if u[i] < 0.5:
+                prop[0] = theta[0] + sigma * z[i]
+            else:
+                prop[0, k[i]] += sigma * g[i]
+            prop = _clip_bound(spec, prop)
+            f = _objective(spec, prop)[0]
+            if f < best:
+                theta, best, sigma = prop, f, min(sigma * 1.4, 2.0)
+            else:
+                sigma = max(sigma * 0.98, 1e-10)
+        ends.append(theta[0])
+    return np.array(ends)
+
+
+def _search_cases():
+    circle = tuple(ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
+                   for k in range(64))
+    return [
+        ("sz", ProjPoint(affine_lift(np.array([0.2 - 0.1j, 0.1j]))),
+         AffineBall(np.zeros(2, dtype=complex), 1.0), 64),
+        # 4 restarts x 256 nodes: 1024 rows, one full Tube block
+        ("omega", ProjPoint(np.array([1.0, 0.0])), Tube(circle, 0.1), 256),
+    ]
+
+
+@pytest.mark.parametrize("budget", [40, 150])
+@pytest.mark.parametrize("mode,x,dom,nodes", _search_cases(),
+                         ids=["sz-affineball-m3", "omega-tube"])
+def test_search_matches_serial_reference(mode, x, dom, nodes, budget):
+    spec = build_objective_spec(mode, x, dom, ZeroWeight(),
+                                DiscFamilySpec(degree=3, m=x.vec.size, center=x),
+                                OptimizerConfig(search_nodes=nodes))
+    theta0s = 0.3 * np.random.default_rng(6).standard_normal((4, spec.dim))
+    theta0s[0] = 0.0  # the constant disc, the first constructed seed
+    got = _search(spec, theta0s, 9, budget)
+    assert got.shape == theta0s.shape and not np.array_equal(got, theta0s)
+    assert got.tobytes() == _serial_search(spec, theta0s, 9, budget).tobytes()
 
 
 def test_workers_other_than_one_rejected():

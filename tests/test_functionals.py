@@ -6,7 +6,7 @@ import pytest
 
 from discenv import kernels
 from discenv.discs import AnalyticDiscLift, AreaQuadrature, BoundaryGrid, \
-    random_disc
+    circle_mean, grid_values, random_disc
 from discenv.errors import InfeasibleDiscError, NumericalError
 from discenv.functionals import (identity_check_eqH, omega_functional_direct,
                                  omega_functional_lifted, poisson_functional,
@@ -15,7 +15,7 @@ from discenv.functionals import (identity_check_eqH, omega_functional_direct,
                                  _jensen_split, _jensen_tables)
 from discenv.projective import (ConstantWeight, FsBall, HomPolynomial,
                                 LiftedWeight, LogPolyWeight, ProjPoint,
-                                ZeroWeight)
+                                ZeroWeight, chart)
 
 
 def disc_1t():
@@ -179,6 +179,22 @@ def test_sz_boundary_on_hyperplane_rejected():
     d = _sz_disc([-1.0, 1.0])  # f_0 vanishes at t = 1
     with pytest.raises(InfeasibleDiscError):
         sz_functional(ZeroWeight(), d, route="jensen")
+
+
+@pytest.mark.parametrize("weight", [ZeroWeight(), ConstantWeight(0.3)],
+                         ids=["zero", "constant"])
+def test_sz_functional_matches_chart_formula(weight):
+    # the boundary term from the chart of every boundary value, as before
+    # the zero weight skipped the chart
+    d = _sz_disc([1.0, 0.4 - 0.2j, 0.1j], [0.2, 0.3j, -0.1])
+    grid = BoundaryGrid(512)
+    fv = sz_functional(weight, d, None, grid, route="jensen")
+    boundary = circle_mean(weight.value_affine_many(chart(grid_values(d, grid))))
+    interior = sz_interior_jensen(d)
+    assert fv.boundary_term == boundary
+    assert fv.interior_term == interior
+    assert np.float64(fv.total).tobytes() == np.float64(boundary + interior).tobytes()
+    assert fv.to_json()["meta"] == {"nodes": 512, "jensen_nodes": 65536}
 
 
 def test_sz_route_agreement_random():

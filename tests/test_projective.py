@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from discenv.projective import (AffineBall, ConstantWeight, Domain, FsBall,
+from discenv.projective import (_TUBE_BLOCK, AffineBall, ConstantWeight,
+                                Domain, FsBall,
                                 HomPolynomial, HyperplaneComplement,
                                 Intersection, LiftedWeight, LogPolyWeight,
                                 ProjPoint, Tube, ZeroWeight, affine_lift,
@@ -309,3 +310,37 @@ def test_tube_clearance_blocks_match_pairwise_reference(make_samples, delta):
     # the band's nearest sample is at most delta + 1e-3 away
     assert np.all(clear[2500:] >= -1e-3 - 1e-12) and np.any(clear[2500:] < 0)
     np.testing.assert_allclose(clear, ref, rtol=0, atol=1e-12)
+
+
+def _gram_clearance(tube, z):
+    """Tube.clearance_many with a fresh product gram @ feats per block."""
+    m = z.shape[1]
+    cos2 = np.empty(len(z))
+    for i in range(0, len(z), _TUBE_BLOCK):
+        feats = tube._features(z[i:i + _TUBE_BLOCK])
+        sq_norm = feats[:m].sum(axis=0)
+        sq_norm[sq_norm == 0] = 1.0
+        cos2[i:i + _TUBE_BLOCK] = (tube._gram @ feats).max(axis=0) / sq_norm
+    return tube.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
+
+
+def test_tube_clearance_work_array_bitwise():
+    # 2500 rows end in a partial block; interleaved calls on two tubes of
+    # different sizes must not see each other's work arrays
+    rng = np.random.default_rng(21)
+    circle = Tube(_circle_samples(rng), 0.05)
+    cloud = Tube(_cloud_samples(rng), 0.2)
+    assert circle._work.shape == (64, _TUBE_BLOCK)
+    results = []
+    for rows in (5120, 1024, 2500):
+        for tube in (circle, cloud):
+            m = tube._mat.shape[1]
+            z = rng.standard_normal((m, rows)) + 1j * rng.standard_normal((m, rows))
+            # the coordinate-major rows of the search, and a C-ordered copy
+            for rows_view in (z.T, np.ascontiguousarray(z.T)):
+                got = tube.clearance_many(rows_view)
+                assert got.tobytes() == _gram_clearance(tube, rows_view).tobytes()
+                results.append((tube, rows_view, got, got.copy()))
+    for tube, z, got, kept in results:
+        assert got.tobytes() == kept.tobytes()
+        assert tube.clearance_many(z).tobytes() == kept.tobytes()
