@@ -44,8 +44,10 @@ def _load_json(path: str):
         raise ConfigError(f"cannot read {path}: {e}") from e
 
 
-def _load_point(path: str) -> ProjPoint:
-    obj = _load_json(path)
+def _parse_point(obj) -> ProjPoint:
+    """A point from its JSON object {"type": "proj" | "affine", "coords"}."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a point must be a JSON object, not {obj!r}")
     kind = obj.get("type", "proj")
     coords = vec_from_json(obj["coords"])
     if kind == "affine":
@@ -139,7 +141,7 @@ def _family_opt(args, x):
 
 
 def cmd_envelope(args) -> int:
-    x = _load_point(args.point)
+    x = _parse_point(_load_json(args.point))
     domain = Domain.from_json(_load_json(args.domain))
     weight = Weight.from_json(_load_json(args.weight))
     fam, opt = _family_opt(args, x)
@@ -153,14 +155,9 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    pts_doc = _load_json(args.points)
-    pts = []
-    for obj in pts_doc["points"]:
-        coords = vec_from_json(obj["coords"])
-        if obj.get("type", "proj") == "affine":
-            pts.append(ProjPoint(affine_lift(coords)))
-        else:
-            pts.append(ProjPoint(coords))
+    pts = [_parse_point(obj) for obj in _load_json(args.points)["points"]]
+    if not pts:
+        raise ConfigError(f"{args.points}: no points")
     domain = Domain.from_json(_load_json(args.domain))
     weight = Weight.from_json(_load_json(args.weight))
     fam, opt = _family_opt(args, pts[0])
@@ -179,7 +176,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_hull_test(args) -> int:
-    x = _load_point(args.point)
+    x = _parse_point(_load_json(args.point))
     K = hull_mod.CompactSetSpec.from_json(_load_json(args.set))
     fam, opt = _family_opt(args, x)
     grid = BoundaryGrid(args.nodes)
@@ -193,7 +190,7 @@ def cmd_hull_test(args) -> int:
 
 
 def cmd_hull_schedule(args) -> int:
-    x = _load_point(args.point)
+    x = _parse_point(_load_json(args.point))
     K = hull_mod.CompactSetSpec.from_json(_load_json(args.set))
     deltas = [float(d) for d in args.deltas.split(",")]
     fam, opt = _family_opt(args, x)
@@ -255,11 +252,8 @@ def cmd_structure_epsilon(args) -> int:
     return 0 if res["success"] else 2
 
 
-def _add_common(p, nodes=1024, radial=256, angular=512):
+def _add_common(p, nodes=1024):
     p.add_argument("--nodes", type=int, default=nodes)
-    p.add_argument("--radial", type=int, default=radial)
-    p.add_argument("--angular", type=int, default=angular)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
 
 
@@ -269,10 +263,19 @@ def _add_opt(p):
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--bound", type=float, default=10.0)
     p.add_argument("--eta", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=7)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (config), not 2, the code for infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="discenv")
+    ap = _Parser(prog="discenv")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("functional")
@@ -283,12 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--domain", default=None)
     pe.add_argument("--route", choices=["direct", "lifted", "jensen"],
                     required=True)
+    pe.add_argument("--radial", type=int, default=256)
+    pe.add_argument("--angular", type=int, default=512)
     _add_common(pe)
     pe.set_defaults(func=cmd_functional)
 
     p = sub.add_parser("identity-check")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--radial", type=int, default=256)
+    p.add_argument("--angular", type=int, default=512)
+    p.add_argument("--seed", type=int, default=7)
     _add_common(p)
     p.set_defaults(func=cmd_identity_check)
 
@@ -351,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     pep.add_argument("--weight", required=True)
     pep.add_argument("--domain", required=True)
     pep.add_argument("--eps", type=float, default=1e-2)
+    pep.add_argument("--seed", type=int, default=7)
     _add_common(pep)
     pep.set_defaults(func=cmd_structure_epsilon)
 
@@ -358,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except np.linalg.LinAlgError as e:
         # a ValueError subclass, but a numerical failure, not a bad input

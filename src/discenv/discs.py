@@ -77,16 +77,12 @@ class AnalyticDiscLift:
 
     def min_norm_on_grid(self, n_r: int = _VALIDATION_RADIAL,
                          n_theta: int = _VALIDATION_ANGULAR) -> float:
-        """Least norm of the disc over validation_grid(n_r, n_theta).
-
-        On the polar grid the values are matrix products: with R = r^k
-        and E = e^{ik theta}, f_j = (R * c_j) @ E; one sqrt is taken, of
-        the least squared norm.
-        """
-        radial, waves = _validation_tables(n_r, n_theta, self.degree)
-        d1, m = self.coeffs.shape
-        f = (self.coeffs.T[:, None, :] * radial).reshape(m * n_r, d1) @ waves
-        sq = (f.real ** 2 + f.imag ** 2).reshape(m, -1).sum(axis=0)
+        """Least norm of the disc over validation_grid(n_r, n_theta), from
+        its polar_values; one sqrt is taken, of the least squared norm."""
+        d = self.degree
+        f = polar_values(self.coeffs, circle_powers(n_theta, d),
+                         power_table(_validation_radii, n_r, d))
+        sq = (f.real ** 2 + f.imag ** 2).sum(axis=0)
         return float(np.sqrt(sq.min()))
 
     def validate(self) -> float:
@@ -182,10 +178,8 @@ class BoundaryGrid:
         return np.full(self.n, 1.0 / self.n)
 
     def powers(self, degree: int) -> np.ndarray:
-        """The table t^k (n, degree+1) at the nodes, read-only, shared
-        by every grid of n nodes."""
-        width = -(-(degree + 1) // _TABLE_COLUMNS) * _TABLE_COLUMNS
-        return _circle_powers(self.n, width)[:, :degree + 1]
+        """The table t^k (n, degree+1) at the nodes."""
+        return circle_powers(self.n, degree)
 
 
 @dataclass(frozen=True)
@@ -214,15 +208,10 @@ class AreaQuadrature:
         object.__setattr__(self, "radial_weights",
                            _read_only(wr * (2.0 * np.pi / self.n_theta)))
 
-    @property
-    def angles(self) -> np.ndarray:
-        """The n_theta equispaced angles, shared by every radius."""
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
     @cached_property
     def nodes(self) -> np.ndarray:
         return _read_only((self.radii[:, None] *
-                           np.exp(1j * self.angles)[None, :]).reshape(-1))
+                           _circle_nodes(self.n_theta)[None, :]).reshape(-1))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -248,15 +237,30 @@ def _circle_nodes(n: int) -> np.ndarray:
     return _read_only(np.exp(1j * theta))
 
 
-# power tables are built _TABLE_COLUMNS columns at a time and sliced, so
-# discs of degree 0 to 7 share one table per node count; column k is t^k
+# power tables are built _TABLE_COLUMNS powers at a time and sliced, so
+# discs of degree 0 to 7 share one table per node set; power k is x^k
 # whatever the width, so a slice has the bits of a table of its own
 _TABLE_COLUMNS = 8
 
 
-@lru_cache(maxsize=8)
-def _circle_powers(n: int, width: int) -> np.ndarray:
-    return _read_only(_circle_nodes(n)[:, None] ** np.arange(width))
+@lru_cache(maxsize=32)
+def _power_table(points, n: int, width: int) -> np.ndarray:
+    # stored power-major, row k = x^k, so that polar_values reads the
+    # transposes of its tables contiguously
+    return _read_only(points(n)[None, :] ** np.arange(width)[:, None])
+
+
+def power_table(points, n: int, degree: int) -> np.ndarray:
+    """The table x^k (len(x), degree+1) of the points x = points(n) of a
+    fixed node set (points is a module-level function), built once."""
+    width = -(-(degree + 1) // _TABLE_COLUMNS) * _TABLE_COLUMNS
+    return _power_table(points, n, width)[:degree + 1].T
+
+
+def circle_powers(n: int, degree: int) -> np.ndarray:
+    """The one table e^{ik theta_j} (n, degree+1) of the n equispaced nodes,
+    shared by BoundaryGrid(n) and every polar node set with n angles."""
+    return power_table(_circle_nodes, n, degree)
 
 
 @lru_cache(maxsize=8)
@@ -272,9 +276,12 @@ def _radial_rule(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(r), _read_only(wr)
 
 
-def _validation_axes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    return (np.linspace(0.0, 1.0, n_r),
-            2.0 * np.pi * np.arange(n_theta) / n_theta)
+def _area_radii(n_r: int) -> np.ndarray:
+    return _radial_rule(n_r)[0]
+
+
+def _validation_radii(n_r: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, n_r)
 
 
 @lru_cache(maxsize=8)
@@ -282,19 +289,25 @@ def validation_grid(n_r: int = _VALIDATION_RADIAL,
                     n_theta: int = _VALIDATION_ANGULAR) -> np.ndarray:
     """Polar grid on the closed unit disc (includes r=0 and r=1), radius
     major; read-only, built once per size."""
-    r, theta = _validation_axes(n_r, n_theta)
-    return _read_only((r[:, None] * np.exp(1j * theta)[None, :]).reshape(-1))
+    return _read_only((_validation_radii(n_r)[:, None] *
+                       _circle_nodes(n_theta)[None, :]).reshape(-1))
 
 
-@lru_cache(maxsize=8)
-def _validation_tables(n_r: int, n_theta: int,
-                       degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tensor factors of validation_grid's power table: r^k (n_r,
-    degree+1) and e^{ik theta} (degree+1, n_theta), read-only."""
-    r, theta = _validation_axes(n_r, n_theta)
-    k = np.arange(degree + 1)
-    return (_read_only(r[:, None] ** k),
-            _read_only(np.exp(1j * np.outer(k, theta))))
+def polar_values(coeffs: np.ndarray, angular: np.ndarray,
+                 radial: np.ndarray | None = None) -> np.ndarray:
+    """Values of discs, coeffs (..., d+1, m), at the nodes r_i e^{i theta_l},
+    coordinate-major: (m, ..., n_r, n_theta), or (m, ..., n_theta) with no
+    radial table r_i^k.  angular is e^{ik theta_l}; the tables' first d+1
+    columns are used.  f_j = (r^k * c_j) @ E^T is one product for all."""
+    *batch, d1, m = coeffs.shape
+    rows, shape = m * math.prod(batch), (m, *batch)
+    c = coeffs.transpose(-1, *range(len(batch) + 1)).reshape(rows, d1)
+    if radial is not None:
+        # the products power-major, (d+1, rows, n_r), as the tables are
+        c = (radial[:, :d1].T[:, None, :] * c.T[:, :, None]).reshape(
+            d1, rows * len(radial)).T
+        shape += (len(radial),)
+    return (c @ angular[:, :d1].T).reshape(shape + (len(angular),))
 
 
 def disc_values(disc, t: np.ndarray) -> np.ndarray:
@@ -395,9 +408,8 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     """Angular sums of the FS pullback density of the polynomial disc
     with these coefficients, one per radius of quad.
 
-    On the tensor grid the values are matrix products: with R = r^k and
-    E = e^{ik theta}, f_j = (R * c_j) @ E, and f'_j likewise from the
-    first d powers and (k c_k)_j.  The density numerator
+    The values of f and f' are polar_values on the tensor grid, f' from
+    the coefficients (k c_k)_j.  The density numerator
     |f|^2 |f'|^2 - |<f',f>|^2 is taken by Lagrange's identity as
     sum_{i<j} |f_i f'_j - f_j f'_i|^2, a sum of squares, so it is never
     negative and needs no clip.  Raises OriginViolation where |f| falls
@@ -405,18 +417,16 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     """
     d1, m = coeffs.shape
     d = d1 - 1
-    k = np.arange(d1)
-    powers = quad.radii[:, None] ** k  # R, (n_r, d+1)
-    waves = np.exp(1j * np.outer(k, quad.angles))  # E, (d+1, n_theta)
-    c = coeffs.T[:, None, :]  # (m, 1, d+1)
-    dc = (coeffs[1:] * k[1:, None]).T[:, None, :]  # (m, 1, d)
+    angular = circle_powers(quad.n_theta, d)
+    radial = power_table(_area_radii, quad.n_r, d)
+    dc = coeffs[1:] * np.arange(1, d + 1)[:, None]  # coefficients of f'
     rows = max(1, _AREA_BLOCK // quad.n_theta)
     sums = np.empty(quad.n_r)
     for a in range(0, quad.n_r, rows):
-        rk = powers[a:a + rows]
+        rk = radial[a:a + rows]
         n = rk.shape[0]
-        f = ((c * rk).reshape(m * n, d1) @ waves).reshape(m, n, -1)
-        df = ((dc * rk[:, :d]).reshape(m * n, d) @ waves[:d]).reshape(m, n, -1)
+        f = polar_values(coeffs, angular, rk)
+        df = polar_values(dc, angular, rk)
         sq = (f.real ** 2 + f.imag ** 2).sum(axis=0)
         if np.sqrt(sq.min()) < delta_min:
             raise OriginViolation("area quadrature node too close to the origin")

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES, grid_values
+from .discs import (AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES,
+                    circle_powers, grid_values, polar_values, power_table)
 from .errors import ConfigError, DomainError
 from .functionals import _omega_lifted, _sz, encode_float
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
@@ -20,8 +21,9 @@ from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
 PENALTY_RHO = 1.0e4
 ETA_INFLATION = 1.5
 ORIGIN_FLOOR = 1e-4
-_INTERIOR_RADII = (0.25, 0.5, 0.75)
-_INTERIOR_ANGLES = 16
+# interior probes of the origin floor: radii 0, 1/4, 1/2, 3/4 on 16 angles
+_PROBE_RADII = 4
+_PROBE_ANGLES = 16
 # steps of (1+1)-ES draws per restart and block (see _search)
 _DRAW_BLOCK = 16
 
@@ -79,12 +81,7 @@ class EnvelopeEstimate:
 
 @dataclass(frozen=True)
 class _ObjectiveSpec:
-    """Everything the search needs besides its starting points.
-
-    node_powers and interior_powers are the Vandermonde matrices
-    t^k (N, degree+1) of the search nodes (the grid's cached table) and
-    of the interior probe nodes (built once).
-    """
+    """Everything the search needs besides its starting points."""
 
     mode: str
     c0: np.ndarray
@@ -94,13 +91,6 @@ class _ObjectiveSpec:
     bound: float
     eta_search: float
     grid: BoundaryGrid
-    interior_nodes: np.ndarray
-    interior_powers: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        powers = np.asarray(self.interior_nodes)[:, None] ** np.arange(self.degree + 1)
-        powers.setflags(write=False)
-        object.__setattr__(self, "interior_powers", powers)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -127,9 +117,9 @@ def _theta_to_coeffs(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
     return np.concatenate([c0, cplx], axis=-2)
 
 
-def _coeffs_to_theta(spec: _ObjectiveSpec, coeffs: np.ndarray) -> np.ndarray:
-    tail = np.zeros((spec.degree, spec.m), dtype=np.complex128)
-    k = min(spec.degree, coeffs.shape[0] - 1)
+def _coeffs_to_theta(degree: int, coeffs: np.ndarray) -> np.ndarray:
+    tail = np.zeros((degree, coeffs.shape[1]), dtype=np.complex128)
+    k = min(degree, coeffs.shape[0] - 1)
     tail[:k] = coeffs[1: 1 + k]
     return np.concatenate([tail.real, tail.imag], axis=1).reshape(-1)
 
@@ -147,15 +137,13 @@ def _clip_bound(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _eval_coords(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Values of R discs, coeffs (R, d+1, m), at the N nodes whose
-    Vandermonde matrix is powers (N, d+1), coordinate-major: shape
-    (m, R, N).  One product of the (m*R, d+1) coefficient matrix with the
-    table's transpose; each value is the dot product of one coefficient
-    row with one table row, so it does not depend on the other discs."""
-    r, d1, m = coeffs.shape
-    mat = coeffs.transpose(2, 0, 1).reshape(m * r, d1)
-    return (mat @ powers.T).reshape(m, r, -1)
+def _probe_nodes(n_theta: int) -> np.ndarray:
+    """The probes r e^{i theta}, radius-major, from the angular table.  Their
+    cached powers take one product per call; the polar form, which scales
+    the m*R coefficient rows by r^k on every call, made _objective ~4%
+    slower."""
+    radii = np.arange(_PROBE_RADII) / _PROBE_RADII
+    return (radii[:, None] * circle_powers(n_theta, 1)[:, 1]).reshape(-1)
 
 
 def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
@@ -167,7 +155,7 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """
     r, n, m = thetas.shape[0], spec.nodes.size, spec.m
     coeffs = _theta_to_coeffs(spec, thetas)
-    vals = _eval_coords(coeffs, spec.node_powers)
+    vals = polar_values(coeffs, spec.node_powers)  # (m, R, N)
     sq = vals.real ** 2 + vals.imag ** 2
     norm2 = sq.sum(axis=0)
     # the domain and the weights see (R*N, m) rows: a transposed view
@@ -195,7 +183,8 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
         clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = _eval_coords(coeffs, spec.interior_powers)
+        inner = polar_values(coeffs, power_table(_probe_nodes, _PROBE_ANGLES,
+                                                 spec.degree))
         inner2 = (inner.real ** 2 + inner.imag ** 2).sum(axis=0)
         min_ln = 0.5 * np.log(np.minimum(norm2.min(axis=1), inner2.min(axis=1)))
         pen += 10.0 * np.square(np.maximum(0.0, math.log(ORIGIN_FLOOR) - min_ln))
@@ -243,13 +232,6 @@ def _search(spec: _ObjectiveSpec, theta0s, seed: int,
         sigma = np.where(better, np.minimum(sigma * 1.4, 2.0),
                          np.maximum(sigma * 0.98, 1e-10))
     return theta
-
-
-def _interior_probe_nodes() -> np.ndarray:
-    ang = np.exp(2j * np.pi * np.arange(_INTERIOR_ANGLES) / _INTERIOR_ANGLES)
-    pts = [np.array([0.0 + 0j])]
-    pts.extend(r * ang for r in _INTERIOR_RADII)
-    return np.concatenate(pts)
 
 
 def _constructed_seeds(spec: _ObjectiveSpec) -> list:
@@ -323,8 +305,7 @@ def build_objective_spec(mode: str, x: ProjPoint, domain: Domain,
         raise DomainError("sz mode needs a center in the chart z_0 != 0")
     return _ObjectiveSpec(mode, c0, family.degree, domain, weight,
                           family.bound, ETA_INFLATION * family.eta,
-                          BoundaryGrid(opt.search_nodes),
-                          _interior_probe_nodes())
+                          BoundaryGrid(opt.search_nodes))
 
 
 def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
@@ -496,7 +477,6 @@ def envelope_grid(mode: str, points: list, domain: Domain, weight: Weight,
         est = minimize(mode, x, domain, weight, fam, opt, final_grid,
                        library=library, warm_theta=warm)
         if est.witness is not None:
-            spec = build_objective_spec(mode, x, domain, weight, fam, opt)
-            warm = _coeffs_to_theta(spec, est.witness.coeffs)
+            warm = _coeffs_to_theta(family.degree, est.witness.coeffs)
         out.append(est)
     return out

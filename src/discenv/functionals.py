@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                    _read_only, boundary_lognorms, circle_mean, grid_values,
-                    riesz_area_term, roots_in_unit_disc)
+                    boundary_lognorms, circle_mean, circle_powers, grid_values,
+                    polar_values, power_table, riesz_area_term,
+                    roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError
 from .projective import Domain, LiftedWeight, Weight, ZeroWeight
 
@@ -112,21 +112,12 @@ def _jensen_split(n_nodes: int) -> tuple[int, int]:
     return b, n_nodes // b
 
 
-@lru_cache(maxsize=8)
-def _jensen_tables(n_nodes: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The polyphase power tables of the n_nodes equispaced nodes.
-
-    With n_nodes = b * a, omega = e^{2 pi i/n_nodes} and zeta = omega^b,
-    node j + b l is omega^j zeta^l, so a polynomial's value there is
-    sum_k (c_k omega^{jk}) zeta^{lk}: all values are one product
-    (W * c) @ Z of W = omega^{jk} (b, degree+1) and Z = zeta^{lk}
-    (degree+1, a), read-only and far smaller than the nodes themselves.
-    """
-    b, a = _jensen_split(n_nodes)
-    k = np.arange(degree + 1)
-    w = np.exp(2j * np.pi * np.arange(b) / n_nodes)
-    z = np.exp(2j * np.pi * (b * np.arange(a)) / n_nodes)
-    return _read_only(w[:, None] ** k), _read_only(z[None, :] ** k[:, None])
+def _jensen_phases(n_nodes: int) -> np.ndarray:
+    """omega^j, j < b, for omega = e^{2 pi i/n_nodes} and n_nodes = b * a:
+    node j + b l is omega^j e^{2 pi i l/a}, so the values on the nodes are
+    polar_values with the radial factors omega^{jk} and a angles."""
+    b, _a = _jensen_split(n_nodes)
+    return np.exp(2j * np.pi * np.arange(b) / n_nodes)
 
 
 def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
@@ -134,8 +125,9 @@ def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
     center = complex(disc.coeffs[0, 0])
     if center == 0:
         return math.inf
-    w, z = _jensen_tables(n_nodes, disc.degree)
-    mags = np.abs((w * disc.coeffs[:, 0]) @ z)
+    d, a = disc.degree, _jensen_split(n_nodes)[1]
+    mags = np.abs(polar_values(disc.coeffs[:, :1], circle_powers(a, d),
+                               power_table(_jensen_phases, n_nodes, d)))
     if np.any(mags == 0):
         raise InfeasibleDiscError("f_0 vanishes on the unit circle")
     # log in place: at 65536 nodes the page faults of a fresh array can

@@ -28,6 +28,8 @@ class CompactSetSpec:
     samples: tuple
     connected: bool = True
     name: str = ""
+    _tubes: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if not self.samples:
@@ -39,7 +41,10 @@ class CompactSetSpec:
         object.__setattr__(self, "samples", tuple(merged))
 
     def tube(self, delta: float) -> Tube:
-        return Tube(self.samples, delta)
+        tube = self._tubes.get(delta)
+        if tube is None:
+            tube = self._tubes[delta] = Tube(self.samples, delta)
+        return tube
 
     def fs_distance_to(self, x: ProjPoint) -> float:
         return min(fs_distance(x, p) for p in self.samples)

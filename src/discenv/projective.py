@@ -329,7 +329,9 @@ class AffineBall(Domain):
         d = z_* - c z_0, R - sqrt(|d|^2 / |z_0|^2), |d|^2 summed one
         coordinate at a time (a column of a coordinate-major batch is
         contiguous).  A row on the hyperplane z_0 = 0 (the zero row
-        included) gets -pi/2."""
+        included) gets -pi/2.  Rows must lie in C^(len(center)+1)."""
+        if z_rows.shape[1] != self.center.size + 1:
+            raise ConfigError(f"points of C^{z_rows.shape[1]} for a ball in C^{self.center.size}")
         z0 = z_rows[:, 0]
         num = 0.0
         for j, c in enumerate(self.center, start=1):

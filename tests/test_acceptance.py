@@ -227,13 +227,11 @@ def test_criterion_9_monotonicity_suite():
     wt_big = pooled(domains[1], ConstantWeight(0.5))
     wt_ok = wt_small <= wt_big + 1e-6
     # degree monotonicity: warm-started higher degree never increases upper
-    from discenv.envelope import _coeffs_to_theta, build_objective_spec
+    from discenv.envelope import _coeffs_to_theta
 
     est4 = minimize("omega", x, domains[1], ZeroWeight(), fam, opt, grid)
     fam6 = DiscFamilySpec(degree=6, m=2, center=x)
-    spec6 = build_objective_spec("omega", x, domains[1], ZeroWeight(), fam6,
-                                 opt)
-    warm = _coeffs_to_theta(spec6, est4.witness.coeffs)
+    warm = _coeffs_to_theta(fam6.degree, est4.witness.coeffs)
     est6 = minimize("omega", x, domains[1], ZeroWeight(), fam6, opt, grid,
                     warm_theta=warm)
     deg_ok = est6.upper <= est4.upper + 1e-6

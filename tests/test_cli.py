@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from discenv import discs
 from discenv.cli import _write_artifact, main
 from discenv.errors import NumericalError
 
@@ -143,6 +144,83 @@ def test_grid_csv(files):
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "point,upper,lower,gap,degree"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("points", [[], [{"type": "bogus",
+                                          "coords": [[0.5, 0.0]]}]],
+                         ids=["empty", "bogus-type"])
+def test_grid_bad_points_exit_1(files, points, capsys):
+    pts = write(files["tmp"] / "pts.json", {"points": points})
+    rc = main(["grid", "--points", pts, "--domain", files["ball"],
+               "--weight", files["zero"], "--mode", "sz",
+               "--out", str(files["tmp"] / "grid.csv")])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_envelope_point_dimension_mismatch_exit_1(files, capsys):
+    # a point of P^2 against a ball in C^1
+    p = write(files["tmp"] / "p2.json",
+              {"type": "affine", "coords": [[0.2, 0.0], [0.1, 0.0]]})
+    rc = main(["envelope", "--point", p, "--domain", files["ball"],
+               "--weight", files["zero"], "--mode", "sz", "--degree", "2",
+               "--starts", "2", "--budget", "20",
+               "--out", str(files["tmp"] / "e.json")])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull", "test", "--bogus", "1"],
+    ["hull", "normalize", "--disc", "d.json", "--r", "0.9", "--seed", "3",
+     "--out", "o.json"],
+    ["functional", "eval", "--disc", "d.json", "--weight", "w.json",
+     "--route", "lifted", "--seed", "3", "--out", "o.json"],
+    ["envelope", "--point", "p.json", "--domain", "b.json", "--weight",
+     "w.json", "--mode", "sz", "--radial", "64", "--out", "o.json"],
+    ["disc-structure", "make", "--x", "x.json", "--w", "w.json",
+     "--domain", "b.json", "--angular", "64", "--out", "o.json"],
+    ["identity-check"],
+    ["nope"],
+], ids=["unknown-option", "normalize-seed", "functional-seed",
+        "envelope-radial", "make-angular", "missing-out", "unknown-command"])
+def test_usage_error_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "config error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["hull", "test", "--help"])
+    assert e.value.code == 0
+    assert "--lambda" in capsys.readouterr().out
+
+
+def test_artifact_config_records_read_options(files):
+    out = str(files["tmp"] / "norm.json")
+    assert main(["hull", "normalize", "--disc", files["disc"], "--r", "0.9",
+                 "--out", out]) == 0
+    assert sorted(read_artifact(out)["config"]) == \
+        ["command", "disc", "nodes", "r", "subcommand"]
+
+
+def test_identity_check_second_disc_builds_no_table(files):
+    # the tables of every node set are built for the first disc and only
+    # read for the next (degrees 1 to 6 share one table width)
+    def misses():
+        return sum(f.cache_info().misses for f in
+                   (discs._power_table, discs._circle_nodes,
+                    discs._radial_rule, discs.validation_grid))
+
+    args = ["identity-check", "--count", "1", "--tolerance", "1e-3",
+            "--nodes", "128", "--radial", "24", "--angular", "48",
+            "--out", str(files["tmp"] / "id.json")]
+    assert main(args + ["--seed", "1"]) == 0
+    before = misses()
+    for seed in ("2", "3"):
+        assert main(args + ["--seed", seed]) == 0
+    assert misses() == before
 
 
 def test_hull_test_cli(files):

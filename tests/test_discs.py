@@ -6,12 +6,13 @@ import pytest
 
 from discenv import kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                           CompositeDisc, boundary_lognorms, circle_mean,
+                           CompositeDisc, _area_radii, _validation_radii,
+                           boundary_lognorms, circle_mean,
                            disc_values, eval_disc, fs_pullback_density,
                            grid_values,
                            harmonic_extension_and_conjugate,
-                           holomorphic_completion_coeffs, random_disc,
-                           riesz_area_term, roots_in_unit_disc,
+                           holomorphic_completion_coeffs, power_table,
+                           random_disc, riesz_area_term, roots_in_unit_disc,
                            validation_grid, winding_number)
 from discenv.errors import (BoundaryZeroError, NumericalError,
                             OriginViolation)
@@ -466,6 +467,19 @@ def test_grid_powers_cached_bitwise():
             assert np.shares_memory(got, b.powers(degree))
 
 
+@pytest.mark.parametrize("radii,n", [(_validation_radii, 64), (_area_radii, 33)],
+                         ids=["validation", "area"])
+def test_radial_powers_cached_bitwise(radii, n):
+    # the radial tables of the polar node sets, as their callers built
+    # them before the cache: r[:, None] ** k
+    r = radii(n)
+    for degree in range(12):
+        got = power_table(radii, n, degree)
+        assert got.tobytes() == (r[:, None] ** np.arange(degree + 1)).tobytes()
+        assert not got.flags.writeable
+        assert np.shares_memory(got, power_table(radii, n, degree))
+
+
 def test_boundary_lognorms_composite_matches_values():
     plain = random_disc(np.random.default_rng(5), 3, 6)
     comp = CompositeDisc(plain, np.array([0.3 - 0.1j, 0.2j, -0.05]))
@@ -509,6 +523,10 @@ def test_area_quadrature_radial_rule_shared():
     a, b = AreaQuadrature(33, 70), AreaQuadrature(33, 140)
     assert a.radii is b.radii and not a.radii.flags.writeable
     assert not a.radial_weights.flags.writeable
+    # the flat nodes, from the shared circle nodes
+    theta = 2.0 * np.pi * np.arange(70) / 70
+    want = (a.radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1)
+    assert a.nodes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(64, 64), (5, 12)])

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from discenv import kernels
-from discenv.discs import AnalyticDiscLift, BoundaryGrid
-from discenv.envelope import (_DRAW_BLOCK, ORIGIN_FLOOR, PENALTY_RHO,
+from discenv.discs import (AnalyticDiscLift, BoundaryGrid, polar_values,
+                           power_table)
+from discenv.envelope import (_DRAW_BLOCK, _PROBE_ANGLES,
+                              ORIGIN_FLOOR, PENALTY_RHO,
                               CandidateLibrary, DiscFamilySpec,
                               EnvelopeEstimate, OptimizerConfig,
-                              _clip_bound, _eval_coords, _objective,
+                              _clip_bound, _objective, _probe_nodes,
                               _search, _theta_to_coeffs,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
@@ -163,15 +165,14 @@ def test_domain_monotonicity_shared_pool():
 
 
 def test_degree_monotonicity_warm_start():
-    from discenv.envelope import _coeffs_to_theta, build_objective_spec
+    from discenv.envelope import _coeffs_to_theta
 
     x = ProjPoint(np.array([1.0, 0.45]))
     dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4)
     fam3 = DiscFamilySpec(degree=3, m=2, center=x)
     est3 = minimize("omega", x, dom, ZeroWeight(), fam3, SMALL)
     fam5 = DiscFamilySpec(degree=5, m=2, center=x)
-    spec5 = build_objective_spec("omega", x, dom, ZeroWeight(), fam5, SMALL)
-    warm = _coeffs_to_theta(spec5, est3.witness.coeffs)
+    warm = _coeffs_to_theta(5, est3.witness.coeffs)
     est5 = minimize("omega", x, dom, ZeroWeight(), fam5, SMALL,
                     warm_theta=warm)
     assert est5.upper <= est3.upper + 1e-9
@@ -247,6 +248,18 @@ def test_batched_objective_matches_single_rows(mode, x, dom):
     assert batched.tobytes() == single.tobytes()
 
 
+def _reference_probes():
+    """The interior probes of the origin floor: radii 0, 1/4, 1/2 and 3/4
+    on 16 equispaced angles, radius-major."""
+    ang = np.exp(2j * np.pi * np.arange(16) / 16)
+    return np.concatenate([r * ang for r in (0.0, 0.25, 0.5, 0.75)])
+
+
+def _probe_values(coeffs, degree):
+    """The interior probe values as _objective forms them, (m, R, 64)."""
+    return polar_values(coeffs, power_table(_probe_nodes, _PROBE_ANGLES, degree))
+
+
 def _horner_objective(spec, thetas):
     """_objective one disc at a time, from Horner values (kernels.eval_poly)
     and complex moduli."""
@@ -267,7 +280,7 @@ def _horner_objective(spec, thetas):
                          np.mean(spec.weight.value_affine_many(chart(pts))))
             clear = np.clip(spec.domain.clearance_many(pts), -10.0, None)
             pen = PENALTY_RHO * np.mean(np.maximum(0.0, spec.eta_search - clear) ** 2)
-            inner = kernels.eval_poly(coeffs, spec.interior_nodes)
+            inner = kernels.eval_poly(coeffs, _reference_probes())
             min_ln = min(lognorms.min(), np.log(np.linalg.norm(inner, axis=1)).min())
         if min_ln < floor_ln:
             pen += 10.0 * (floor_ln - min_ln) ** 2
@@ -317,13 +330,16 @@ def test_eval_rows_matches_horner(m):
                                 OptimizerConfig(search_nodes=256))
     rng = np.random.default_rng(17)
     coeffs = rng.standard_normal((5, 7, m)) + 1j * rng.standard_normal((5, 7, m))
-    for nodes, powers in ((spec.nodes, spec.node_powers),
-                          (spec.interior_nodes, spec.interior_powers)):
-        assert not powers.flags.writeable
+    for nodes, got in ((spec.nodes, polar_values(coeffs, spec.node_powers)),
+                       (_reference_probes(), _probe_values(coeffs, 6))):
         want = np.stack([kernels.eval_poly(c, nodes) for c in coeffs])
-        got = _eval_coords(coeffs, powers)
+        got = got.reshape(m, 5, -1)
         assert got.shape == (m, 5, len(nodes))
         np.testing.assert_allclose(got.transpose(1, 2, 0), want, rtol=0, atol=1e-13)
+    assert not spec.node_powers.flags.writeable
+    # the probes' table has the bits of the former table of their nodes
+    probes = power_table(_probe_nodes, _PROBE_ANGLES, 6)
+    assert probes.tobytes() == (_reference_probes()[:, None] ** np.arange(7)).tobytes()
 
 
 @pytest.mark.parametrize("nodes", [64, 256])
@@ -347,7 +363,7 @@ def _sz_objective_with_chart(spec, thetas):
     """The sz-mode objective as computed with the chart for every weight."""
     r, n, m = thetas.shape[0], spec.nodes.size, spec.m
     coeffs = _theta_to_coeffs(spec, thetas)
-    vals = _eval_coords(coeffs, spec.node_powers)
+    vals = polar_values(coeffs, spec.node_powers)
     sq = vals.real ** 2 + vals.imag ** 2
     rows = vals.reshape(m, r * n).T
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -360,7 +376,7 @@ def _sz_objective_with_chart(spec, thetas):
         clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = _eval_coords(coeffs, spec.interior_powers)
+        inner = _probe_values(coeffs, spec.degree)
         inner2 = (inner.real ** 2 + inner.imag ** 2).sum(axis=0)
         min_ln = 0.5 * np.log(np.minimum(sq.sum(axis=0).min(axis=1),
                                          inner2.min(axis=1)))
@@ -473,6 +489,28 @@ def test_search_matches_serial_reference(mode, x, dom, nodes, budget):
     got = _search(spec, theta0s, 9, budget)
     assert got.shape == theta0s.shape and not np.array_equal(got, theta0s)
     assert got.tobytes() == _serial_search(spec, theta0s, 9, budget).tobytes()
+
+
+def test_warm_minimize_builds_no_table():
+    # every node set's tables (search nodes, interior probes, final grid,
+    # validation grid, Jensen polyphase) are built by the first minimize
+    # and only read by the second
+    from discenv import discs
+
+    def misses():
+        return sum(f.cache_info().misses for f in
+                   (discs._power_table, discs._circle_nodes,
+                    discs.validation_grid))
+
+    x = ProjPoint(affine_lift(np.array([0.3 - 0.2j])))
+    dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    fam = DiscFamilySpec(degree=6, m=2, center=x)
+    opt = OptimizerConfig(starts=4, budget=40, seed=5, search_nodes=256)
+    first = minimize("sz", x, dom, ZeroWeight(), fam, opt)
+    before = misses()
+    second = minimize("sz", x, dom, ZeroWeight(), fam, opt)
+    assert misses() == before
+    assert first.feasible and second.upper == first.upper
 
 
 def test_workers_other_than_one_rejected():

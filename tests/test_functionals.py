@@ -6,13 +6,13 @@ import pytest
 
 from discenv import kernels
 from discenv.discs import AnalyticDiscLift, AreaQuadrature, BoundaryGrid, \
-    circle_mean, grid_values, random_disc
+    circle_mean, circle_powers, grid_values, power_table, random_disc
 from discenv.errors import InfeasibleDiscError, NumericalError
 from discenv.functionals import (identity_check_eqH, omega_functional_direct,
                                  omega_functional_lifted, poisson_functional,
                                  riesz_residual, sz_functional,
                                  sz_interior_jensen, sz_interior_roots,
-                                 _jensen_split, _jensen_tables)
+                                 _jensen_phases, _jensen_split)
 from discenv.projective import (ConstantWeight, FsBall, HomPolynomial,
                                 LiftedWeight, LogPolyWeight, ProjPoint,
                                 ZeroWeight, chart)
@@ -221,20 +221,42 @@ def test_sz_route_agreement_random():
 def test_jensen_tables_bitwise(n):
     b, a = _jensen_split(n)
     assert b * a == n and b <= a
-    w, z = _jensen_tables(n, 6)
-    assert w.shape == (b, 7) and z.shape == (7, a)
+    # the polyphase factors: radial omega^{jk}, angular the a-node table
+    w = power_table(_jensen_phases, n, 6)
+    z = circle_powers(a, 6)
+    assert w.shape == (b, 7) and z.shape == (a, 7)
     assert not w.flags.writeable and not z.flags.writeable
-    assert _jensen_tables(n, 6)[0] is w
-    # the first powers are the nodes j and b*l, as np.exp builds all n of them
+    assert np.shares_memory(power_table(_jensen_phases, n, 6), w)
+    # the first powers are the nodes j and b*l, as np.exp builds all n of
+    # them; the a-node table rounds 2 pi l/a, which is the same float as
+    # 2 pi b l/n when n is a power of two
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
     assert w[:, 1].tobytes() == nodes[:b].tobytes()
-    assert z[1].tobytes() == nodes[::b].tobytes()
+    if n & (n - 1) == 0:
+        assert z[:, 1].tobytes() == nodes[::b].tobytes()
+    np.testing.assert_allclose(z[:, 1], nodes[::b], rtol=0, atol=2e-15)
     k = np.arange(7)
     assert w.tobytes() == (w[:, 1:2] ** k).tobytes()
-    assert z.tobytes() == (z[1:2].T ** k).T.copy().tobytes()
+    assert z.tobytes() == (z[:, 1:2] ** k).tobytes()
 
 
-@pytest.mark.parametrize("n", [65536, 4096])
+def test_sz_interior_jensen_bitwise_on_polyphase_product():
+    # the mean as the two contiguous polyphase tables gave it before the
+    # angular factor came from circle_powers: |(W * c_0) @ Z|
+    n = 65536
+    b, a = _jensen_split(n)
+    k = np.arange(7)
+    w = np.exp(2j * np.pi * np.arange(b) / n)[:, None] ** k
+    z = np.exp(2j * np.pi * (b * np.arange(a)) / n)[None, :] ** k[:, None]
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        d = random_disc(rng, 2, 6)
+        mags = np.abs((w * d.coeffs[:, 0]) @ z)
+        want = float(np.log(mags).mean()) - math.log(abs(d.coeffs[0, 0]))
+        assert sz_interior_jensen(d) == want
+
+
+@pytest.mark.parametrize("n", [65536, 4096, 1000])
 def test_sz_interior_jensen_product_matches_horner(n):
     # the n-node mean by Horner on freshly built nodes
     def horner(disc):

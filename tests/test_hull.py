@@ -13,7 +13,7 @@ from discenv.errors import InfeasibleDiscError
 from discenv.hull import (CompactSetSpec, HullCertificate, b_to_bprime,
                           bprime_to_b, center_report, hull_test, lambda_c_rho,
                           lambda_schedule, normalize_disc, spherical_lift)
-from discenv.projective import ProjPoint
+from discenv.projective import ProjPoint, Tube
 
 SMALL = OptimizerConfig(starts=5, budget=300, seed=1, search_nodes=128)
 
@@ -107,6 +107,31 @@ def test_schedule_on_K_point_all_zero():
     x = K.samples[3]
     res = lambda_schedule(x, K, [0.3, 0.1, 0.03], DiscFamilySpec(m=2), SMALL)
     assert all(v == 0.0 for v in res["estimates"])
+
+
+def test_tube_built_once_per_delta():
+    K = circle_set(16)
+    t = K.tube(0.1)
+    assert K.tube(0.1) is t and K.tube(0.2) is not t
+    assert t == Tube(K.samples, 0.1)
+    assert K == CompactSetSpec(K.samples, name="circle")
+
+
+def test_schedule_same_with_fresh_tubes(monkeypatch):
+    # the schedule reuses each delta's tube; building a fresh tube on
+    # every call gives the same outputs
+    x = ProjPoint(np.array([1.0, 0.0]))
+    fam = DiscFamilySpec(degree=3, m=2)
+    opt = OptimizerConfig(starts=4, budget=80, seed=2, search_nodes=64)
+    deltas = [0.2, 0.1]
+    got = lambda_schedule(x, circle_set(16), deltas, fam, opt)
+    monkeypatch.setattr(CompactSetSpec, "tube",
+                        lambda self, delta: Tube(self.samples, delta))
+    want = lambda_schedule(x, circle_set(16), deltas, fam, opt)
+    assert got["estimates"] == want["estimates"]
+    assert all(e is not None for e in got["estimates"])
+    assert [d.coeffs.tobytes() for d in got["witnesses"]] == \
+        [d.coeffs.tobytes() for d in want["witnesses"]]
 
 
 def test_schedule_rejects_bad_order():
