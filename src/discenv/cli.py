@@ -4,7 +4,8 @@ Commands: functional, identity-check, envelope, grid,
 hull (test | schedule | normalize), disc-structure (make | epsilon-test).
 Structured outputs are JSON (grids are CSV); every artifact embeds its run
 configuration and a schema version, stdout carries only the artifact path,
-progress goes to stderr.  Exit codes: 1 config, 2 infeasible, 3 numerical.
+progress goes to stderr.  Exit codes: 1 config, 2 infeasible, 3 numerical,
+4 a failed identity check (a residual above --tolerance).
 """
 from __future__ import annotations
 
@@ -125,10 +126,13 @@ def cmd_identity_check(args) -> int:
              for r in rows)
     _write_artifact(args.out, _config_dict(args),
                     {"rows": rows, "all_within_tolerance": ok})
-    if not ok and worst[1] is not None:
-        print("worst offender disc:", file=sys.stderr)
-        print(json.dumps(worst[1].to_json()), file=sys.stderr)
-        return 1
+    if not ok:
+        print(f"identity failed: a residual exceeds --tolerance "
+              f"{args.tolerance:g}", file=sys.stderr)
+        if worst[1] is not None:
+            print("worst offender disc:", file=sys.stderr)
+            print(json.dumps(worst[1].to_json()), file=sys.stderr)
+        return 4
     return 0
 
 

@@ -14,7 +14,8 @@ from .discs import (AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES,
 from .errors import ConfigError, DomainError
 from .functionals import _omega_lifted, _sz, encode_float
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
-                         Tube, Weight, ZeroWeight, chart)
+                         Tube, Weight, ZeroWeight, affine_lift, chart)
+from .structure import StructureDiscParams, make_structure_disc
 
 # exterior penalty weight and the search-time margin inflation; the final
 # witness is re-checked penalty-free against the family margin itself
@@ -235,45 +236,46 @@ def _search(spec: _ObjectiveSpec, theta0s, seed: int,
 
 
 def _constructed_seeds(spec: _ObjectiveSpec) -> list:
-    """Deterministic warm starts: the constant disc, plus Mobius-type
-    degree-1 discs aimed at ball/tube anchors (the only disc shapes that
-    can trade center distance against boundary containment)."""
-    seeds = [np.zeros(spec.dim)]
-    dom, c0 = spec.domain, spec.c0
+    """Deterministic warm starts worked out from the domain, as parameter
+    vectors: the constant disc first, then degree-1 discs through x.
 
-    def push(c1):
-        tail = np.zeros((spec.degree, spec.m), dtype=np.complex128)
-        tail[0] = c1
-        seeds.append(np.concatenate([tail.real, tail.imag], axis=1).reshape(-1))
-
+    A ball whose boundary is a sphere in some affine chart (an AffineBall in
+    sz mode, an FsBall about p in the chart z -> z/<p, z>, where the FS
+    radius rho is the radius tan rho) gets the structure disc through x whose
+    boundary is the sphere 2 eta inside; for an exterior AffineBall point
+    its value is V + log(R/(R - 2 eta)).  Points further inside than that
+    keep the constant disc alone.  A Tube gets, for each of up to 8
+    anchors k, the circle about x through k.
+    """
+    c0, dom = spec.c0, spec.domain
+    eta = spec.eta_search / ETA_INFLATION
+    seeds = [c0[None, :]]
+    ball = None
     if spec.mode == "sz" and isinstance(dom, AffineBall):
-        x_aff = chart(c0)
-        sep = float(np.linalg.norm(x_aff - dom.center))
-        if sep > 1e-12:
-            amax = (dom.radius - 2.0 * spec.eta_search) / sep
-            mu = abs(c0[0])  # c0 = (1, x) / |(1, x)|, first coord real > 0
-            for frac in (0.97, 0.9, 0.75, 0.5, 0.25):
-                a = frac * min(amax, 0.999)
-                if a <= 0:
-                    continue
-                c1_aff = dom.center + a * a * (x_aff - dom.center)
-                c1 = (-mu / a) * np.concatenate([[1.0 + 0j], c1_aff])
-                push(c1)
-    anchors = []
-    if isinstance(dom, FsBall):
-        anchors = [dom.center.vec]
-    elif isinstance(dom, Tube):
+        ball = (affine_lift(chart(c0)), affine_lift(dom.center),
+                dom.radius - 2.0 * eta)
+    elif isinstance(dom, FsBall) and abs(np.vdot(dom.center.vec, c0)) > 1e-12:
+        p = dom.center.vec
+        ball = c0 / np.vdot(p, c0), p, math.tan(dom.radius - 2.0 * eta)
+    if ball is not None:
+        x, w, r = ball
+        try:
+            params = StructureDiscParams(x, w, r)
+        except (DomainError, ValueError):  # x lies inside the shrunk ball
+            pass
+        else:  # rescaled so that f(0) = c0
+            disc = make_structure_disc(params)
+            seeds.append(disc.coeffs * (np.vdot(x, c0) / np.vdot(x, x)))
+    if isinstance(dom, Tube):
         idx = np.linspace(0, len(dom.samples) - 1, min(8, len(dom.samples)))
-        anchors = [dom.samples[int(i)].vec for i in idx]
-    for k in anchors:
-        perp = k - np.vdot(c0, k) * c0
-        nrm = float(np.linalg.norm(perp))
-        if nrm < 1e-9:
-            continue
-        perp /= nrm
-        for beta in (0.25, 0.5, 0.75, 1.0, 1.5, 2.5):
-            push(beta * perp)
-    return seeds
+        for i in idx:
+            k = dom.samples[int(i)].vec
+            a = np.vdot(c0, k)
+            perp = k - a * c0
+            # f(t) = c0 + t perp/|a| meets [k] at t = conj(a)/|a|
+            if abs(a) > 1e-9 and np.linalg.norm(perp) > 1e-9:
+                seeds.append(np.stack([c0, perp / abs(a)]))
+    return [_coeffs_to_theta(spec.degree, c) for c in seeds]
 
 
 def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
@@ -318,40 +320,32 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     seeds = _constructed_seeds(spec)
     if warm_theta is not None:
         seeds.insert(0, np.asarray(warm_theta, dtype=float))
-    theta0s = []
+    theta0s = seeds[:opt.starts]
     rng_master = np.random.default_rng([opt.seed, 0xE1])
-    for r in range(opt.starts):
-        if r < len(seeds):
-            theta0 = seeds[r]
-        else:
-            mags = 10.0 ** rng_master.uniform(-2.0, math.log10(max(min(family.bound, 2.0), 0.011)),
-                                              (spec.degree, 1))
-            c = mags * (rng_master.standard_normal((spec.degree, spec.m)) +
-                        1j * rng_master.standard_normal((spec.degree, spec.m)))
-            theta0 = np.concatenate([c.real, c.imag], axis=1).reshape(-1)
-        theta0s.append(theta0)
+    top = math.log10(max(min(family.bound, 2.0), 0.011))
+    for _ in range(opt.starts - len(theta0s)):
+        mags = 10.0 ** rng_master.uniform(-2.0, top, (spec.degree, 1))
+        c = mags * (rng_master.standard_normal((spec.degree, spec.m)) +
+                    1j * rng_master.standard_normal((spec.degree, spec.m)))
+        theta0s.append(_coeffs_to_theta(spec.degree, np.vstack([spec.c0, c])))
     thetas = _search(spec, theta0s, opt.seed, opt.budget)
 
+    # the restart end points, then the undescended seeds: legitimate
+    # witnesses too, which guards against penalty descent drifting a good
+    # seed out of the feasible set.  The trace follows the restarts.
     witnesses = []
     trace = []
     best_so_far = math.inf
-    for restart, theta in enumerate(thetas):
+    ends = np.concatenate([thetas, _clip_bound(spec, np.array(seeds))])
+    for i, theta in enumerate(ends):
         disc = AnalyticDiscLift(_theta_to_coeffs(spec, theta))
         value, feasible = evaluate_witness(mode, disc, domain, weight,
                                            family.eta, final_grid)
-        best_so_far = min(best_so_far, value)
-        trace.append(best_so_far if math.isfinite(best_so_far) else None)
         if feasible:
-            witnesses.append((value, restart, disc))
-    # the undescended seeds are legitimate witnesses too; keeping them
-    # guards against penalty descent drifting a good seed out of the
-    # feasible set
-    for i, theta0 in enumerate(seeds):
-        disc = AnalyticDiscLift(_theta_to_coeffs(spec, _clip_bound(spec, theta0)))
-        value, feasible = evaluate_witness(mode, disc, domain, weight,
-                                           family.eta, final_grid)
-        if feasible:
-            witnesses.append((value, opt.starts + i, disc))
+            witnesses.append((value, i, disc))
+        if i < len(thetas):
+            best_so_far = min(best_so_far, value)
+            trace.append(best_so_far if math.isfinite(best_so_far) else None)
 
     settings = {
         "mode": mode, "degree": family.degree, "bound": family.bound,

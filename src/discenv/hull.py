@@ -173,6 +173,8 @@ def lambda_schedule(x: ProjPoint, K: CompactSetSpec, deltas,
     nondecreasing by construction (smaller tubes admit fewer discs).
     """
     deltas = list(deltas)
+    if not deltas:
+        raise ValueError("schedule must hold at least one tube radius")
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(d <= 0 for d in deltas):
         raise ValueError("schedule must be strictly decreasing and positive")
     family = (family or DiscFamilySpec(m=x.vec.size)).with_center(x)

@@ -414,19 +414,16 @@ class Intersection(Domain):
 
 @dataclass(frozen=True)
 class HomPolynomial:
-    """Homogeneous polynomial on C^{n+1} as a list of monomials."""
+    """Polynomial as a list of monomials.  LogPolyWeight needs it
+    homogeneous; AffineLogPolyWeight takes any polynomial."""
 
     exponents: tuple  # tuple of integer tuples
     coeffs: tuple     # tuple of complex
 
-    def __post_init__(self):
-        degs = {sum(e) for e in self.exponents}
-        if len(degs) != 1:
-            raise ConfigError("polynomial terms must share one total degree")
-
     @property
     def degree(self) -> int:
-        return sum(self.exponents[0])
+        """The total degree: the largest total degree of a term."""
+        return max(sum(e) for e in self.exponents)
 
     def eval_many(self, z_rows: np.ndarray) -> np.ndarray:
         out = np.zeros(z_rows.shape[0], dtype=np.complex128)
@@ -510,6 +507,10 @@ class LogPolyWeight(Weight):
 
     poly: HomPolynomial
 
+    def __post_init__(self):
+        if len({sum(e) for e in self.poly.exponents}) != 1:
+            raise ConfigError("polynomial terms must share one total degree")
+
     def value_proj_many(self, z_rows):
         d = self.poly.degree
         with np.errstate(divide="ignore"):
@@ -530,10 +531,10 @@ class AffineLogPolyWeight(Weight):
     homogeneous in the affine variables.
     """
 
-    poly: HomPolynomial  # reused container; homogeneity check is harmless
+    poly: HomPolynomial
 
     def value_affine_many(self, u_rows):
-        d = max(sum(e) for e in self.poly.exponents)
+        d = self.poly.degree
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.poly.eval_many(u_rows))) / d
 

@@ -111,7 +111,21 @@ def test_identity_check_impossible_tolerance(files):
     out = str(files["tmp"] / "idc_tight.json")
     rc = main(["identity-check", "--count", "3", "--tolerance", "1e-15",
                "--out", out])
-    assert rc == 1
+    assert rc == 4
+
+
+def test_identity_check_failure_exit_code(files, capsys):
+    # a coarse grid: eqH residual about 6.5e-6, above the default 1e-8
+    out = str(files["tmp"] / "idc_coarse.json")
+    rc = main(["identity-check", "--count", "1", "--nodes", "128",
+               "--radial", "24", "--angular", "48", "--seed", "3",
+               "--out", out])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "identity failed" in err and "config error" not in err
+    row = read_artifact(out)["result"]["rows"][0]
+    assert 1e-8 < row["eqH_residual"] < 1e-4
+    assert read_artifact(out)["result"]["all_within_tolerance"] is False
 
 
 def test_envelope_cli_and_determinism(files, capsys):

@@ -1,6 +1,7 @@
 """Envelope minimization: feasibility, seeds, lower bounds, determinism."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +13,17 @@ from discenv.envelope import (_DRAW_BLOCK, _PROBE_ANGLES,
                               ORIGIN_FLOOR, PENALTY_RHO,
                               CandidateLibrary, DiscFamilySpec,
                               EnvelopeEstimate, OptimizerConfig,
-                              _clip_bound, _objective, _probe_nodes,
+                              _clip_bound, _constructed_seeds, _objective,
+                              _probe_nodes,
                               _search, _theta_to_coeffs,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
 from discenv.errors import ConfigError
 from discenv.functionals import omega_functional_lifted, sz_functional
 from discenv.projective import (AffineBall, AffineLogPolyWeight,
-                                ConstantWeight, FsBall, HomPolynomial,
+                                ConstantWeight, Domain, FsBall, HomPolynomial,
                                 LiftedWeight, LogPolyWeight, ProjPoint, Tube,
-                                ZeroWeight, affine_lift, chart)
+                                ZeroWeight, affine_lift, chart, fs_distance)
 
 SMALL = OptimizerConfig(starts=6, budget=300, seed=3, search_nodes=128)
 
@@ -526,3 +528,96 @@ def test_estimate_json_encodes_infinite_bounds():
     est = EnvelopeEstimate(0.25, None, 0.125, "constant", 0.125, [0.25], {}, True)
     doc = json.loads(json.dumps(est.to_json(), allow_nan=False))
     assert (doc["upper"], doc["lower"], doc["gap"]) == (0.25, 0.125, 0.125)
+
+
+# Three sz witnesses found by minimize("sz") at 20 x 2000 on the perfbench
+# siciak inputs (seeds 1 and 2, search_nodes=256): their boundaries clear
+# the ball at the 1024 final nodes but leave it between nodes.  Stored as
+# coefficients, since a changed search no longer finds them.
+_BETWEEN_NODES = json.loads(
+    (Path(__file__).parent / "data" / "between_nodes_witnesses.json").read_text())
+
+
+@pytest.mark.parametrize("case", _BETWEEN_NODES, ids=lambda c: c["label"])
+def test_between_nodes_witness_clears_nodes_only(case):
+    ball = Domain.from_json(case["ball"])
+    disc = AnalyticDiscLift.from_json(case["witness"])
+    assert np.allclose(disc.center, ProjPoint.from_json(case["point"]).vec)
+    nodes = ball.clearance_many(disc(BoundaryGrid(1024).nodes))
+    assert nodes.min() >= 1e-3
+    fine = np.exp(2j * np.pi * np.arange(2 ** 20) / 2 ** 20)
+    assert ball.clearance_many(disc(fine)).min() < 0
+
+
+@pytest.mark.xfail(strict=True, reason="feasibility is checked at the final "
+                   "nodes only (ROADMAP item 1)")
+@pytest.mark.parametrize("case", _BETWEEN_NODES, ids=lambda c: c["label"])
+def test_between_nodes_witness_rejected(case):
+    ball = Domain.from_json(case["ball"])
+    disc = AnalyticDiscLift.from_json(case["witness"])
+    _value, feasible = evaluate_witness("sz", disc, ball, ZeroWeight(), 1e-3,
+                                        BoundaryGrid(1024))
+    assert not feasible
+
+
+def _seed_discs(mode, x, dom, degree=6):
+    spec = build_objective_spec(mode, x, dom, ZeroWeight(),
+                                DiscFamilySpec(degree=degree, m=x.vec.size),
+                                OptimizerConfig())
+    return [AnalyticDiscLift(_theta_to_coeffs(spec, t))
+            for t in _constructed_seeds(spec)]
+
+
+@pytest.mark.parametrize("u, centre, radius", [
+    ([2.0], [0.0], 1.0),
+    ([-0.4 + 1.1j], [0.1j], 0.7),
+    ([0.5 + 1.2j, -0.7], [0.1, 0.2j], 0.8),
+])
+def test_affine_ball_seed_is_the_blaschke_disc(u, centre, radius):
+    u, centre = np.array(u, dtype=complex), np.array(centre, dtype=complex)
+    eta = DiscFamilySpec().eta
+    dom = AffineBall(centre, radius)
+    seeds = _seed_discs("sz", ProjPoint(affine_lift(u)), dom)
+    assert len(seeds) == 2 and not seeds[1].coeffs[2:].any()  # degree 1
+    value, feasible = evaluate_witness("sz", seeds[1], dom, ZeroWeight(), eta,
+                                       BoundaryGrid(1024))
+    v = math.log(np.linalg.norm(u - centre) / radius)
+    assert feasible
+    assert value == pytest.approx(v + math.log(radius / (radius - 2 * eta)),
+                                  abs=1e-12)
+
+
+def test_interior_points_keep_the_constant_disc():
+    x = ProjPoint(affine_lift(np.array([0.5j])))
+    assert len(_seed_discs("sz", x, AffineBall(np.zeros(1, dtype=complex), 1.0))) == 1
+    ball = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5)
+    assert len(_seed_discs("omega", ProjPoint(np.array([1.0, 0.2])), ball)) == 1
+
+
+def test_fs_ball_seed_clears_by_twice_the_margin():
+    x = ProjPoint(np.array([1.0, 0.3 + math.tan(0.4) * 1j, -0.2]))
+    dom = FsBall(ProjPoint(np.array([1.0, 0.2, 0.1j])), 0.3)
+    assert fs_distance(x, dom.center) > dom.radius
+    seeds = _seed_discs("omega", x, dom, degree=4)
+    assert len(seeds) == 2
+    clear = dom.clearance_many(seeds[1](BoundaryGrid(1024).nodes))
+    assert np.allclose(clear, 2 * DiscFamilySpec().eta, rtol=0, atol=1e-12)
+
+
+def test_tube_seeds_at_circle_centre():
+    th = 2.0 * np.pi * np.arange(64) / 64
+    samples = tuple(ProjPoint(np.array([1.0, np.exp(1j * t)]) / math.sqrt(2.0))
+                    for t in th)
+    tube = Tube(samples, 0.05)
+    x = ProjPoint(np.array([1.0, 0.0]))
+    seeds = _seed_discs("omega", x, tube)[1:]
+    anchors = np.linspace(0, 63, 8).astype(int)
+    assert len(seeds) == len(anchors)
+    for disc, k in zip(seeds, anchors):
+        want = np.zeros((7, 2), dtype=complex)
+        want[0, 0], want[1, 1] = 1.0, np.exp(1j * th[k])
+        assert np.allclose(disc.coeffs, want, rtol=0, atol=1e-15)
+        value, feasible = evaluate_witness("omega", disc, tube, ZeroWeight(),
+                                           DiscFamilySpec().eta,
+                                           BoundaryGrid(1024))
+        assert feasible and value == pytest.approx(0.5 * math.log(2.0), abs=1e-12)

@@ -141,6 +141,12 @@ def test_schedule_rejects_bad_order():
         lambda_schedule(x, K, [0.1, 0.3], DiscFamilySpec(m=2), SMALL)
 
 
+def test_schedule_rejects_empty():
+    x = ProjPoint(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="at least one"):
+        lambda_schedule(x, circle_set(), [], DiscFamilySpec(m=2), SMALL)
+
+
 def test_normalize_constant_boundary_norm():
     d = AnalyticDiscLift(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
     grid = BoundaryGrid(1024)

@@ -10,7 +10,9 @@ from discenv.projective import (_TUBE_BLOCK, AffineBall, ConstantWeight,
                                 Intersection, LiftedWeight, LogPolyWeight,
                                 ProjPoint, Tube, ZeroWeight, affine_lift,
                                 chart, fs_distance, lelong_lift, lift,
-                                lift_weight, project, psh_correspondence)
+                                lift_weight, project, psh_correspondence,
+                                Weight)
+from discenv.errors import ConfigError
 
 
 def test_project_canonicalizes():
@@ -344,3 +346,20 @@ def test_tube_clearance_work_array_bitwise():
     for tube, z, got, kept in results:
         assert got.tobytes() == kept.tobytes()
         assert tube.clearance_many(z).tobytes() == kept.tobytes()
+
+
+def test_affine_log_poly_weight_takes_mixed_degrees():
+    # log|u - 1|: terms of degree 1 and 0
+    w = Weight.from_json({"type": "affine_log_poly", "terms": [
+        {"exponents": [1], "coeff": [1.0, 0.0]},
+        {"exponents": [0], "coeff": [-1.0, 0.0]}]})
+    u = np.array([[3.0], [1.0 + 2j]], dtype=complex)
+    assert np.allclose(w.value_affine_many(u), [math.log(2.0), math.log(2.0)],
+                       atol=1e-15)
+
+
+def test_log_poly_weight_rejects_mixed_degrees():
+    with pytest.raises(ConfigError, match="one total degree"):
+        Weight.from_json({"type": "log_poly", "terms": [
+            {"exponents": [1, 0], "coeff": [1.0, 0.0]},
+            {"exponents": [0, 0], "coeff": [-1.0, 0.0]}]})
