@@ -123,7 +123,7 @@ def bench_riesz(rng, repeats: int) -> None:
         dens, _sq = kernels.fs_density(disc.coeffs, quad.nodes)
         return quad.integral(quad.log_r * dens) / (2.0 * np.pi)
 
-    print(f"{'riesz_area_term, d=6 m=3':<24} {'tensor':>12} {'pointwise':>12} "
+    print(f"{'riesz_area_term, d=6 m=3':<24} {'trig':>12} {'pointwise':>12} "
           f"{'speedup':>9}")
     for n_r, n_theta in AREA_SIZES:
         quad = AreaQuadrature(n_r, n_theta)

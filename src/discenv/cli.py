@@ -256,6 +256,15 @@ def cmd_structure_epsilon(args) -> int:
     return 0 if res["success"] else 2
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1 (a count of zero checks
+    nothing, so it cannot pass)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _add_common(p, nodes=1024):
     p.add_argument("--nodes", type=int, default=nodes)
     p.add_argument("--out", required=True)
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_functional)
 
     p = sub.add_parser("identity-check")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--radial", type=int, default=256)
     p.add_argument("--angular", type=int, default=512)

@@ -10,6 +10,7 @@ log|t| factor is handled to machine precision.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -203,6 +204,9 @@ class AreaQuadrature:
     radial_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n_r < 1 or self.n_theta < 1:
+            raise ValueError(f"an area quadrature needs n_r >= 1 and "
+                             f"n_theta >= 1, not {self.n_r} x {self.n_theta}")
         r, wr = _radial_rule(self.n_r)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "radial_weights",
@@ -399,8 +403,10 @@ def riesz_area_term(disc, quad: AreaQuadrature | None = None) -> float:
 
 
 # nodes per block of radii in _polar_density_sums: a block's values stay
-# in cache, which makes it two to three times faster than whole-grid arrays
-_AREA_BLOCK = 8192
+# in cache.  Of 4096 to 32768 nodes, 16384 was fastest or tied on both
+# identity-check grids (256 x 512, 512 x 1024; 2 cores, one BLAS thread),
+# and whole-grid arrays took 1.8 to 2.4 times as long
+_AREA_BLOCK = 16384
 
 
 def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
@@ -408,35 +414,72 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     """Angular sums of the FS pullback density of the polynomial disc
     with these coefficients, one per radius of quad.
 
-    The values of f and f' are polar_values on the tensor grid, f' from
-    the coefficients (k c_k)_j.  The density numerator
-    |f|^2 |f'|^2 - |<f',f>|^2 is taken by Lagrange's identity as
-    sum_{i<j} |f_i f'_j - f_j f'_i|^2, a sum of squares, so it is never
-    negative and needs no clip.  Raises OriginViolation where |f| falls
-    below delta_min at a node.
+    On each circle |t| = r both factors of the density
+    2 num / sq^2 are real trigonometric polynomials in theta, with exact
+    coefficients from _trig_rows: sq = |f|^2 (degree d) and, by Lagrange's
+    identity, num = |f|^2 |f'|^2 - |<f',f>|^2 = sum_{i<j} |W_ij|^2 with
+    W_ij = f_i f'_j - f_j f'_i (degree 2d - 1, coefficients by
+    convolution).  Each block of radii then takes one real product per
+    factor against the cos and sin rows of circle_powers.
+
+    The rounding error of sq is about eps (sum_k |c_k| r^k)^2, so the
+    density's relative error grows as eps (sum_k |c_k| r^k)^2 / |f|^2,
+    where evaluating f itself gives eps sum_k |c_k| r^k / |f|.  Raises
+    OriginViolation where sq at a node is below delta_min^2 plus that
+    bound (4 (d + 1 + m) eps (sum_k |c_k|)^2): there |f| cannot be told
+    from a value below delta_min.
     """
     d1, m = coeffs.shape
     d = d1 - 1
-    angular = circle_powers(quad.n_theta, d)
-    radial = power_table(_area_radii, quad.n_r, d)
-    dc = coeffs[1:] * np.arange(1, d + 1)[:, None]  # coefficients of f'
+    dc = coeffs[1:] * np.arange(1, d1)[:, None]  # coefficients of f'
+    pairs = list(itertools.combinations(range(m), 2)) if d else []
+    w = np.array([np.convolve(coeffs[:, i], dc[:, j]) -
+                  np.convolve(coeffs[:, j], dc[:, i]) for i, j in pairs],
+                 dtype=np.complex128).reshape(len(pairs), max(2 * d, 1)).T
+    top = len(w) - 1  # the degree of num, and at least that of sq
+    # tables to degree 15 at least: one table per node set serves every
+    # disc of degree 0 to 8, so a run over such discs builds each once
+    span = max(top, 2 * _TABLE_COLUMNS - 1)
+    radial = power_table(_area_radii, quad.n_r, span)[:, :top + 1]
+    radial = np.hstack([radial, radial[:, top:] * radial[:, 1:]])  # to 2 top
+    e = circle_powers(quad.n_theta, span)[:, :top + 1].T
+    trig = np.stack([e.real, e.imag], axis=1).reshape(-1, quad.n_theta)
+    sq_rows, num_rows = _trig_rows(coeffs, radial), _trig_rows(w, radial)
+    scale = np.linalg.norm(coeffs, axis=1).sum()
+    floor = delta_min ** 2 + 4 * (d1 + m) * np.finfo(float).eps * scale ** 2
     rows = max(1, _AREA_BLOCK // quad.n_theta)
     sums = np.empty(quad.n_r)
     for a in range(0, quad.n_r, rows):
-        rk = radial[a:a + rows]
-        n = rk.shape[0]
-        f = polar_values(coeffs, angular, rk)
-        df = polar_values(dc, angular, rk)
-        sq = (f.real ** 2 + f.imag ** 2).sum(axis=0)
-        if np.sqrt(sq.min()) < delta_min:
-            raise OriginViolation("area quadrature node too close to the origin")
-        num = np.zeros_like(sq)
-        for i in range(m):
-            for j in range(i + 1, m):
-                w = f[i] * df[j] - f[j] * df[i]
-                num += w.real ** 2 + w.imag ** 2
-        sums[a:a + n] = (num / (sq * sq)).sum(axis=1)
+        sq = sq_rows[a:a + rows] @ trig[:2 * d1]
+        if sq.min() < floor:
+            raise OriginViolation(
+                "area quadrature node too close to the origin")
+        num = num_rows[a:a + rows] @ trig
+        num /= sq
+        num /= sq
+        sums[a:a + rows] = num.sum(axis=1)
     return 2.0 * sums
+
+
+def _trig_rows(w: np.ndarray, radial: np.ndarray) -> np.ndarray:
+    """Coefficients of |w(r e^{i theta})|^2 as a real trigonometric
+    polynomial, for the polynomial w (D+1, k) and one radius per row of
+    the table r^n (n_r, >= 2D+1): row i of the (n_r, 2D+2) result
+    against the rows cos(p theta), sin(p theta), p = 0..D, gives the
+    values.
+
+    |w|^2 = sum_p S_p(r) e^{ip theta} with the autocorrelations
+    S_p(r) = sum_l G[l+p, l] r^(2l+p) of the Gram matrix G = w w^H, and
+    S_{-p} the conjugate of S_p, so
+    |w|^2 = Re(S_0 + 2 sum_{p>0} S_p e^{ip theta}).
+    """
+    d1 = len(w)
+    g = w @ w.conj().T
+    k, l = np.tril_indices(d1)
+    a = np.zeros((2 * d1 - 1, d1), dtype=np.complex128)
+    a[k + l, k - l] = np.where(k == l, 1.0, 2.0) * g[k, l]
+    # Re(S e^{ip theta}) = Re S cos - Im S sin: conj(S) viewed as real pairs
+    return np.conj(radial[:, :2 * d1 - 1] @ a).view(np.float64)
 
 
 def _newton_polish(coeffs_desc: np.ndarray, root: complex, steps: int = 2) -> complex:

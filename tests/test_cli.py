@@ -100,11 +100,25 @@ def test_identity_check_bytes_independent_of_out_path(files):
     assert "out" not in json.loads(outs[0])["config"]
 
 
-def test_identity_check_zero_discs(files):
-    out = str(files["tmp"] / "idc0.json")
-    rc = main(["identity-check", "--count", "0", "--out", out])
-    assert rc == 0
-    assert read_artifact(out)["result"]["rows"] == []
+def test_identity_check_zero_discs(files, capsys):
+    # checking no disc passes nothing: a usage error, and no artifact
+    for count in ("0", "-1"):
+        out = files["tmp"] / f"idc{count}.json"
+        rc = main(["identity-check", "--count", count, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "config error:" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("angular", ["0", "-2"])
+def test_identity_check_nonpositive_angular(files, capsys, angular):
+    out = files["tmp"] / "idc_angular.json"
+    rc = main(["identity-check", "--count", "1", "--angular", angular,
+               "--out", str(out)])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_identity_check_impossible_tolerance(files):

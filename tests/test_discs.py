@@ -218,7 +218,7 @@ def _riesz_pointwise(disc, quad):
         2.0 * math.pi)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_riesz_tensor_grid_matches_pointwise(m):
     rng = np.random.default_rng(40 + m)
     quad = AreaQuadrature(48, 96)
@@ -238,12 +238,49 @@ def test_riesz_tensor_grid_matches_pointwise_composite():
     assert riesz_area_term(comp, quad) == riesz_area_term(comp.base, quad)
 
 
-def test_riesz_origin_at_quadrature_node():
+@pytest.mark.parametrize("small", [1e-2, 1e-3])
+@pytest.mark.parametrize("n_r,n_theta", [(48, 96), (256, 512)],
+                         ids=["48x96", "256x512"])
+def test_riesz_near_origin_matches_pointwise(n_r, n_theta, small):
+    # f = (10(t - t0), small, small t): |f| falls to about small near t0,
+    # where the rounding of the trigonometric |f|^2 weighs most
+    t0 = 0.6 * np.exp(0.7j)
+    d = AnalyticDiscLift(np.array([[-10.0 * t0, small, 0.0],
+                                   [10.0, 0.0, small]]))
+    quad = AreaQuadrature(n_r, n_theta)
+    assert riesz_area_term(d, quad) == pytest.approx(
+        _riesz_pointwise(d, quad), rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(16, 32), (48, 96), (256, 512)],
+                         ids=["16x32", "48x96", "256x512"])
+def test_riesz_origin_at_quadrature_node(n_r, n_theta):
+    # a zero at a node of each radius in turn: the computed |f|^2 there is
+    # rounding alone, of either sign, up to about eps (|t0| + r)^2
+    quad = AreaQuadrature(n_r, n_theta)
+    for i in range(n_r):
+        t0 = quad.nodes[i * n_theta + 7]
+        d = AnalyticDiscLift(np.array([[-t0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(OriginViolation):
+            riesz_area_term(d, quad)
+
+
+def test_riesz_without_lagrange_pairs():
+    # degree 0 or m = 1: log|f| is harmonic, the term is 0, and the origin
+    # check still applies
     quad = AreaQuadrature(16, 32)
+    for coeffs in ([[1.0, 2.0]], [[2.0], [1.0]], [[3.0], [0.5j], [-0.2]]):
+        assert riesz_area_term(AnalyticDiscLift(np.array(coeffs)), quad) == 0.0
     t0 = quad.nodes[5 * quad.n_theta + 7]
-    d = AnalyticDiscLift(np.array([[-t0, 0.0], [1.0, 0.0]], dtype=complex))
-    with pytest.raises(OriginViolation):
-        riesz_area_term(d, quad)
+    for coeffs in ([[1e-9, 0.0]], [[-t0], [1.0]]):
+        with pytest.raises(OriginViolation):
+            riesz_area_term(AnalyticDiscLift(np.array(coeffs)), quad)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(0, 8), (-1, 8), (4, 0), (4, -2)])
+def test_area_quadrature_rejects_empty_rule(n_r, n_theta):
+    with pytest.raises(ValueError):
+        AreaQuadrature(n_r, n_theta)
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(8, 16), (33, 70), (256, 512)])

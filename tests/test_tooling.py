@@ -1,6 +1,7 @@
 """The benchmark tooling still fits the library: every layer the traced
 perfbench run wraps exists, the kernel benchmark script imports, and one
-operation of each perfbench workload passes its own check."""
+operation of each perfbench workload (two of `identity`) passes its own
+check."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -35,4 +36,7 @@ def test_workloads_pass_their_checks(tmp_path):
     workloads = _load("perfbench/workloads.py", "perfbench_workloads")
     assert _run_checked(workloads.Siciak(1, tmp_path), "C1-out")["envelope.gap"] >= 0
     assert _run_checked(workloads.Hull(1, tmp_path), "centre-0")["hull.cert_margin"] >= 0
-    assert _run_checked(workloads.Identity(1, tmp_path), "degree-1")["cli.artifact_bytes"] > 0
+    identity = workloads.Identity(1, tmp_path)
+    # degree 6 has the highest trigonometric degree in the area term
+    for label in ("degree-1", "degree-6"):
+        assert _run_checked(identity, label)["cli.artifact_bytes"] > 0
