@@ -101,6 +101,8 @@ def cmd_functional(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    if args.tolerance < 0:  # no residual meets it
+        raise ConfigError(f"--tolerance must be at least 0, not {args.tolerance:g}")
     rng = np.random.default_rng([args.seed, 0x1D])
     grid, quad = _grids(args)
     grid2 = BoundaryGrid(2 * args.nodes)
@@ -196,10 +198,9 @@ def cmd_hull_test(args) -> int:
 def cmd_hull_schedule(args) -> int:
     x = _parse_point(_load_json(args.point))
     K = hull_mod.CompactSetSpec.from_json(_load_json(args.set))
-    deltas = [float(d) for d in args.deltas.split(",")]
     fam, opt = _family_opt(args, x)
     grid = BoundaryGrid(args.nodes)
-    res = hull_mod.lambda_schedule(x, K, deltas, fam, opt, grid)
+    res = hull_mod.lambda_schedule(x, K, args.deltas, fam, opt, grid)
     payload = {"deltas": res["deltas"], "estimates": res["estimates"],
                "final": res["final"],
                "witnesses": [d.to_json() if d else None
@@ -265,6 +266,20 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _finite_float(text: str) -> float:
+    """An argparse type: a finite float (a NaN or an infinity would run the
+    command and then fail to write a strict-JSON artifact)."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return x
+
+
+def _finite_floats(text: str) -> list:
+    """An argparse type: comma-separated finite floats."""
+    return [_finite_float(d) for d in text.split(",")]
+
+
 def _add_common(p, nodes=1024):
     p.add_argument("--nodes", type=int, default=nodes)
     p.add_argument("--out", required=True)
@@ -274,8 +289,8 @@ def _add_opt(p):
     p.add_argument("--degree", type=int, default=6)
     p.add_argument("--starts", type=int, default=20)
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--bound", type=float, default=10.0)
-    p.add_argument("--eta", type=float, default=1e-3)
+    p.add_argument("--bound", type=_finite_float, default=10.0)
+    p.add_argument("--eta", type=_finite_float, default=1e-3)
     p.add_argument("--seed", type=int, default=7)
 
 
@@ -306,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity-check")
     p.add_argument("--count", type=_positive_int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-8)
     p.add_argument("--radial", type=int, default=256)
     p.add_argument("--angular", type=int, default=512)
     p.add_argument("--seed", type=int, default=7)
@@ -336,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt = hsub.add_parser("test")
     pt.add_argument("--point", required=True)
     pt.add_argument("--set", required=True)
-    pt.add_argument("--lambda", dest="lam", type=float, required=True)
-    pt.add_argument("--eps", type=float, required=True)
-    pt.add_argument("--delta", type=float, required=True)
+    pt.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
+    pt.add_argument("--eps", type=_finite_float, required=True)
+    pt.add_argument("--delta", type=_finite_float, required=True)
     _add_opt(pt)
     _add_common(pt)
     pt.set_defaults(func=cmd_hull_test)
@@ -346,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = hsub.add_parser("schedule")
     ps.add_argument("--point", required=True)
     ps.add_argument("--set", required=True)
-    ps.add_argument("--deltas", required=True,
+    ps.add_argument("--deltas", type=_finite_floats, required=True,
                     help="comma-separated decreasing tube radii")
     _add_opt(ps)
     _add_common(ps)
@@ -354,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = hsub.add_parser("normalize")
     pn.add_argument("--disc", required=True)
-    pn.add_argument("--r", type=float, required=True)
+    pn.add_argument("--r", type=_finite_float, required=True)
     _add_common(pn)
     pn.set_defaults(func=cmd_hull_normalize)
 
@@ -371,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     pep.add_argument("--x", required=True)
     pep.add_argument("--weight", required=True)
     pep.add_argument("--domain", required=True)
-    pep.add_argument("--eps", type=float, default=1e-2)
+    pep.add_argument("--eps", type=_finite_float, default=1e-2)
     pep.add_argument("--seed", type=int, default=7)
     _add_common(pep)
     pep.set_defaults(func=cmd_structure_epsilon)

@@ -178,9 +178,9 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
                 # the zero weight's mean is 0.0: no chart is needed
                 value = interior + 0.0
             else:
-                charts = rows[:, 1:] / rows[:, :1]
                 value = interior + np.mean(
-                    spec.weight.value_affine_many(charts).reshape(r, n), axis=1)
+                    spec.weight.value_affine_many(chart(rows)).reshape(r, n),
+                    axis=1)
         clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
@@ -375,7 +375,7 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
 @dataclass
 class _Candidate:
     name: str
-    value_fn: object  # rows of cone representatives -> values
+    value_fn: object  # rows (2-D) of cone representatives -> values
     shift: float
     violation: float  # max over W samples of (v + shift - phi)
 
@@ -402,32 +402,27 @@ class CandidateLibrary:
         self.candidates: list[_Candidate] = []
         self._build_defaults()
 
-    def _affine(self, z_rows):
-        return chart(np.atleast_2d(z_rows))
-
     def _build_defaults(self):
         phi_min = float(np.min(self._phi_samples))
         if math.isfinite(phi_min):
-            self.add("constant", lambda z: np.full(np.atleast_2d(z).shape[0], phi_min),
-                     shift=0.0)
+            self.add("constant", lambda z: np.full(len(z), phi_min), shift=0.0)
         m = self._samples.shape[1]
         if self.mode == "omega":
             for i in range(m):
                 def v(z, i=i):
-                    z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
                     with np.errstate(divide="ignore"):
                         return np.log(np.abs(z[:, i])) - np.log(np.linalg.norm(z, axis=1))
                 self.add(f"log_coord_{i}", v)
         else:
             def logplus(z):
-                u = self._affine(z)
+                u = chart(z)
                 n = np.linalg.norm(u, axis=1)
                 return np.where(n > 1.0, np.log(np.maximum(n, 1e-300)), 0.0)
 
             self.add("log_plus_norm", logplus)
             for i in range(m - 1):
                 def v(z, i=i):
-                    u = self._affine(z)
+                    u = chart(z)
                     with np.errstate(divide="ignore"):
                         return np.log(np.abs(u[:, i]))
                 self.add(f"log_affine_coord_{i}", v)

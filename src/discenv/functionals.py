@@ -13,7 +13,7 @@ from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                     polar_values, power_table, riesz_area_term,
                     roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError
-from .projective import Domain, LiftedWeight, Weight, ZeroWeight
+from .projective import Domain, LiftedWeight, Weight, ZeroWeight, chart
 
 # quadrature size for the Jensen-route boundary mean of log|f_0|; the
 # trapezoid aliasing error is |a|^N for a root at distance 1-|a| from T,
@@ -171,7 +171,7 @@ def _sz(phi: Weight, disc: AnalyticDiscLift, domain: Domain | None,
     if isinstance(phi, ZeroWeight):
         boundary = 0.0  # the zero weight's mean: no chart is needed
     else:
-        boundary = circle_mean(phi.value_affine_many(pts[:, 1:] / pts[:, :1]))
+        boundary = circle_mean(phi.value_affine_many(chart(pts)))
     meta: dict = {"nodes": grid.n}
     center_at_infinity = complex(disc.coeffs[0, 0]) == 0
     if center_at_infinity:

@@ -13,12 +13,12 @@ import numpy as np
 from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
                     boundary_lognorms, circle_mean, grid_values,
                     holomorphic_completion_coeffs)
-from .envelope import (CandidateLibrary, DiscFamilySpec, OptimizerConfig,
-                       evaluate_witness, minimize)
+from .envelope import (DiscFamilySpec, OptimizerConfig, evaluate_witness,
+                       minimize)
 from .errors import InfeasibleDiscError, NumericalError
 from .functionals import _omega_lifted
-from .projective import (Domain, LiftedWeight, ProjPoint, Tube, ZeroWeight,
-                         fs_distance, lift)
+from .projective import (LiftedWeight, ProjPoint, Tube, ZeroWeight,
+                         fs_distances)
 
 log = logging.getLogger(__name__)
 
@@ -34,20 +34,18 @@ class CompactSetSpec:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("compact set needs at least one sample")
-        merged = []
-        for p in self.samples:
-            if not any(p.isclose(q, 1e-14) for q in merged):
-                merged.append(p)
-        object.__setattr__(self, "samples", tuple(merged))
+        mat = np.stack([p.vec for p in self.samples])
+        keep = [0]
+        for i in range(1, len(mat)):
+            if fs_distances(mat[keep], mat[i]).min() > 1e-14:
+                keep.append(i)
+        object.__setattr__(self, "samples", tuple(self.samples[i] for i in keep))
 
     def tube(self, delta: float) -> Tube:
         tube = self._tubes.get(delta)
         if tube is None:
             tube = self._tubes[delta] = Tube(self.samples, delta)
         return tube
-
-    def fs_distance_to(self, x: ProjPoint) -> float:
-        return min(fs_distance(x, p) for p in self.samples)
 
     def to_json(self) -> dict:
         return {"samples": [p.to_json() for p in self.samples],
@@ -149,7 +147,8 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
     settings = {"final_nodes": final_grid.n, "starts": opt.starts,
                 "budget": opt.budget, "seed": opt.seed,
                 "degree": family.degree}
-    if K.fs_distance_to(x) < delta - family.eta:
+    # evaluate_witness's test of the constant disc, whose boundary is x
+    if tube.clearance(x.vec) >= family.eta:
         disc = AnalyticDiscLift(x.vec[None, :])
         return HullCertificate(x, lam, eps, delta, disc, 0.0, settings)
     est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
@@ -170,7 +169,8 @@ def lambda_schedule(x: ProjPoint, K: CompactSetSpec, deltas,
 
     All searches share one witness pool and every per-delta estimate is the
     minimum over pool members feasible in that tube, so the sequence is
-    nondecreasing by construction (smaller tubes admit fewer discs).
+    nondecreasing by construction (smaller tubes admit fewer discs).  The
+    constant disc at x, minimize's first seed, joins it when feasible.
     """
     deltas = list(deltas)
     if not deltas:
@@ -185,8 +185,6 @@ def lambda_schedule(x: ProjPoint, K: CompactSetSpec, deltas,
         tube = K.tube(delta)
         est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
         pool.extend(d for _v, d in est.witnesses)
-        if K.fs_distance_to(x) < delta - family.eta:
-            pool.append(AnalyticDiscLift(x.vec[None, :]))
     estimates = []
     per_delta_witness = []
     for delta in deltas:

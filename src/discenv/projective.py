@@ -76,20 +76,19 @@ def lift(x: ProjPoint) -> np.ndarray:
     return np.array(x.vec)
 
 
-def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
-    """Fubini-Study distance in [0, pi/2]; atan2 form is accurate at both
-    ends of the range."""
-    ip = np.vdot(p.vec, q.vec)
-    perp = q.vec - np.conj(ip) * p.vec
-    return float(math.atan2(np.linalg.norm(perp), abs(ip)))
-
-
-def _fs_angles_to_point(z_rows: np.ndarray, cvec: np.ndarray) -> np.ndarray:
-    """FS distance from each row of z_rows (cone reps) to the point [cvec]."""
+def fs_distances(z_rows: np.ndarray, cvec: np.ndarray) -> np.ndarray:
+    """FS distance in [0, pi/2] from each row of z_rows (cone reps) to the
+    point [cvec], cvec of norm one.  The atan2 form is accurate at both ends
+    of the range; this is the package's one exact FS distance."""
     ip = z_rows @ cvec.conj()
     proj = ip[:, None] * cvec[None, :]
     perp = z_rows - proj
     return np.arctan2(np.linalg.norm(perp, axis=1), np.abs(ip))
+
+
+def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
+    """Fubini-Study distance between two points, in [0, pi/2]."""
+    return float(fs_distances(q.vec[None, :], p.vec)[0])
 
 
 def chart(z: np.ndarray) -> np.ndarray:
@@ -155,15 +154,9 @@ class Domain:
         raise ConfigError(f"unknown domain type {kind!r}")
 
 
-@dataclass(frozen=True)
-class FsBall(Domain):
-    """Preimage under pi of an open FS ball."""
-
-    center: ProjPoint
-    radius: float
-
-    def clearance_many(self, z_rows):
-        return self.radius - _fs_angles_to_point(z_rows, self.center.vec)
+class _FsAngleDomain(Domain):
+    """Clearance c is an FS angle: the FS ball of radius c about [w] lies
+    inside, so the cone's complement is at least |w| sin c from w."""
 
     def dist_lb(self, w):
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
@@ -171,6 +164,17 @@ class FsBall(Domain):
         if c <= 0:
             return 0.0
         return float(np.linalg.norm(w) * math.sin(min(c, math.pi / 2)))
+
+
+@dataclass(frozen=True)
+class FsBall(_FsAngleDomain):
+    """Preimage under pi of an open FS ball."""
+
+    center: ProjPoint
+    radius: float
+
+    def clearance_many(self, z_rows):
+        return self.radius - fs_distances(z_rows, self.center.vec)
 
     def sample_points(self, rng, count):
         m = self.center.vec.size
@@ -200,7 +204,7 @@ _TUBE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class Tube(Domain):
+class Tube(_FsAngleDomain):
     """FS tube of radius delta around a finite sample cloud K."""
 
     samples: tuple
@@ -244,6 +248,7 @@ class Tube(Domain):
         # gram with the rows' features, whose max runs down the columns;
         # each point then costs one sqrt and one arccos.  The error in a
         # distance d is about eps / sin 2d, small wherever d is near delta.
+        # This hot path keeps the Gram form; fs_distances is the exact one.
         m = z_rows.shape[1]
         cos2 = np.empty(z_rows.shape[0])
         for i in range(0, z_rows.shape[0], _TUBE_BLOCK):
@@ -255,13 +260,6 @@ class Tube(Domain):
             prod = np.matmul(self._gram, feats, out=out.reshape(-1, feats.shape[1]))
             cos2[i:i + _TUBE_BLOCK] = prod.max(axis=0) / sq_norm
         return self.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
-
-    def dist_lb(self, w):
-        w = np.asarray(w, dtype=np.complex128).reshape(-1)
-        c = self.clearance(w)
-        if c <= 0:
-            return 0.0
-        return float(np.linalg.norm(w) * math.sin(min(c, math.pi / 2)))
 
     def sample_points(self, rng, count):
         idx = rng.integers(0, len(self.samples), count)
@@ -347,7 +345,7 @@ class AffineBall(Domain):
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
         if abs(w[0]) == 0:
             return 0.0
-        u = w[1:] / w[0]
+        u = chart(w)
         slack = self.radius - float(np.linalg.norm(u - self.center))
         if slack <= 0:
             return 0.0
@@ -589,7 +587,7 @@ def lelong_lift(u):
         out = np.full(z_rows.shape[0], -np.inf)
         ok = np.abs(z_rows[:, 0]) > 0
         if np.any(ok):
-            w = z_rows[ok, 1:] / z_rows[ok, :1]
+            w = chart(z_rows[ok])
             out[ok] = np.asarray(u(w), dtype=float) + np.log(np.abs(z_rows[ok, 0]))
         return out
 

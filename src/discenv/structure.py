@@ -11,17 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discs import AnalyticDiscLift, BoundaryGrid, circle_mean
-from .errors import DiscEnvError, DomainError
-from .projective import Domain, LiftedWeight
+from .errors import DomainError
+from .projective import Domain, LiftedWeight, fs_distances
 
 SHRINK_FLOOR = 1e-10
 DIRECTIONS_PER_RADIUS = 32
-
-
-def _line_angle(x: np.ndarray, w: np.ndarray) -> float:
-    """Hermitian angle between the complex lines through x and w."""
-    c = abs(np.vdot(x, w)) / (np.linalg.norm(x) * np.linalg.norm(w))
-    return math.acos(min(1.0, c))
 
 
 @dataclass(frozen=True)
@@ -35,10 +29,8 @@ class StructureDiscParams:
         w = np.asarray(self.w, dtype=np.complex128).reshape(-1)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "w", w)
-        s = float(np.linalg.norm(x - w))
-        # acos of a roundoff-perturbed unit inner product bottoms out near
-        # sqrt(eps) ~ 1e-8, so the collinearity cut sits above that floor
-        if s == 0 or _line_angle(x, w) < 1e-7:
+        s, nw = float(np.linalg.norm(x - w)), np.linalg.norm(w)
+        if s == 0 or nw == 0 or fs_distances(x[None, :], w / nw)[0] < 1e-7:
             raise DomainError("x lies on the complex line through 0 and w")
         if not 0 < self.r:
             raise ValueError("radius must be positive")
@@ -127,7 +119,7 @@ def centre_homotopy(x, path_samples, domain: Domain) -> dict:
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
         if not domain.contains(w):
             raise DomainError(f"path sample {i} leaves the domain")
-        if _line_angle(x, w) < 1e-7:
+        if fs_distances(x[None, :], w / np.linalg.norm(w))[0] < 1e-7:
             raise DomainError(f"path sample {i} crosses the line through x")
         discs.append(make_structure_disc(structure_params(x, w, domain)))
     jumps = [float(np.abs(a.coeffs - b.coeffs).max())

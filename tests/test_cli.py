@@ -353,3 +353,60 @@ def test_artifact_rejects_non_finite_floats(tmp_path):
         assert not path.exists()
     _write_artifact(str(path), {}, {"total": "-inf"})
     assert read_artifact(path)["result"] == {"total": "-inf"}
+
+
+def _float_option_commands(files):
+    """A valid command line per command; argparse keeps an option's last
+    value, so appending a bad one overrides the valid one."""
+    tmp = files["tmp"]
+    circle = [[[1.0, 0.0], [math.cos(t), math.sin(t)]]
+              for t in 2.0 * np.pi * np.arange(8) / 8]
+    K = write(tmp / "K.json", {"samples": circle})
+    x = write(tmp / "x.json", point_affine(0.5 + 0j))
+    xh = write(tmp / "xh.json", {"coords": [[1.0, 0.0], [0.2, 0.0]]})
+    small = ["--starts", "1", "--budget", "2", "--nodes", "64"]
+    hull = ["--point", x, "--set", K] + small
+    return {
+        "identity-check": ["identity-check", "--count", "1", "--nodes", "64",
+                           "--radial", "8", "--angular", "16"],
+        "hull test": ["hull", "test", "--lambda", "0.3", "--eps", "0.01",
+                      "--delta", "0.05"] + hull,
+        "hull schedule": ["hull", "schedule", "--deltas", "0.05"] + hull,
+        "hull normalize": ["hull", "normalize", "--disc", files["disc"],
+                           "--r", "0.9"],
+        "epsilon-test": ["disc-structure", "epsilon-test", "--x", xh,
+                         "--weight", files["zero"], "--domain", files["ball"],
+                         "--nodes", "64"],
+    }
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag, template", [
+    ("identity-check", "--tolerance", "{}"),
+    ("hull test", "--lambda", "{}"),
+    ("hull test", "--eps", "{}"),
+    ("hull test", "--delta", "{}"),
+    ("hull test", "--eta", "{}"),
+    ("hull test", "--bound", "{}"),
+    ("hull schedule", "--deltas", "{},0.04"),
+    ("hull normalize", "--r", "{}"),
+    ("epsilon-test", "--eps", "{}"),
+], ids=["tolerance", "lambda", "eps", "delta", "eta", "bound", "deltas", "r",
+        "epsilon-test-eps"])
+def test_non_finite_float_option_exit_1(files, command, flag, template, bad,
+                                        capsys):
+    out = files["tmp"] / "o.json"
+    argv = _float_option_commands(files)[command]
+    rc = main(argv + [flag, template.format(bad), "--out", str(out)])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_tolerance_exit_1(files, capsys):
+    out = files["tmp"] / "o.json"
+    rc = main(["identity-check", "--count", "1", "--tolerance", "-1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()

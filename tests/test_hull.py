@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from discenv import kernels
+from discenv import hull, kernels
 from discenv.discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
                            boundary_lognorms)
 from discenv.envelope import DiscFamilySpec, OptimizerConfig
@@ -13,7 +13,7 @@ from discenv.errors import InfeasibleDiscError
 from discenv.hull import (CompactSetSpec, HullCertificate, b_to_bprime,
                           bprime_to_b, center_report, hull_test, lambda_c_rho,
                           lambda_schedule, normalize_disc, spherical_lift)
-from discenv.projective import ProjPoint, Tube
+from discenv.projective import ProjPoint, Tube, fs_distances
 
 SMALL = OptimizerConfig(starts=5, budget=300, seed=1, search_nodes=128)
 
@@ -107,6 +107,33 @@ def test_schedule_on_K_point_all_zero():
     x = K.samples[3]
     res = lambda_schedule(x, K, [0.3, 0.1, 0.03], DiscFamilySpec(m=2), SMALL)
     assert all(v == 0.0 for v in res["estimates"])
+
+
+def _raise_on_search(*args, **kwargs):
+    raise AssertionError("search ran")
+
+
+def test_hull_shortcut_off_the_real_axis(monkeypatch):
+    # <x, k> is complex for every sample k; x lies 0.0275 from K, inside
+    # delta - eta = 0.049, so the constant disc certifies without a search
+    K = circle_set()
+    x = ProjPoint(np.array([1.0, 0.97 + 0.05j]))
+    S = np.stack([p.vec for p in K.samples])
+    assert fs_distances(S, x.vec).min() == pytest.approx(0.0275, abs=1e-4)
+    with monkeypatch.context() as mp:
+        mp.setattr(hull, "minimize", _raise_on_search)
+        cert = hull_test(x, K, 0.5 * math.log(2.0), 0.01, 0.05)
+    assert isinstance(cert, HullCertificate)
+    assert cert.value == 0.0 and cert.witness.degree == 0
+    opt = OptimizerConfig(starts=1, budget=2, seed=1, search_nodes=64)
+    res = lambda_schedule(x, K, [0.05, 0.04], DiscFamilySpec(m=2), opt)
+    assert res["estimates"] == [0.0, 0.0]
+    # just outside delta - eta the search runs
+    y = ProjPoint(np.array([1.0, 0.913 + 0.05j]))
+    assert 0.05 - 1e-3 < fs_distances(S, y.vec).min() < 0.05
+    monkeypatch.setattr(hull, "minimize", _raise_on_search)
+    with pytest.raises(AssertionError, match="search ran"):
+        hull_test(y, K, 0.5 * math.log(2.0), 0.01, 0.05)
 
 
 def test_tube_built_once_per_delta():

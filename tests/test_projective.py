@@ -51,6 +51,9 @@ def test_fs_distance_basic():
     assert fs_distance(e0, e0) == 0.0
     assert fs_distance(e0, e1) == pytest.approx(math.pi / 2, abs=1e-14)
     assert fs_distance(e0, diag) == pytest.approx(math.pi / 4, abs=1e-14)
+    # <p, q> = (1 - i)/2 is complex
+    assert fs_distance(project(np.array([1.0, 1.0j])), diag) == \
+        pytest.approx(math.pi / 4, abs=1e-14)
 
 
 def test_fs_distance_triangle_inequality():
@@ -59,6 +62,27 @@ def test_fs_distance_triangle_inequality():
         a, b, c = (project(rng.standard_normal(3) + 1j * rng.standard_normal(3))
                    for _ in range(3))
         assert fs_distance(a, c) <= fs_distance(a, b) + fs_distance(b, c) + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_fs_distance(n):
+    # pairs whose inner product is complex: fs_distance, an FS ball's and a
+    # one-sample tube's clearance and arccos|<p, q>| are one distance
+    rng = np.random.default_rng([n, 0xF5])
+    checked = 0
+    while checked < 200:
+        p, q = (project(rng.standard_normal(n + 1) +
+                        1j * rng.standard_normal(n + 1)) for _ in range(2))
+        ip = np.vdot(p.vec, q.vec)
+        want = math.acos(min(1.0, abs(ip)))
+        if not (0.05 <= want <= 1.5 and abs(ip.imag) > 1e-3):
+            continue
+        row = q.vec[None, :]
+        got = [fs_distance(p, q), fs_distance(q, p),
+               1.0 - FsBall(p, 1.0).clearance_many(row)[0],
+               0.5 - Tube((p,), 0.5).clearance_many(row)[0]]
+        assert got == pytest.approx([want] * 4, rel=0, abs=1e-12)
+        checked += 1
 
 
 def test_lifted_weight_values():

@@ -97,6 +97,8 @@ def test_x_on_line_rejected():
     w = np.array([0.0, 1.0, 1.0], dtype=complex)
     with pytest.raises(DomainError):
         StructureDiscParams(2.0j * w, w, 0.1)
+    with pytest.raises(DomainError):  # no line through 0 and w = 0
+        StructureDiscParams(w, np.zeros(3), 0.1)
 
 
 def test_verify_feasible_positive_and_negative():
