@@ -16,19 +16,26 @@ quantity on freshly built nodes, checked to agree to 1e-13; and one
 (1+1)-ES _search at 20 restarts x 100 evaluations for sz on the unit ball
 (m = 2, 3) and for omega on the 64-point circle Tube, with the minor page
 faults per search, checked byte for byte against a serial
-one-restart-at-a-time reference of the documented draw contract.
+one-restart-at-a-time reference of the documented draw contract; and the
+command line at perfbench's identity sizes: cli.build_parser and one
+in-process cli.main(["identity-check", ...]) call, the first call of each
+in the process against a later one.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
 import argparse
+import contextlib
+import io
 import math
 import resource
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from discenv import kernels
+from discenv import cli, kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            riesz_area_term, validation_grid)
 from discenv.envelope import (_DRAW_BLOCK, DiscFamilySpec, OptimizerConfig,
@@ -46,6 +53,10 @@ AREA_SIZES = ((256, 512), (512, 1024))
 SZ_RESTARTS, SZ_NODES = 20, 256
 # evaluations per restart of one timed search (the perfbench budget)
 SEARCH_BUDGET = 100
+# perfbench's identity operation: one degree-6 disc (CLI seed 1000) on the
+# default 1024-node boundary and 256 x 512 area grids
+IDENTITY_ARGS = ("--count", "1", "--tolerance", "1e-8", "--seed", "1000",
+                 "--nodes", "1024", "--radial", "256", "--angular", "512")
 
 
 def bench(fn, args, repeats: int = 50) -> float:
@@ -72,6 +83,8 @@ def main() -> int:
     t = np.exp(2j * np.pi * rng.uniform(size=args.nodes)) * \
         rng.uniform(0.1, 1.0, args.nodes)
 
+    # first, while the parser and the grids of the process are unbuilt
+    bench_cli(min(args.repeats, 10))
     print(f"nodes={args.nodes} degree={args.degree} m={args.m} "
           f"(best of {args.repeats})")
     print(f"{'kernel':<12} {'time':>12}")
@@ -289,6 +302,33 @@ def bench_search(rng, repeats: int) -> None:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         print(f"{label:<24} {t * 1e3:>10.2f}ms {faults / (repeats + 1):>9.0f}")
     print("searches equal the serial reference byte for byte")
+
+
+def once(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def bench_cli(repeats: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["identity-check", *IDENTITY_ARGS,
+                "--out", str(Path(tmp) / "identity.json")]
+
+        def identity():
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code == 0, f"identity-check exited with {code}"
+
+        print(f"{'command line':<24} {'first':>12} {'later':>12}")
+        first = once(cli.build_parser)
+        print(f"{'build_parser':<24} {first * 1e6:>10.1f}us "
+              f"{bench(cli.build_parser, (), repeats) * 1e6:>10.1f}us")
+        first = once(identity)
+        print(f"{'main identity-check':<24} {first * 1e3:>10.2f}ms "
+              f"{bench(identity, (), repeats) * 1e3:>10.2f}ms")
+    print("identity-check exits 0 at the perfbench sizes")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -302,7 +303,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process.  parse_args builds a fresh namespace on each
+    call, so sharing it is safe; callers must not mutate the returned
+    parser."""
     ap = _Parser(prog="discenv")
     sub = ap.add_subparsers(dest="command", required=True)
 

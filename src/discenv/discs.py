@@ -420,7 +420,8 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     identity, num = |f|^2 |f'|^2 - |<f',f>|^2 = sum_{i<j} |W_ij|^2 with
     W_ij = f_i f'_j - f_j f'_i (degree 2d - 1, coefficients by
     convolution).  Each block of radii then takes one real product per
-    factor against the cos and sin rows of circle_powers.
+    factor against the cos and sin rows of circle_powers, and one divide
+    of num by sq^2.
 
     The rounding error of sq is about eps (sum_k |c_k| r^k)^2, so the
     density's relative error grows as eps (sum_k |c_k| r^k)^2 / |f|^2,
@@ -448,6 +449,7 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     scale = np.linalg.norm(coeffs, axis=1).sum()
     floor = delta_min ** 2 + 4 * (d1 + m) * np.finfo(float).eps * scale ** 2
     rows = max(1, _AREA_BLOCK // quad.n_theta)
+    ones = np.ones(quad.n_theta)  # row sums as one BLAS product per block
     sums = np.empty(quad.n_r)
     for a in range(0, quad.n_r, rows):
         sq = sq_rows[a:a + rows] @ trig[:2 * d1]
@@ -455,9 +457,9 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
             raise OriginViolation(
                 "area quadrature node too close to the origin")
         num = num_rows[a:a + rows] @ trig
+        sq *= sq  # after the origin check, which reads |f|^2 itself
         num /= sq
-        num /= sq
-        sums[a:a + rows] = num.sum(axis=1)
+        sums[a:a + rows] = num @ ones
     return 2.0 * sums
 
 

@@ -174,7 +174,12 @@ class FsBall(_FsAngleDomain):
     radius: float
 
     def clearance_many(self, z_rows):
-        return self.radius - fs_distances(z_rows, self.center.vec)
+        """radius - FS distance to the centre per row; the zero row, which
+        is no point of P^n, gets -pi/2 (fs_distances reads it as the
+        centre itself)."""
+        out = self.radius - fs_distances(z_rows, self.center.vec)
+        out[~z_rows.any(axis=1)] = -np.pi / 2
+        return out
 
     def sample_points(self, rng, count):
         m = self.center.vec.size

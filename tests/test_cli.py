@@ -1,4 +1,5 @@
 """Command-line interface: artifacts, exit codes, determinism."""
+import argparse
 import json
 import math
 
@@ -249,6 +250,58 @@ def test_identity_check_second_disc_builds_no_table(files):
     for seed in ("2", "3"):
         assert main(args + ["--seed", seed]) == 0
     assert misses() == before
+
+
+# one small identity-check, shared by the tests of the one parser per process
+def _small_identity(files, name="id.json"):
+    return ["identity-check", "--count", "1", "--tolerance", "1e-3",
+            "--nodes", "128", "--radial", "24", "--angular", "48",
+            "--out", str(files["tmp"] / name)]
+
+
+def test_shared_parser_default_after_explicit_option(files):
+    first = _small_identity(files, "a.json")
+    second = _small_identity(files, "b.json")
+    assert main(first + ["--seed", "3"]) == 0
+    assert main(second) == 0
+    assert read_artifact(first[-1])["config"]["seed"] == 3
+    assert read_artifact(second[-1])["config"]["seed"] == 7
+
+
+def test_shared_parser_after_usage_error(files, capsys):
+    assert main(_small_identity(files, "bad.json") + ["--count", "0"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    argv = _small_identity(files)
+    assert main(argv) == 0
+    config = read_artifact(argv[-1])["config"]
+    assert (config["command"], config["count"], config["seed"]) == \
+        ("identity-check", 1, 7)
+
+
+def test_shared_parser_after_help(files, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["identity-check", "--help"])
+    assert e.value.code == 0
+    argv = _small_identity(files)
+    assert main(argv) == 0
+    assert read_artifact(argv[-1])["config"]["angular"] == 48
+
+
+def test_later_calls_build_no_parser(files, monkeypatch):
+    # the parser (11 sub-parsers) is built once per process, not per call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(_small_identity(files) + ["--seed", "1"]) == 0
+    built.clear()
+    for seed in ("2", "3"):
+        assert main(_small_identity(files) + ["--seed", seed]) == 0
+    assert built == []
 
 
 def test_hull_test_cli(files):

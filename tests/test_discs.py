@@ -218,11 +218,16 @@ def _riesz_pointwise(disc, quad):
         2.0 * math.pi)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_riesz_tensor_grid_matches_pointwise(m):
+@pytest.mark.parametrize("m,n_r,n_theta,degrees", [
+    pytest.param(2, 48, 96, range(9), id="2"),
+    pytest.param(3, 48, 96, range(9), id="3"),
+    pytest.param(4, 48, 96, range(9), id="4"),
+    # identity-check's default grid
+    pytest.param(3, 256, 512, [6], id="256x512-d6-m3")])
+def test_riesz_tensor_grid_matches_pointwise(m, n_r, n_theta, degrees):
     rng = np.random.default_rng(40 + m)
-    quad = AreaQuadrature(48, 96)
-    for degree in range(9):
+    quad = AreaQuadrature(n_r, n_theta)
+    for degree in degrees:
         d = random_disc(rng, m, degree)
         assert riesz_area_term(d, quad) == pytest.approx(
             _riesz_pointwise(d, quad), rel=0, abs=1e-13)

@@ -161,6 +161,16 @@ def _domains():
     return [ball, tube, hyp, aff, inter]
 
 
+@pytest.mark.parametrize("dom", _domains(),
+                         ids=["FsBall", "Tube", "HyperplaneComplement",
+                              "AffineBall", "Intersection"])
+def test_domain_excludes_zero_vector(dom):
+    # the zero vector is no point of P^n, so no cone domain contains it
+    zero = np.zeros(2, dtype=complex)
+    assert not dom.contains(zero)
+    assert dom.clearance(zero) <= 0
+
+
 def test_domain_scalar_invariance():
     rng = np.random.default_rng(5)
     for dom in _domains():

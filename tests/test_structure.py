@@ -156,6 +156,13 @@ def test_centre_homotopy_rejects_outside_domain():
         centre_homotopy(x, [np.array([1.0, 1.0, 0.0])], HYP)
 
 
+def test_centre_homotopy_rejects_zero_sample():
+    x = np.array([1.0, 0.2, 0.0], dtype=complex)
+    ball = FsBall(ProjPoint(np.array([1.0, 0.0, 0.0])), 0.3)
+    with pytest.raises(DomainError, match="leaves the domain"):
+        centre_homotopy(x, [np.zeros(3)], ball)
+
+
 def test_epsilon_upper_bound_succeeds():
     phi = LiftedWeight(ZeroWeight())
     rng = np.random.default_rng(7)
