@@ -19,7 +19,11 @@ faults per search, checked byte for byte against a serial
 one-restart-at-a-time reference of the documented draw contract; and the
 command line at perfbench's identity sizes: cli.build_parser and one
 in-process cli.main(["identity-check", ...]) call, the first call of each
-in the process against a later one.
+in the process against a later one; and the construction of a
+CandidateLibrary at 512 samples, which samples its domain: the sz unit
+balls of perfbench's siciak workload (C and C^2), and in omega mode FS
+balls of radius 0.5 and 0.01, a hyperplane complement and an
+intersection in P^1, each checked to sample inside its domain.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -38,11 +42,13 @@ import numpy as np
 from discenv import cli, kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            riesz_area_term, validation_grid)
-from discenv.envelope import (_DRAW_BLOCK, DiscFamilySpec, OptimizerConfig,
-                              _clip_bound, _objective, _search,
-                              build_objective_spec, evaluate_witness)
+from discenv.envelope import (_DRAW_BLOCK, CandidateLibrary, DiscFamilySpec,
+                              OptimizerConfig, _clip_bound, _objective,
+                              _search, build_objective_spec,
+                              evaluate_witness)
 from discenv.functionals import SZ_JENSEN_NODES, sz_interior_jensen
-from discenv.projective import (AffineBall, ProjPoint, Tube, ZeroWeight,
+from discenv.projective import (AffineBall, FsBall, HyperplaneComplement,
+                                Intersection, ProjPoint, Tube, ZeroWeight,
                                 affine_lift)
 
 # (rows, samples): the hull_test sizes on the 64-point circle in P^1
@@ -55,6 +61,8 @@ SZ_RESTARTS, SZ_NODES = 20, 256
 SEARCH_BUDGET = 100
 # perfbench's identity operation: one degree-6 disc (CLI seed 1000) on the
 # default 1024-node boundary and 256 x 512 area grids
+# samples of a CandidateLibrary (perfbench's LIBRARY_SAMPLES)
+LIBRARY_SAMPLES = 512
 IDENTITY_ARGS = ("--count", "1", "--tolerance", "1e-8", "--seed", "1000",
                  "--nodes", "1024", "--radial", "256", "--angular", "512")
 
@@ -96,6 +104,7 @@ def main() -> int:
     bench_sz(rng, args.repeats)
     bench_witness(rng, min(args.repeats, 20))
     bench_search(rng, min(args.repeats, 10))
+    bench_library(min(args.repeats, 20))
     return 0
 
 
@@ -302,6 +311,32 @@ def bench_search(rng, repeats: int) -> None:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         print(f"{label:<24} {t * 1e3:>10.2f}ms {faults / (repeats + 1):>9.0f}")
     print("searches equal the serial reference byte for byte")
+
+
+def library_domains():
+    """(label, mode, domain) of the timed CandidateLibrary constructions."""
+    p = ProjPoint(np.array([1.0, 0.3 + 0.1j]))
+    hyp = HyperplaneComplement(np.array([1.0, 2.0j]))
+    return [
+        ("sz AffineBall, C", "sz", AffineBall(np.zeros(1, dtype=complex), 1.0)),
+        ("sz AffineBall, C^2", "sz", AffineBall(np.zeros(2, dtype=complex), 1.0)),
+        ("FsBall 0.5", "omega", FsBall(p, 0.5)),
+        ("FsBall 0.01", "omega", FsBall(p, 0.01)),
+        ("HyperplaneComplement", "omega", hyp),
+        ("Intersection", "omega", Intersection((FsBall(p, 0.6), hyp))),
+    ]
+
+
+def bench_library(repeats: int) -> None:
+    print(f"{f'CandidateLibrary, {LIBRARY_SAMPLES}':<24} {'time':>12}")
+    for label, mode, domain in library_domains():
+        pts = domain.sample_points(np.random.default_rng(0), LIBRARY_SAMPLES)
+        assert pts.shape[0] == LIBRARY_SAMPLES, "sample count"
+        assert np.all(domain.clearance_many(pts) > 0), "samples inside"
+        t = bench(CandidateLibrary, (mode, domain, ZeroWeight(), 0,
+                                     LIBRARY_SAMPLES), repeats)
+        print(f"{label:<24} {t * 1e3:>10.3f}ms")
+    print("every domain samples inside itself")
 
 
 def once(fn, *args) -> float:

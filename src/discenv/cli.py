@@ -35,15 +35,29 @@ from .projective import (Domain, LiftedWeight, ProjPoint, Weight,
 SCHEMA_VERSION = "1"
 
 
-def _load_json(path: str):
+def _read(path: str, decode):
+    """decode applied to the JSON of a file.  Every input file is read
+    here: an unreadable file, malformed JSON, and a KeyError, TypeError or
+    ValueError while decoding (a missing key, a null or a bare number where
+    a [re, im] pair belongs) are ConfigErrors that name the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: malformed JSON at line {e.lineno}, "
                           f"column {e.colno}: {e.msg}") from e
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
+    try:
+        return decode(obj)
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: malformed input: {e}") from e
+
+
+def _coords(obj) -> np.ndarray:
+    return vec_from_json(obj["coords"])
 
 
 def _parse_point(obj) -> ProjPoint:
@@ -51,7 +65,7 @@ def _parse_point(obj) -> ProjPoint:
     if not isinstance(obj, dict):
         raise ConfigError(f"a point must be a JSON object, not {obj!r}")
     kind = obj.get("type", "proj")
-    coords = vec_from_json(obj["coords"])
+    coords = _coords(obj)
     if kind == "affine":
         return ProjPoint(affine_lift(coords))
     if kind == "proj":
@@ -85,9 +99,9 @@ def _config_dict(args, skip=("func", "out")):
 
 
 def cmd_functional(args) -> int:
-    disc = AnalyticDiscLift.from_json(_load_json(args.disc))
-    weight = Weight.from_json(_load_json(args.weight))
-    domain = Domain.from_json(_load_json(args.domain)) if args.domain else None
+    disc = _read(args.disc, AnalyticDiscLift.from_json)
+    weight = _read(args.weight, Weight.from_json)
+    domain = _read(args.domain, Domain.from_json) if args.domain else None
     grid, quad = _grids(args)
     if args.route == "direct":
         fv = omega_functional_direct(weight, disc, domain, grid, quad)
@@ -139,19 +153,19 @@ def cmd_identity_check(args) -> int:
     return 0
 
 
-def _family_opt(args, x):
-    fam = env.DiscFamilySpec(degree=args.degree, m=x.vec.size, center=x,
-                             bound=args.bound, eta=args.eta)
+def _family_opt(args):
+    fam = env.DiscFamilySpec(degree=args.degree, bound=args.bound,
+                             eta=args.eta)
     opt = env.OptimizerConfig(starts=args.starts, budget=args.budget,
                               seed=args.seed)
     return fam, opt
 
 
 def cmd_envelope(args) -> int:
-    x = _parse_point(_load_json(args.point))
-    domain = Domain.from_json(_load_json(args.domain))
-    weight = Weight.from_json(_load_json(args.weight))
-    fam, opt = _family_opt(args, x)
+    x = _read(args.point, _parse_point)
+    domain = _read(args.domain, Domain.from_json)
+    weight = _read(args.weight, Weight.from_json)
+    fam, opt = _family_opt(args)
     grid = BoundaryGrid(args.nodes)
     lib = env.CandidateLibrary(args.mode, domain, weight, seed=args.seed)
     est = env.minimize(args.mode, x, domain, weight, fam, opt, grid,
@@ -162,12 +176,13 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    pts = [_parse_point(obj) for obj in _load_json(args.points)["points"]]
+    pts = _read(args.points,
+                lambda obj: [_parse_point(p) for p in obj["points"]])
     if not pts:
         raise ConfigError(f"{args.points}: no points")
-    domain = Domain.from_json(_load_json(args.domain))
-    weight = Weight.from_json(_load_json(args.weight))
-    fam, opt = _family_opt(args, pts[0])
+    domain = _read(args.domain, Domain.from_json)
+    weight = _read(args.weight, Weight.from_json)
+    fam, opt = _family_opt(args)
     grid = BoundaryGrid(args.nodes)
     lib = env.CandidateLibrary(args.mode, domain, weight, seed=args.seed)
     ests = env.envelope_grid(args.mode, pts, domain, weight, fam, opt, grid,
@@ -183,9 +198,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_hull_test(args) -> int:
-    x = _parse_point(_load_json(args.point))
-    K = hull_mod.CompactSetSpec.from_json(_load_json(args.set))
-    fam, opt = _family_opt(args, x)
+    x = _read(args.point, _parse_point)
+    K = _read(args.set, hull_mod.CompactSetSpec.from_json)
+    fam, opt = _family_opt(args)
     grid = BoundaryGrid(args.nodes)
     out = hull_mod.hull_test(x, K, args.lam, args.eps, args.delta, fam, opt,
                              grid)
@@ -197,9 +212,9 @@ def cmd_hull_test(args) -> int:
 
 
 def cmd_hull_schedule(args) -> int:
-    x = _parse_point(_load_json(args.point))
-    K = hull_mod.CompactSetSpec.from_json(_load_json(args.set))
-    fam, opt = _family_opt(args, x)
+    x = _read(args.point, _parse_point)
+    K = _read(args.set, hull_mod.CompactSetSpec.from_json)
+    fam, opt = _family_opt(args)
     grid = BoundaryGrid(args.nodes)
     res = hull_mod.lambda_schedule(x, K, args.deltas, fam, opt, grid)
     payload = {"deltas": res["deltas"], "estimates": res["estimates"],
@@ -211,7 +226,7 @@ def cmd_hull_schedule(args) -> int:
 
 
 def cmd_hull_normalize(args) -> int:
-    disc = AnalyticDiscLift.from_json(_load_json(args.disc))
+    disc = _read(args.disc, AnalyticDiscLift.from_json)
     grid = BoundaryGrid(args.nodes)
     comp = hull_mod.normalize_disc(disc, args.r, grid)
     rep = hull_mod.center_report(comp)
@@ -225,9 +240,9 @@ def cmd_hull_normalize(args) -> int:
 
 
 def cmd_structure_make(args) -> int:
-    x = vec_from_json(_load_json(args.x)["coords"])
-    w = vec_from_json(_load_json(args.w)["coords"])
-    domain = Domain.from_json(_load_json(args.domain))
+    x = _read(args.x, _coords)
+    w = _read(args.w, _coords)
+    domain = _read(args.domain, Domain.from_json)
     params = struct_mod.structure_params(x, w, domain)
     disc = struct_mod.make_structure_disc(params)
     report = struct_mod.verify_feasible(disc, domain, args.nodes)
@@ -238,9 +253,9 @@ def cmd_structure_make(args) -> int:
 
 
 def cmd_structure_epsilon(args) -> int:
-    x = vec_from_json(_load_json(args.x)["coords"])
-    domain = Domain.from_json(_load_json(args.domain))
-    weight = Weight.from_json(_load_json(args.weight))
+    x = _read(args.x, _coords)
+    domain = _read(args.domain, Domain.from_json)
+    weight = _read(args.weight, Weight.from_json)
     phi_tilde = LiftedWeight(weight)
     res = struct_mod.epsilon_upper_bound(x, phi_tilde, domain, args.eps,
                                          seed=args.seed,
@@ -287,9 +302,9 @@ def _add_common(p, nodes=1024):
 
 
 def _add_opt(p):
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--starts", type=int, default=20)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--degree", type=_positive_int, default=6)
+    p.add_argument("--starts", type=_positive_int, default=20)
+    p.add_argument("--budget", type=_positive_int, default=2000)
     p.add_argument("--bound", type=_finite_float, default=10.0)
     p.add_argument("--eta", type=_finite_float, default=1e-3)
     p.add_argument("--seed", type=int, default=7)

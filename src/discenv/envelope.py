@@ -31,14 +31,23 @@ _DRAW_BLOCK = 16
 
 @dataclass(frozen=True)
 class DiscFamilySpec:
+    """Degree, coefficient bound and feasibility margin eta of the disc
+    family; m and center are not read."""
+
     degree: int = 6
     m: int = 2
     center: ProjPoint | None = None
     bound: float = 10.0
     eta: float = 1e-3
 
-    def with_center(self, x: ProjPoint) -> "DiscFamilySpec":
-        return DiscFamilySpec(self.degree, self.m, x, self.bound, self.eta)
+    def __post_init__(self):
+        # eta <= 0 would accept a disc whose boundary leaves the domain
+        if self.degree < 1:
+            raise ConfigError(f"degree must be at least 1, not {self.degree}")
+        for name in ("bound", "eta"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be positive and finite, not {v!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,10 @@ class OptimizerConfig:
         if self.workers != 1:
             raise ConfigError(f"workers must be 1, got {self.workers}: the "
                               "restarts run in lock step in one process")
+        for name in ("starts", "budget"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ConfigError(f"{name} must be at least 1, not {v}")
 
 
 @dataclass
@@ -462,8 +475,7 @@ def envelope_grid(mode: str, points: list, domain: Domain, weight: Weight,
     out = []
     warm = None
     for x in points:
-        fam = family.with_center(x)
-        est = minimize(mode, x, domain, weight, fam, opt, final_grid,
+        est = minimize(mode, x, domain, weight, family, opt, final_grid,
                        library=library, warm_theta=warm)
         if est.witness is not None:
             warm = _coeffs_to_theta(family.degree, est.witness.coeffs)

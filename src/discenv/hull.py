@@ -140,7 +140,7 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
         raise ValueError("delta and eps must be positive")
     if not K.connected:
         log.warning("hull test assumes a connected compact set")
-    family = (family or DiscFamilySpec(m=x.vec.size)).with_center(x)
+    family = family or DiscFamilySpec()
     opt = opt or OptimizerConfig()
     final_grid = final_grid or BoundaryGrid()
     tube = K.tube(delta)
@@ -177,7 +177,7 @@ def lambda_schedule(x: ProjPoint, K: CompactSetSpec, deltas,
         raise ValueError("schedule must hold at least one tube radius")
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(d <= 0 for d in deltas):
         raise ValueError("schedule must be strictly decreasing and positive")
-    family = (family or DiscFamilySpec(m=x.vec.size)).with_center(x)
+    family = family or DiscFamilySpec()
     opt = opt or OptimizerConfig()
     final_grid = final_grid or BoundaryGrid()
     pool: list[AnalyticDiscLift] = []

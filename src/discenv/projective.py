@@ -154,6 +154,36 @@ class Domain:
         raise ConfigError(f"unknown domain type {kind!r}")
 
 
+# rounds of draws after which _sample_inside gives up on a domain: an FS
+# ball of radius 1e-3 in P^1 needs about 765 rounds of 512 draws
+_SAMPLE_ROUNDS = 2000
+
+
+def _sample_inside(domain: Domain, draw, count: int,
+                   margin: float = 0.0) -> np.ndarray:
+    """The first count rows, in draw order, of successive draw() batches
+    whose clearance in domain exceeds margin.  Raises DomainError after
+    _SAMPLE_ROUNDS batches, so an empty or tiny domain cannot hang a run."""
+    kept, got = [], 0
+    for _ in range(_SAMPLE_ROUNDS):
+        z = draw()
+        kept.append(z[domain.clearance_many(z) > margin][:count - got])
+        got += len(kept[-1])
+        if got >= count:
+            return np.concatenate(kept)
+    raise DomainError(f"found {got} of {count} sample points of "
+                      f"{type(domain).__name__} in {_SAMPLE_ROUNDS} rounds "
+                      "of draws")
+
+
+def _gaussian_rows(rng, count: int, m: int) -> np.ndarray:
+    return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
 class _FsAngleDomain(Domain):
     """Clearance c is an FS angle: the FS ball of radius c about [w] lies
     inside, so the cone's complement is at least |w| sin c from w."""
@@ -173,6 +203,11 @@ class FsBall(_FsAngleDomain):
     center: ProjPoint
     radius: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ConfigError(f"FS ball radius must be positive and finite, "
+                              f"not {self.radius!r}")
+
     def clearance_many(self, z_rows):
         """radius - FS distance to the centre per row; the zero row, which
         is no point of P^n, gets -pi/2 (fs_distances reads it as the
@@ -182,21 +217,14 @@ class FsBall(_FsAngleDomain):
         return out
 
     def sample_points(self, rng, count):
-        m = self.center.vec.size
-        out = np.empty((count, m), dtype=np.complex128)
-        got = 0
-        while got < count:
-            z = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
-            z /= np.linalg.norm(z, axis=1)[:, None]
-            # bias toward the ball: mix with the center
-            lam = rng.uniform(0, 1, count)[:, None]
-            z = (1 - lam) * self.center.vec[None, :] + lam * z
-            z /= np.linalg.norm(z, axis=1)[:, None]
-            ok = self.clearance_many(z) > 0
-            take = min(count - got, int(ok.sum()))
-            out[got: got + take] = z[ok][:take]
-            got += take
-        return out
+        c = self.center.vec
+
+        def draw():
+            z = _unit_rows(_gaussian_rows(rng, count, c.size))
+            lam = rng.uniform(0, 1, count)[:, None]  # bias toward the centre
+            return _unit_rows((1 - lam) * c + lam * z)
+
+        return _sample_inside(self, draw, count)
 
     def to_json(self):
         return {"type": "fs_ball", "center": self.center.to_json(),
@@ -283,7 +311,10 @@ class HyperplaneComplement(Domain):
 
     def __post_init__(self):
         a = np.asarray(self.normal, dtype=np.complex128).reshape(-1)
-        a = a / np.linalg.norm(a)
+        nrm = float(np.linalg.norm(a))
+        if not (math.isfinite(nrm) and nrm > 0):
+            raise ConfigError("hyperplane normal must be nonzero and finite")
+        a = a / nrm
         a.setflags(write=False)
         object.__setattr__(self, "normal", a)
 
@@ -299,16 +330,9 @@ class HyperplaneComplement(Domain):
 
     def sample_points(self, rng, count):
         m = self.normal.size
-        out = np.empty((count, m), dtype=np.complex128)
-        got = 0
-        while got < count:
-            z = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
-            z /= np.linalg.norm(z, axis=1)[:, None]
-            ok = self.clearance_many(z) > 1e-6
-            take = min(count - got, int(ok.sum()))
-            out[got: got + take] = z[ok][:take]
-            got += take
-        return out
+        return _sample_inside(
+            self, lambda: _unit_rows(_gaussian_rows(rng, count, m)), count,
+            margin=1e-6)
 
     def to_json(self):
         return {"type": "hyperplane_complement", "normal": vec_to_json(self.normal)}
@@ -365,17 +389,13 @@ class AffineBall(Domain):
         return min(float(abs(w[0])), lb_sphere)
 
     def sample_points(self, rng, count):
+        # uniform in the ball, so no draw is rejected
         n = self.center.size
-        pts = []
-        while len(pts) < count:
-            u = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-            u *= (rng.uniform(0, 1, count) ** (1.0 / (2 * n)) * self.radius /
-                  np.maximum(np.linalg.norm(u, axis=1), 1e-300))[:, None]
-            for row in u + self.center[None, :]:
-                if len(pts) < count:
-                    v = affine_lift(row)
-                    pts.append(v / np.linalg.norm(v))
-        return np.stack(pts)
+        u = _gaussian_rows(rng, count, n)
+        u *= (rng.uniform(0, 1, count) ** (1.0 / (2 * n)) * self.radius /
+              np.maximum(np.linalg.norm(u, axis=1), 1e-300))[:, None]
+        return _unit_rows(np.concatenate([np.ones((count, 1)), u + self.center],
+                                         axis=1))
 
     def to_json(self):
         return {"type": "affine_ball", "center": vec_to_json(self.center),
@@ -386,6 +406,10 @@ class AffineBall(Domain):
 class Intersection(Domain):
     members: tuple
 
+    def __post_init__(self):
+        if not self.members:
+            raise ConfigError("an intersection needs at least one member")
+
     def clearance_many(self, z_rows):
         return np.min(np.stack([m.clearance_many(z_rows) for m in self.members]),
                       axis=0)
@@ -395,16 +419,8 @@ class Intersection(Domain):
         return min(m.dist_lb(w) for m in self.members)
 
     def sample_points(self, rng, count):
-        out = []
-        tries = 0
-        while len(out) < count and tries < 200:
-            cand = self.members[0].sample_points(rng, count)
-            ok = self.clearance_many(cand) > 0
-            out.extend(cand[ok][: count - len(out)])
-            tries += 1
-        if len(out) < count:
-            raise DomainError("could not sample the intersection domain")
-        return np.stack(out)
+        return _sample_inside(
+            self, lambda: self.members[0].sample_points(rng, count), count)
 
     def to_json(self):
         return {"type": "intersection",

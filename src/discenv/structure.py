@@ -83,12 +83,7 @@ def second_branch_value(params: StructureDiscParams) -> np.ndarray:
 def structure_params(x, w, domain: Domain) -> StructureDiscParams:
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     w = np.asarray(w, dtype=np.complex128).reshape(-1)
-    r = radius_r(x, w, domain)
-    s = float(np.linalg.norm(x - w))
-    p = StructureDiscParams(x, w, r)
-    if s >= 1.0 and not r < s:
-        raise DomainError("expected r < |x-w| for |x-w| >= 1")
-    return p
+    return StructureDiscParams(x, w, radius_r(x, w, domain))
 
 
 def verify_feasible(disc: AnalyticDiscLift, domain: Domain,
@@ -98,12 +93,13 @@ def verify_feasible(disc: AnalyticDiscLift, domain: Domain,
     pts = disc(grid.nodes)
     clear = domain.clearance_many(pts)
     min_norm = disc.min_norm_on_grid()
+    boundary_ok = bool(np.all(clear > 0))
     return {
-        "boundary_ok": bool(np.all(clear > 0)),
+        "boundary_ok": boundary_ok,
         "min_clearance": float(clear.min()),
         "min_norm": min_norm,
         "origin_ok": bool(min_norm > 0),
-        "feasible": bool(np.all(clear > 0) and min_norm > 0),
+        "feasible": bool(boundary_ok and min_norm > 0),
     }
 
 

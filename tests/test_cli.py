@@ -463,3 +463,90 @@ def test_negative_tolerance_exit_1(files, capsys):
     assert rc == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _circle_hull(files, point):
+    """hull test on the 64-point circle {[1 : e^{it}]} at [1 : point],
+    delta 0.05, at a small budget."""
+    th = 2.0 * np.pi * np.arange(64) / 64
+    K = write(files["tmp"] / "K64.json",
+              {"samples": [[[1.0, 0.0], [math.cos(t), math.sin(t)]] for t in th]})
+    x = write(files["tmp"] / "hx.json",
+              {"type": "proj", "coords": [[1.0, 0.0], [point, 0.0]]})
+    return ["hull", "test", "--point", x, "--set", K, "--eps", "0.01",
+            "--delta", "0.05", "--starts", "2", "--budget", "20"]
+
+
+@pytest.mark.parametrize("point, extra", [
+    (0.3, ["--lambda", "0", "--eta=-0.5"]),
+    (0.1, ["--lambda", "0.35", "--eta=-0.5"]),
+    (0.1, ["--lambda", "0.35", "--eta", "0"]),
+    (0.1, ["--lambda", "0.35", "--bound", "0"]),
+    (0.1, ["--lambda", "0.35", "--bound=-1"]),
+    (0.1, ["--lambda", "0.35", "--degree", "0"]),
+    (0.1, ["--lambda", "0.35", "--degree=-1"]),
+    (0.1, ["--lambda", "0.35", "--starts", "0"]),
+    (0.1, ["--lambda", "0.35", "--starts=-1"]),
+    (0.1, ["--lambda", "0.35", "--budget=-5"]),
+], ids=["eta-constant-disc", "eta-search", "eta-zero", "bound-zero",
+        "bound-negative", "degree-zero", "degree-negative", "starts-zero",
+        "starts-negative", "budget-negative"])
+def test_out_of_range_search_setting_exit_1(files, point, extra, capsys):
+    # a negative eta once certified [1:0.3], 0.49 rad from the circle, with
+    # the constant disc, and at [1:0.1] a witness that leaves the tube
+    out = files["tmp"] / "cert.json"
+    rc = main(_circle_hull(files, point) + extra + ["--out", str(out)])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _envelope_on(files, domain):
+    dom = write(files["tmp"] / "edom.json", domain)
+    x = write(files["tmp"] / "ex.json",
+              {"type": "proj", "coords": [[1.0, 0.0], [0.0, 0.0]]})
+    return ["envelope", "--point", x, "--domain", dom, "--weight",
+            files["zero"], "--mode", "omega", "--starts", "1", "--budget", "2",
+            "--nodes", "64", "--out", str(files["tmp"] / "env.json")]
+
+
+_ORIGIN = [[1.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("domain", [
+    {"type": "fs_ball", "center": _ORIGIN, "radius": 0.0},
+    {"type": "fs_ball", "center": _ORIGIN, "radius": -0.2},
+    {"type": "hyperplane_complement", "normal": [[0.0, 0.0], [0.0, 0.0]]},
+    {"type": "intersection", "members": []},
+], ids=["fs-radius-zero", "fs-radius-negative", "zero-normal",
+        "empty-intersection"])
+def test_degenerate_domain_exit_1(files, domain, capsys):
+    rc = main(_envelope_on(files, domain))
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (files["tmp"] / "env.json").exists()
+
+
+def test_unsampleable_domain_exit_2(files, capsys):
+    # no draw lands in an FS ball of radius 1e-9: the candidate library's
+    # sampler gives up after a fixed number of rounds instead of hanging
+    rc = main(_envelope_on(files, {"type": "fs_ball", "center": _ORIGIN,
+                                   "radius": 1e-9}))
+    assert rc == 2
+    assert "infeasible:" in capsys.readouterr().err
+    assert not (files["tmp"] / "env.json").exists()
+
+
+@pytest.mark.parametrize("flag, obj", [
+    ("--point", {"type": "proj", "coords": [1, 0]}),
+    ("--domain", {"type": "fs_ball", "center": _ORIGIN, "radius": None}),
+], ids=["bare-number-coords", "null-radius"])
+def test_malformed_input_exit_1(files, flag, obj, capsys):
+    bad = write(files["tmp"] / "malformed.json", obj)
+    argv = _envelope_on(files, {"type": "fs_ball", "center": _ORIGIN,
+                                "radius": 0.5})
+    rc = main(argv + [flag, bad])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "malformed.json" in err
+    assert not (files["tmp"] / "env.json").exists()

@@ -621,3 +621,27 @@ def test_tube_seeds_at_circle_centre():
                                            DiscFamilySpec().eta,
                                            BoundaryGrid(1024))
         assert feasible and value == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(degree=0), dict(degree=-1), dict(bound=0.0), dict(bound=-1.0),
+    dict(bound=math.inf), dict(eta=0.0), dict(eta=-0.5), dict(eta=math.nan),
+], ids=["degree-0", "degree-neg", "bound-0", "bound-neg", "bound-inf",
+        "eta-0", "eta-neg", "eta-nan"])
+def test_family_spec_rejects_out_of_range(kwargs):
+    # eta <= 0 would accept witnesses whose boundary leaves the domain
+    with pytest.raises(ConfigError):
+        DiscFamilySpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(starts=0), dict(starts=-1), dict(budget=0), dict(budget=-5),
+], ids=["starts-0", "starts-neg", "budget-0", "budget-neg"])
+def test_optimizer_config_rejects_out_of_range(kwargs):
+    with pytest.raises(ConfigError):
+        OptimizerConfig(**kwargs)
+
+
+def test_perfbench_settings_are_valid():
+    DiscFamilySpec(degree=6, bound=10.0, eta=1e-3)
+    OptimizerConfig(starts=20, budget=100)

@@ -1,5 +1,6 @@
 """Projective points, FS geometry, cone domains, weights, and lifts."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from discenv.projective import (_TUBE_BLOCK, AffineBall, ConstantWeight,
                                 chart, fs_distance, lelong_lift, lift,
                                 lift_weight, project, psh_correspondence,
                                 Weight)
-from discenv.errors import ConfigError
+from discenv.errors import ConfigError, DomainError
 
 
 def test_project_canonicalizes():
@@ -397,3 +398,63 @@ def test_log_poly_weight_rejects_mixed_degrees():
         Weight.from_json({"type": "log_poly", "terms": [
             {"exponents": [1, 0], "coeff": [1.0, 0.0]},
             {"exponents": [0, 0], "coeff": [-1.0, 0.0]}]})
+
+
+_C = ProjPoint(np.array([1.0, 0.0]))
+_C_JSON = [[1.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("make, obj", [
+    (lambda: FsBall(_C, 0.0),
+     {"type": "fs_ball", "center": _C_JSON, "radius": 0.0}),
+    (lambda: FsBall(_C, -0.2),
+     {"type": "fs_ball", "center": _C_JSON, "radius": -0.2}),
+    (lambda: FsBall(_C, math.inf),
+     {"type": "fs_ball", "center": _C_JSON, "radius": math.inf}),
+    (lambda: FsBall(_C, math.nan),
+     {"type": "fs_ball", "center": _C_JSON, "radius": math.nan}),
+    (lambda: HyperplaneComplement(np.zeros(2)),
+     {"type": "hyperplane_complement", "normal": [[0.0, 0.0], [0.0, 0.0]]}),
+    (lambda: HyperplaneComplement(np.array([math.nan, 1.0])),
+     {"type": "hyperplane_complement", "normal": [[math.nan, 0.0], [1.0, 0.0]]}),
+    (lambda: Intersection(()),
+     {"type": "intersection", "members": []}),
+], ids=["fs-radius-zero", "fs-radius-negative", "fs-radius-inf",
+        "fs-radius-nan", "zero-normal", "nan-normal", "empty-intersection"])
+def test_degenerate_domain_rejected(make, obj):
+    with pytest.raises(ConfigError):
+        make()
+    with pytest.raises(ConfigError):
+        Domain.from_json(obj)
+
+
+@pytest.mark.parametrize("dom", [
+    FsBall(ProjPoint(np.array([1.0, 0.3])), 1e-9),
+    Intersection((FsBall(_C, 0.1), FsBall(ProjPoint(np.array([0.0, 1.0])), 0.1))),
+], ids=["tiny-fs-ball", "disjoint-intersection"])
+def test_unsampleable_domain_raises(dom):
+    # the sampler gives up after a fixed number of rounds of draws
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        dom.sample_points(np.random.default_rng(0), 8)
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_small_fs_ball_is_sampled():
+    ball = FsBall(ProjPoint(np.array([1.0, 0.3])), 1e-3)
+    pts = ball.sample_points(np.random.default_rng(0), 512)
+    assert pts.shape == (512, 2)
+    assert np.all(ball.clearance_many(pts) > 0)
+
+
+def test_affine_ball_samples_follow_the_draws():
+    # one draw per row, none rejected: the direction u, then the radius
+    ball = AffineBall(np.array([0.2, -0.1j]), 0.7)
+    pts = ball.sample_points(np.random.default_rng(3), 64)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    r = 0.7 * rng.uniform(0, 1, 64) ** 0.25
+    for row, d, s in zip(pts, u, r):
+        v = affine_lift(ball.center + s * d / np.linalg.norm(d))
+        assert np.allclose(row, v / np.linalg.norm(v), rtol=0, atol=1e-15)
+    assert np.all(ball.clearance_many(pts) > 0)
