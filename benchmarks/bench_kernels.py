@@ -10,9 +10,11 @@ minimize on the unit ball: AffineBall.clearance_many at 5120 rows (20
 restarts x 256 search nodes) in C and C^2, checked against a per-row
 reference, and one lock-step _objective call over 20 restarts x 256
 nodes; and the re-evaluation of one sz witness on the unit ball in C and
-C^2: evaluate_witness on the 1024-node final grid and the 65536-node
-sz_interior_jensen, each against an inline Horner reference of the same
-quantity on freshly built nodes, checked to agree to 1e-13; and one
+C^2: evaluate_witness on the 1024-node final grid against an inline
+reference (Horner values, and Jensen's formula from np.roots), checked
+to agree to 1e-13, and the interior term from the zeros of f_0
+(sz_interior_roots, the witness route) beside the 65536-node
+sz_interior_jensen (the independent route), checked to agree; and one
 (1+1)-ES _search at 20 restarts x 100 evaluations for sz on the unit ball
 (m = 2, 3) and for omega on the 64-point circle Tube, with the minor page
 faults per search, checked byte for byte against a serial
@@ -46,7 +48,7 @@ from discenv.envelope import (_DRAW_BLOCK, CandidateLibrary, DiscFamilySpec,
                               OptimizerConfig, _clip_bound, _objective,
                               _search, build_objective_spec,
                               evaluate_witness)
-from discenv.functionals import SZ_JENSEN_NODES, sz_interior_jensen
+from discenv.functionals import sz_interior_jensen, sz_interior_roots
 from discenv.projective import (AffineBall, FsBall, HyperplaneComplement,
                                 Intersection, ProjPoint, Tube, ZeroWeight,
                                 affine_lift)
@@ -190,22 +192,22 @@ def circle_nodes(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def horner_jensen(disc, nodes: np.ndarray) -> float:
-    """sz_interior_jensen by Horner on the given circle nodes."""
-    vals = kernels.eval_poly(disc.coeffs[:, :1], nodes)[:, 0]
-    return float(np.log(np.abs(vals)).mean()) - np.log(abs(disc.coeffs[0, 0]))
+def roots_jensen(disc) -> float:
+    """The sz interior term by Jensen's formula from np.roots: -sum log|a|
+    over the zeros a of f_0 inside the unit disc."""
+    zeros = np.roots(disc.coeffs[::-1, 0])
+    return float(-np.sum(np.log(np.abs(zeros[np.abs(zeros) < 1.0]))))
 
 
-def horner_witness(disc, ball: AffineBall, eta: float, nodes: np.ndarray,
-                   jensen_nodes: np.ndarray):
-    """evaluate_witness('sz', ...) with the zero weight, by Horner: the
-    clearance on the grid nodes, the origin floor on validation_grid, and
-    the interior term of horner_jensen."""
+def roots_witness(disc, ball: AffineBall, eta: float, nodes: np.ndarray):
+    """evaluate_witness('sz', ...) with the zero weight, by Horner and
+    np.roots: the clearance on the grid nodes, the origin floor on
+    validation_grid, and the interior term of roots_jensen."""
     pts = kernels.eval_poly(disc.coeffs, nodes)
     floor = np.linalg.norm(kernels.eval_poly(disc.coeffs, validation_grid()), axis=1)
     if not (np.all(ball.clearance_many(pts) >= eta) and floor.min() >= disc.delta_min):
         return np.inf, False
-    return horner_jensen(disc, jensen_nodes), True
+    return roots_jensen(disc), True
 
 
 def sz_witness(rng, m: int) -> AnalyticDiscLift:
@@ -224,28 +226,28 @@ def sz_witness(rng, m: int) -> AnalyticDiscLift:
 def bench_witness(rng, repeats: int) -> None:
     # the reference's nodes are built once, outside the timed calls
     grid = BoundaryGrid(1024)
-    nodes, jensen_nodes = circle_nodes(grid.n), circle_nodes(SZ_JENSEN_NODES)
-    print(f"{'sz witness re-evaluation':<24} {'tables':>12} {'Horner':>12} "
+    nodes = circle_nodes(grid.n)
+    print(f"{'sz witness re-evaluation':<24} {'tables':>12} {'reference':>12} "
           f"{'speedup':>9}")
     for m in (2, 3):
         ball = AffineBall(np.zeros(m - 1, dtype=complex), 1.0)
         disc = sz_witness(rng, m)
         args = ("sz", disc, ball, ZeroWeight(), 1e-3, grid)
-        ref_args = (disc, ball, 1e-3, nodes, jensen_nodes)
-        got, want = evaluate_witness(*args), horner_witness(*ref_args)
+        ref_args = (disc, ball, 1e-3, nodes)
+        got, want = evaluate_witness(*args), roots_witness(*ref_args)
         assert got[1] and want[1], "the witness is feasible"
         assert abs(got[0] - want[0]) <= 1e-13, "evaluate_witness value"
         tt = bench(evaluate_witness, args, repeats)
-        th = bench(horner_witness, ref_args, repeats)
+        th = bench(roots_witness, ref_args, repeats)
         print(f"{f'evaluate_witness, m={m}':<24} {tt * 1e3:>10.2f}ms "
               f"{th * 1e3:>10.2f}ms {th / tt:>8.2f}x")
-        assert abs(sz_interior_jensen(disc) - horner_jensen(disc, jensen_nodes)) \
-            <= 1e-13, "sz_interior_jensen"
-        tt = bench(sz_interior_jensen, (disc,), repeats)
-        th = bench(horner_jensen, (disc, jensen_nodes), repeats)
-        print(f"{f'sz_interior_jensen, m={m}':<24} {tt * 1e3:>10.2f}ms "
-              f"{th * 1e3:>10.2f}ms {th / tt:>8.2f}x")
-    print("witness re-evaluation agrees with the Horner reference")
+        assert abs(sz_interior_roots(disc) - sz_interior_jensen(disc)) <= 1e-13, \
+            "the two interior routes"
+        tr = bench(sz_interior_roots, (disc,), repeats)
+        tj = bench(sz_interior_jensen, (disc,), repeats)
+        print(f"{f'sz interior, m={m}':<24} {tr * 1e3:>10.2f}ms "
+              f"{tj * 1e3:>10.2f}ms {tj / tr:>8.2f}x  (zeros, 65536-node mean)")
+    print("witness re-evaluation agrees with the np.roots Jensen sum")
 
 
 def serial_search(spec, theta0s, seed: int, budget: int) -> np.ndarray:

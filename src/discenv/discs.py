@@ -83,8 +83,7 @@ class AnalyticDiscLift:
         d = self.degree
         f = polar_values(self.coeffs, circle_powers(n_theta, d),
                          power_table(_validation_radii, n_r, d))
-        sq = (f.real ** 2 + f.imag ** 2).sum(axis=0)
-        return float(np.sqrt(sq.min()))
+        return float(np.sqrt(kernels.sq_norms(f).min()))
 
     def validate(self) -> float:
         mn = self.min_norm_on_grid()
@@ -484,25 +483,62 @@ def _trig_rows(w: np.ndarray, radial: np.ndarray) -> np.ndarray:
     return np.conj(radial[:, :2 * d1 - 1] @ a).view(np.float64)
 
 
-def _newton_polish(coeffs_desc: np.ndarray, root: complex, steps: int = 2) -> complex:
-    der = np.polyder(coeffs_desc)
-    z = root
-    for _ in range(steps):
-        dz = np.polyval(der, z)
-        if dz == 0:
-            break
-        z = z - np.polyval(coeffs_desc, z) / dz
+def _newton_polish(coeffs_desc: np.ndarray, roots, steps: int = 2) -> np.ndarray:
+    """steps Newton steps on every one of roots (an array, or one root) at
+    once, p and p' from one product of the roots' powers with their
+    coefficient columns.  A step is taken only where it does not raise
+    |p|: at a multiple root p and p' are both rounding noise, and their
+    ratio can throw the root anywhere."""
+    asc = coeffs_desc[::-1]
+    n = asc.size
+    cols = np.zeros((n, 2), dtype=np.complex128)
+    cols[:, 0] = asc
+    cols[:-1, 1] = asc[1:] * np.arange(1, n)
+    powers = np.arange(n)
+    z = np.asarray(roots, dtype=np.complex128)
+    v = (z[..., None] ** powers) @ cols
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            step = z - v[..., 0] / v[..., 1]
+            v_step = (step[..., None] ** powers) @ cols
+            take = np.abs(v_step[..., 0]) <= np.abs(v[..., 0])
+            z = np.where(take, step, z)
+            v = np.where(take[..., None], v_step, v)
     return z
+
+
+def _clustered_roots(desc: np.ndarray, raw: np.ndarray,
+                     cluster_tol: float) -> list:
+    """(root, multiplicity) of the roots raw of desc, sorted by modulus:
+    each cluster is an unclustered root with every unclustered root within
+    cluster_tol of it, and a cluster of size k is refined on the (k-1)-th
+    derivative, so multiple roots also reach ~1e-10 accuracy."""
+    used = np.zeros(raw.size, dtype=bool)
+    out = []
+    for i in range(raw.size):
+        if used[i]:
+            continue
+        grp = np.flatnonzero(~used & (np.abs(raw - raw[i]) < cluster_tol))
+        used[grp] = True
+        mult = len(grp)
+        dcoef = desc
+        for _ in range(mult - 1):
+            dcoef = np.polyder(dcoef)
+        z = _newton_polish(dcoef, complex(np.mean(raw[grp])),
+                           4 if mult > 1 else 2)
+        out.append((complex(z), mult))
+    return out
 
 
 def roots_in_unit_disc(p, boundary_margin: float = 1e-9,
                        cluster_tol: float = 1e-7):
     """Zeros of the polynomial p (ascending coefficients) inside |t| < 1.
 
-    Companion-matrix eigenvalues, one Newton polish, clustering at
-    cluster_tol for multiplicities; a cluster of size k is refined on the
-    (k-1)-th derivative so multiple roots also reach ~1e-10 accuracy.
-    Returns a list of (root, multiplicity).
+    Companion-matrix eigenvalues and one Newton polish, sorted by
+    modulus.  When no two lie within cluster_tol, the common case, every
+    root is simple and takes two more steps; otherwise _clustered_roots
+    finds the multiplicities.  Returns a list of (root, multiplicity);
+    raises BoundaryZeroError for a zero within boundary_margin of |t| = 1.
     """
     a = np.asarray(p, dtype=np.complex128).reshape(-1)
     scale = np.abs(a).max()
@@ -513,33 +549,16 @@ def roots_in_unit_disc(p, boundary_margin: float = 1e-9,
     if a.size == 1:
         return []
     desc = a[::-1]
-    raw = np.roots(desc)
-    raw = np.array([_newton_polish(desc, z, 1) for z in raw])
-    # cluster
-    used = np.zeros(raw.size, dtype=bool)
-    clusters = []
-    order = np.argsort(np.abs(raw), kind="stable")
-    for i in order:
-        if used[i]:
-            continue
-        grp = [i]
-        used[i] = True
-        for j in order:
-            if not used[j] and abs(raw[j] - raw[i]) < cluster_tol:
-                grp.append(j)
-                used[j] = True
-        clusters.append(grp)
+    raw = _newton_polish(desc, np.roots(desc), 1)
+    raw = raw[np.argsort(np.abs(raw), kind="stable")]
+    # every root is within cluster_tol of itself: any further close pair
+    # means a cluster
+    if np.count_nonzero(np.abs(raw[:, None] - raw) < cluster_tol) > raw.size:
+        found = _clustered_roots(desc, raw, cluster_tol)
+    else:
+        found = [(z, 1) for z in _newton_polish(desc, raw, 2).tolist()]
     out = []
-    for grp in clusters:
-        mult = len(grp)
-        z = complex(np.mean(raw[grp]))
-        if mult > 1:
-            dcoef = desc
-            for _ in range(mult - 1):
-                dcoef = np.polyder(dcoef)
-            z = _newton_polish(dcoef, z, 4)
-        else:
-            z = _newton_polish(desc, z, 2)
+    for z, mult in found:
         if abs(abs(z) - 1.0) < boundary_margin:
             raise BoundaryZeroError(
                 f"zero at {z} within {boundary_margin:g} of the unit circle")

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .discs import (AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES,
-                    circle_powers, grid_values, polar_values, power_table)
-from .errors import ConfigError, DomainError
+                    circle_powers, grid_values, power_table)
+from .errors import BoundaryZeroError, ConfigError, DomainError
 from .functionals import _omega_lifted, _sz, encode_float
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
                          Tube, Weight, ZeroWeight, affine_lift, chart)
@@ -105,6 +106,8 @@ class _ObjectiveSpec:
     bound: float
     eta_search: float
     grid: BoundaryGrid
+    _work: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -121,6 +124,20 @@ class _ObjectiveSpec:
     @property
     def dim(self) -> int:
         return 2 * self.degree * self.m
+
+    def work(self, r: int) -> tuple:
+        """The work arrays of an _objective call on r discs, made on the
+        first such call: the values (m*r, N) complex, the squared moduli
+        (m, r, N), |f|^2 (r, N) and a flat scratch of 2 r*N.  Made afresh
+        on every call, arrays of this size went back to the system between
+        calls and each call faulted their pages in again.  So _objective is
+        not safe for concurrent calls on one spec."""
+        if r not in self._work:
+            m, n = self.m, self.nodes.size
+            self._work[r] = (np.empty((m * r, n), dtype=np.complex128),
+                             np.empty((m, r, n)), np.empty((r, n)),
+                             np.empty(2 * r * n))
+        return self._work[r]
 
 
 def _theta_to_coeffs(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
@@ -160,47 +177,85 @@ def _probe_nodes(n_theta: int) -> np.ndarray:
     return (radii[:, None] * circle_powers(n_theta, 1)[:, 1]).reshape(-1)
 
 
+def _coeff_rows(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
+    """Parameters (R, dim) -> the discs' coefficients coordinate-major,
+    (m*R, degree+1): row j*R + r is coordinate j of disc r, c0[j] and then
+    its tail from theta, filled in place."""
+    r, m, d = thetas.shape[0], spec.m, spec.degree
+    tail = thetas.reshape(r, d, 2, m).transpose(2, 3, 0, 1)  # (re/im, m, R, d)
+    rows = np.empty((m, r, d + 1), dtype=np.complex128)
+    rows[:, :, 0] = spec.c0[:, None]
+    rows.real[:, :, 1:] = tail[0]
+    rows.imag[:, :, 1:] = tail[1]
+    return rows.reshape(m * r, d + 1)
+
+
+def _functional(spec: _ObjectiveSpec, rows: np.ndarray, sq: np.ndarray,
+                norm2: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Penalty-free functional of R discs, shape (R,), from their boundary
+    values rows (R*N, m), the squared moduli sq (m, R, N) and |f|^2 norm2
+    (R, N); norm2 and scratch are overwritten."""
+    r, n = norm2.shape
+    zero_weight = isinstance(spec.weight, ZeroWeight)
+    if spec.mode == "omega":
+        # center is a unit vector, so -log|f(0)| = 0
+        lognorms = np.multiply(0.5, np.log(norm2, out=norm2), out=norm2)
+        if zero_weight:
+            return np.mean(lognorms, axis=1)
+        return np.mean(spec.weight.value_proj_many(rows).reshape(r, n) +
+                       lognorms, axis=1)
+    log0 = np.log(sq[0], out=scratch[:r * n].reshape(r, n))
+    interior = 0.5 * np.mean(log0, axis=1) - math.log(abs(spec.c0[0]))
+    if zero_weight:
+        # the zero weight's mean is 0.0: no chart is needed
+        return interior + 0.0
+    return interior + np.mean(
+        spec.weight.value_affine_many(chart(rows)).reshape(r, n), axis=1)
+
+
+def _domain_penalty(spec: _ObjectiveSpec, rows: np.ndarray,
+                    sq: np.ndarray) -> np.ndarray:
+    """The exterior penalty of each of the R discs whose boundary values
+    are rows (R*N, m), with squared moduli sq (m, R, N), shape (R,): the
+    mean of max(0, eta - max(c, -10))^2 over the clearances c.  As
+    rounding is monotone, eta - max(c, -10) is clip(eta - c, ., eta + 10)
+    to the bit; the clearance is a fresh array, and the penalty runs in
+    it."""
+    m, r, n = sq.shape
+    eta = spec.eta_search
+    pen = spec.domain.clearance_with_squares(rows, sq.reshape(m, r * n))
+    pen = pen.reshape(r, n)
+    np.clip(np.subtract(eta, pen, out=pen), 0.0, eta + 10.0, out=pen)
+    return PENALTY_RHO * np.mean(np.square(pen, out=pen), axis=1)
+
+
 def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """Penalized functional of the discs thetas (R, dim), shape (R,).
 
     A row is scored on its own: one whose value is not finite scores inf
     and leaves the others alone.  That includes a row whose f_0 vanishes
     at a node in sz mode, whose mean log|f_0|^2 is -inf.
+
+    Each |f_j|^2 is taken once, as Re^2 + Im^2, for the functional, the
+    origin floor and the domain alike.
     """
     r, n, m = thetas.shape[0], spec.nodes.size, spec.m
-    coeffs = _theta_to_coeffs(spec, thetas)
-    vals = polar_values(coeffs, spec.node_powers)  # (m, R, N)
-    sq = vals.real ** 2 + vals.imag ** 2
-    norm2 = sq.sum(axis=0)
+    coeffs = _coeff_rows(spec, thetas)
+    vals, sq, norm2, scratch = spec.work(r)
+    vals = np.matmul(coeffs, spec.node_powers.T, out=vals).reshape(m, r, n)
     # the domain and the weights see (R*N, m) rows: a transposed view
     rows = vals.reshape(m, r * n).T
-    zero_weight = isinstance(spec.weight, ZeroWeight)
+    for v, s in zip(vals, sq):
+        kernels.abs2(v, s, scratch)
+    # |f|^2, the coordinates added in order
+    least = sq.sum(axis=0, out=norm2).min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.mode == "omega":
-            # center is a unit vector, so -log|f(0)| = 0
-            lognorms = 0.5 * np.log(norm2)
-            if zero_weight:
-                value = np.mean(lognorms, axis=1)
-            else:
-                value = np.mean(spec.weight.value_proj_many(rows).reshape(r, n) +
-                                lognorms, axis=1)
-        else:
-            interior = (0.5 * np.mean(np.log(sq[0]), axis=1) -
-                        math.log(abs(spec.c0[0])))
-            if zero_weight:
-                # the zero weight's mean is 0.0: no chart is needed
-                value = interior + 0.0
-            else:
-                value = interior + np.mean(
-                    spec.weight.value_affine_many(chart(rows)).reshape(r, n),
-                    axis=1)
-        clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
-        pen = PENALTY_RHO * np.mean(np.square(
-            np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = polar_values(coeffs, power_table(_probe_nodes, _PROBE_ANGLES,
-                                                 spec.degree))
+        value = _functional(spec, rows, sq, norm2, scratch)
+        pen = _domain_penalty(spec, rows, sq)
+        probes = power_table(_probe_nodes, _PROBE_ANGLES, spec.degree)
+        inner = (coeffs @ probes.T).reshape(m, r, -1)
         inner2 = (inner.real ** 2 + inner.imag ** 2).sum(axis=0)
-        min_ln = 0.5 * np.log(np.minimum(norm2.min(axis=1), inner2.min(axis=1)))
+        min_ln = 0.5 * np.log(np.minimum(least, inner2.min(axis=1)))
         pen += 10.0 * np.square(np.maximum(0.0, math.log(ORIGIN_FLOOR) - min_ln))
         return np.where(np.isfinite(value), value + pen, math.inf)
 
@@ -297,7 +352,11 @@ def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
     """Penalty-free functional value and feasibility of a witness disc.
 
     The value of an infeasible disc is not computed: it is (inf, False).
-    The boundary values of the clearance check also give the value.
+    The boundary values of the clearance check also give the value.  In sz
+    mode the interior term comes from the zeros of f_0 (Jensen's formula,
+    exact where a boundary mean reads low next to a zero near the circle),
+    and a disc whose f_0 has a zero within the roots' margin of the circle
+    is infeasible.
     """
     pts = grid_values(disc, grid)
     clear = domain.clearance_many(pts)
@@ -306,7 +365,10 @@ def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
     if mode == "omega":
         value = _omega_lifted(LiftedWeight(weight), disc, grid, pts).total
     else:
-        value = _sz(weight, disc, None, grid, pts, "jensen").total
+        try:
+            value = _sz(weight, disc, None, grid, pts, "direct").total
+        except BoundaryZeroError:
+            return math.inf, False
     return value, True
 
 

@@ -135,16 +135,24 @@ def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
     return float(np.log(mags, out=mags).mean()) - math.log(abs(center))
 
 
+def _root_sums(roots) -> tuple[float, float]:
+    """-sum m_a log|a| and -sum log|a| over the (zero a, multiplicity m_a)
+    list roots."""
+    counted = once = 0.0
+    for a, m in roots:
+        log_a = math.log(abs(a))
+        counted -= m * log_a
+        once -= log_a
+    return counted, once
+
+
 def sz_interior_roots(disc, count_multiplicity: bool = True) -> float:
     """-sum m_a log|a| over the zeros a of f_0 inside the unit disc."""
     f0 = np.asarray(disc.coeffs[:, 0])
     if f0[0] == 0:
         return math.inf
-    roots = roots_in_unit_disc(f0)
-    total = 0.0
-    for a, m in roots:
-        total -= (m if count_multiplicity else 1) * math.log(abs(a))
-    return total
+    counted, once = _root_sums(roots_in_unit_disc(f0))
+    return counted if count_multiplicity else once
 
 
 def sz_functional(phi: Weight, disc: AnalyticDiscLift,
@@ -153,9 +161,12 @@ def sz_functional(phi: Weight, disc: AnalyticDiscLift,
                   route: str = "jensen") -> FunctionalValue:
     """Siciak-Zahariuta functional in the affine chart z_0 != 0.
 
-    route 'jensen': interior from the boundary mean of log|f_0|;
-    route 'direct': interior from the zeros of f_0 in the disc
-    (multiplicity counted; the multiplicity-free sum is in meta).
+    route 'jensen': interior from the 65536-node boundary mean of
+    log|f_0|, the independent route of the cross-check;
+    route 'direct': interior from the zeros of f_0 in the disc by Jensen's
+    formula, exact for any f_0(0) != 0 (multiplicity counted; the
+    multiplicity-free sum is in meta).  envelope.evaluate_witness takes
+    this route.
     """
     grid = grid or BoundaryGrid()
     return _sz(phi, disc, domain, grid, grid_values(disc, grid), route)
@@ -181,9 +192,8 @@ def _sz(phi: Weight, disc: AnalyticDiscLift, domain: Domain | None,
         interior = sz_interior_jensen(disc)
         meta["jensen_nodes"] = SZ_JENSEN_NODES
     elif route == "direct":
-        interior = sz_interior_roots(disc, count_multiplicity=True)
-        meta["interior_no_multiplicity"] = sz_interior_roots(
-            disc, count_multiplicity=False)
+        interior, meta["interior_no_multiplicity"] = _root_sums(
+            roots_in_unit_disc(disc.coeffs[:, 0]))
     else:
         raise ValueError(f"unknown sz route {route!r}")
     return FunctionalValue(_combine(boundary, interior), boundary, interior,

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, DomainError
 
 
@@ -126,12 +127,29 @@ class Domain:
     def clearance_many(self, z_rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def clearance_with_squares(self, z_rows: np.ndarray,
+                               sq: np.ndarray) -> np.ndarray:
+        """clearance_many(z_rows), where sq (m, N) holds the squared moduli
+        |z_j|^2 of the columns of z_rows, taken already; a domain built on
+        them reads them from sq instead of taking them again."""
+        return self.clearance_many(z_rows)
+
     def dist_lb(self, w) -> float:
         raise NotImplementedError
 
+    # clearance a drawn row must exceed to be kept as a sample point
+    _sample_margin = 0.0
+
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Unit cone representatives of points of the domain (for candidate
-        shifts); rows of shape (count, n+1)."""
+        shifts); rows of shape (count, n+1): the rows of successive _draw
+        batches that clear the domain by more than _sample_margin."""
+        return _sample_inside(self, lambda: self._draw(rng, count), count,
+                              self._sample_margin)
+
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """One batch of count unit rows, drawn in or near the domain; the
+        domain's rejection loop (sample_points) keeps those inside."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -176,6 +194,11 @@ def _sample_inside(domain: Domain, draw, count: int,
                       "of draws")
 
 
+def _check_positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be positive and finite, not {value!r}")
+
+
 def _gaussian_rows(rng, count: int, m: int) -> np.ndarray:
     return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
 
@@ -204,9 +227,7 @@ class FsBall(_FsAngleDomain):
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ConfigError(f"FS ball radius must be positive and finite, "
-                              f"not {self.radius!r}")
+        _check_positive("FS ball radius", self.radius)
 
     def clearance_many(self, z_rows):
         """radius - FS distance to the centre per row; the zero row, which
@@ -216,15 +237,11 @@ class FsBall(_FsAngleDomain):
         out[~z_rows.any(axis=1)] = -np.pi / 2
         return out
 
-    def sample_points(self, rng, count):
+    def _draw(self, rng, count):
         c = self.center.vec
-
-        def draw():
-            z = _unit_rows(_gaussian_rows(rng, count, c.size))
-            lam = rng.uniform(0, 1, count)[:, None]  # bias toward the centre
-            return _unit_rows((1 - lam) * c + lam * z)
-
-        return _sample_inside(self, draw, count)
+        z = _unit_rows(_gaussian_rows(rng, count, c.size))
+        lam = rng.uniform(0, 1, count)[:, None]  # bias toward the centre
+        return _unit_rows((1 - lam) * c + lam * z)
 
     def to_json(self):
         return {"type": "fs_ball", "center": self.center.to_json(),
@@ -252,6 +269,7 @@ class Tube(_FsAngleDomain):
     _work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_positive("tube radius delta", self.delta)
         mat = np.stack([p.vec for p in self.samples])
         mat.setflags(write=False)
         object.__setattr__(self, "_mat", mat)
@@ -294,9 +312,12 @@ class Tube(_FsAngleDomain):
             cos2[i:i + _TUBE_BLOCK] = prod.max(axis=0) / sq_norm
         return self.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
 
-    def sample_points(self, rng, count):
+    def _draw(self, rng, count):
         idx = rng.integers(0, len(self.samples), count)
         return self._mat[idx].copy()
+
+    def sample_points(self, rng, count):
+        return self._draw(rng, count)  # points of K: nothing is rejected
 
     def to_json(self):
         return {"type": "tube", "samples": [p.to_json() for p in self.samples],
@@ -328,11 +349,10 @@ class HyperplaneComplement(Domain):
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
         return float(abs(np.vdot(self.normal, w)))
 
-    def sample_points(self, rng, count):
-        m = self.normal.size
-        return _sample_inside(
-            self, lambda: _unit_rows(_gaussian_rows(rng, count, m)), count,
-            margin=1e-6)
+    _sample_margin = 1e-6
+
+    def _draw(self, rng, count):
+        return _unit_rows(_gaussian_rows(rng, count, self.normal.size))
 
     def to_json(self):
         return {"type": "hyperplane_complement", "normal": vec_to_json(self.normal)}
@@ -347,6 +367,7 @@ class AffineBall(Domain):
     radius: float
 
     def __post_init__(self):
+        _check_positive("affine ball radius", self.radius)
         c = np.asarray(self.center, dtype=np.complex128).reshape(-1)
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
@@ -355,19 +376,36 @@ class AffineBall(Domain):
         """R - |z_*/z_0 - c| per row, in real arithmetic: with
         d = z_* - c z_0, R - sqrt(|d|^2 / |z_0|^2), |d|^2 summed one
         coordinate at a time (a column of a coordinate-major batch is
-        contiguous).  A row on the hyperplane z_0 = 0 (the zero row
-        included) gets -pi/2.  Rows must lie in C^(len(center)+1)."""
+        contiguous) into one buffer; a zero c_j takes no product c_j z_0.
+        A row on the hyperplane z_0 = 0 (the zero row included) gets
+        -pi/2.  Rows must lie in C^(len(center)+1)."""
         if z_rows.shape[1] != self.center.size + 1:
             raise ConfigError(f"points of C^{z_rows.shape[1]} for a ball in C^{self.center.size}")
         z0 = z_rows[:, 0]
-        num = 0.0
+        num, part, scratch = np.zeros(len(z0)), np.empty(len(z0)), np.empty(2 * len(z0))
+        d = np.empty(len(z0), dtype=np.complex128) if self.center.any() else None
         for j, c in enumerate(self.center, start=1):
-            d = z_rows[:, j] - c * z0
-            num = num + (d.real * d.real + d.imag * d.imag)
-        den = z0.real * z0.real + z0.imag * z0.imag
+            dj = z_rows[:, j]
+            if c != 0:
+                dj = np.subtract(dj, np.multiply(c, z0, out=d), out=d)
+            num += kernels.abs2(dj, part, scratch)
+        return self._clearance(num, kernels.abs2(z0, part, scratch))
+
+    def clearance_with_squares(self, z_rows, sq):
+        if self.center.any():
+            return self.clearance_many(z_rows)
+        # centred at 0: d = z_*, and every square is in sq
+        if sq.shape[0] != self.center.size + 1:
+            raise ConfigError(f"points of C^{sq.shape[0]} for a ball in C^{self.center.size}")
+        return self._clearance(sq[1:].sum(axis=0), sq[0])
+
+    def _clearance(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """R - sqrt(num / den), in num; -pi/2 where it is not finite."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.radius - np.sqrt(num / den)
-        out[~np.isfinite(out)] = -np.pi / 2
+            np.divide(num, den, out=num)
+            out = np.subtract(self.radius, np.sqrt(num, out=num), out=num)
+        if not np.isfinite(out).all():
+            out[~np.isfinite(out)] = -np.pi / 2
         return out
 
     def dist_lb(self, w):
@@ -388,14 +426,16 @@ class AffineBall(Domain):
         lb_sphere = float(np.linalg.norm(w)) * slack / denom
         return min(float(abs(w[0])), lb_sphere)
 
-    def sample_points(self, rng, count):
-        # uniform in the ball, so no draw is rejected
+    def _draw(self, rng, count):
         n = self.center.size
         u = _gaussian_rows(rng, count, n)
         u *= (rng.uniform(0, 1, count) ** (1.0 / (2 * n)) * self.radius /
               np.maximum(np.linalg.norm(u, axis=1), 1e-300))[:, None]
         return _unit_rows(np.concatenate([np.ones((count, 1)), u + self.center],
                                          axis=1))
+
+    def sample_points(self, rng, count):
+        return self._draw(rng, count)  # uniform in the ball: nothing is rejected
 
     def to_json(self):
         return {"type": "affine_ball", "center": vec_to_json(self.center),
@@ -418,9 +458,14 @@ class Intersection(Domain):
         # distance to a union of complements is the min of the distances
         return min(m.dist_lb(w) for m in self.members)
 
-    def sample_points(self, rng, count):
-        return _sample_inside(
-            self, lambda: self.members[0].sample_points(rng, count), count)
+    @property
+    def _sample_margin(self):
+        return max(m._sample_margin for m in self.members)
+
+    def _draw(self, rng, count):
+        # the first member's raw draws, so that one cap on rounds of draws
+        # (sample_points') bounds the whole search
+        return self.members[0]._draw(rng, count)
 
     def to_json(self):
         return {"type": "intersection",

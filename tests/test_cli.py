@@ -518,8 +518,10 @@ _ORIGIN = [[1.0, 0.0], [0.0, 0.0]]
     {"type": "fs_ball", "center": _ORIGIN, "radius": -0.2},
     {"type": "hyperplane_complement", "normal": [[0.0, 0.0], [0.0, 0.0]]},
     {"type": "intersection", "members": []},
+    {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": -1.0},
+    {"type": "tube", "samples": [_ORIGIN], "delta": -0.1},
 ], ids=["fs-radius-zero", "fs-radius-negative", "zero-normal",
-        "empty-intersection"])
+        "empty-intersection", "affine-radius-negative", "tube-delta-negative"])
 def test_degenerate_domain_exit_1(files, domain, capsys):
     rc = main(_envelope_on(files, domain))
     assert rc == 1

@@ -6,7 +6,8 @@ import pytest
 
 from discenv import kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                           CompositeDisc, _area_radii, _validation_radii,
+                           CompositeDisc, _area_radii, _clustered_roots,
+                           _newton_polish, _validation_radii,
                            boundary_lognorms, circle_mean,
                            disc_values, eval_disc, fs_pullback_density,
                            grid_values,
@@ -336,6 +337,18 @@ def test_roots_double():
     assert m == 2 and a == pytest.approx(0.5, abs=1e-9)
 
 
+def test_roots_double_from_rounded_coefficients():
+    # np.poly's coefficients of (t - r)^2 carry rounding, so p and p' are
+    # both noise at the computed roots; a Newton step there must not throw
+    # a root away (one unguarded step moved this r by 0.25)
+    rng = np.random.default_rng(29)
+    rs = [-0.17678185 - 0.69683319j] + list(
+        rng.uniform(0.2, 0.95, 200) * np.exp(2j * np.pi * rng.uniform(size=200)))
+    for r in rs:
+        (a, m), = roots_in_unit_disc(np.poly([r, r])[::-1])
+        assert m == 2 and abs(a - r) < 1e-6
+
+
 def test_roots_quarter_i():
     roots = roots_in_unit_disc([-0.25j, 0.0, 1.0])
     assert len(roots) == 2
@@ -346,6 +359,33 @@ def test_roots_quarter_i():
 def test_roots_boundary_zero_rejected():
     with pytest.raises(BoundaryZeroError):
         roots_in_unit_disc([-1.0, 1.0])
+
+
+def test_roots_boundary_margin():
+    # a zero within 1e-9 of the circle raises; one further out is kept or
+    # dropped by its side of the circle
+    with pytest.raises(BoundaryZeroError):
+        roots_in_unit_disc([-(1 - 5e-10) * 1j, 1.0])
+    assert roots_in_unit_disc([-(1 + 5e-9), 1.0]) == []
+    (a, m), = roots_in_unit_disc([-(1 - 5e-9) * 1j, 1.0])
+    assert m == 1 and abs(a - (1 - 5e-9) * 1j) < 1e-15
+
+
+def test_roots_fast_path_matches_clustered():
+    # simple roots skip the clustering loop; they agree with it
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        d = int(rng.integers(1, 9))
+        p = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        desc = p[::-1]
+        raw = _newton_polish(desc, np.roots(desc), 1)
+        raw = raw[np.argsort(np.abs(raw), kind="stable")]
+        want = [(z, m) for z, m in _clustered_roots(desc, raw, 1e-7)
+                if abs(z) < 1.0]
+        got = roots_in_unit_disc(p)
+        assert [m for _z, m in got] == [m for _z, m in want] == [1] * len(got)
+        for (z, _m), (w, _n) in zip(got, want):
+            assert abs(z - w) <= 1e-12
 
 
 def test_roots_winding_consistency():

@@ -203,9 +203,40 @@ def test_evaluate_witness_equals_functional(mode):
     if mode == "omega":
         want = omega_functional_lifted(LiftedWeight(weight), disc, grid)
     else:
-        want = sz_functional(weight, disc, None, grid, route="jensen")
+        want = sz_functional(weight, disc, None, grid, route="direct")
     assert feasible
     assert value == want.total
+
+
+def _disc_through(a):
+    """f = (t - a)(1, 1/2) / |(1, 1/2)|: its chart is 1/2 everywhere, so it
+    lies in the unit ball of C, where V = 0, and -log|a| is the value of
+    sz for |a| < 1 (0 for |a| >= 1)."""
+    v = np.array([1.0, 0.5]) / math.hypot(1.0, 0.5)
+    return AnalyticDiscLift(np.stack([-a * v, v]).astype(complex))
+
+
+@pytest.mark.parametrize("a, want", [
+    (1 + 4.5e-6, 0.0),
+    (1 - 4.5e-6, -math.log(1 - 4.5e-6)),
+], ids=["zero-outside", "zero-inside"])
+def test_witness_value_with_a_zero_next_to_the_circle(a, want):
+    # a 65536-node boundary mean of log|f_0| reads -2.1e-5 and -1.6e-5 here
+    ball = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    value, feasible = evaluate_witness("sz", _disc_through(a), ball,
+                                       ZeroWeight(), 1e-3, BoundaryGrid(1024))
+    assert feasible
+    assert value == pytest.approx(want, rel=0, abs=1e-15)
+    assert value >= 0.0
+
+
+def test_witness_with_a_zero_on_the_circle_is_infeasible():
+    # the zero lies between boundary nodes, off the validation grid, and
+    # within the roots' 1e-9 margin of the circle: no exception
+    a = (1 + 1e-10) * np.exp(1j * np.pi / 1024)
+    ball = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    assert evaluate_witness("sz", _disc_through(a), ball, ZeroWeight(), 1e-3,
+                            BoundaryGrid(1024)) == (math.inf, False)
 
 
 @pytest.mark.parametrize("mode", ["omega", "sz"])

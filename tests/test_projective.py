@@ -13,6 +13,7 @@ from discenv.projective import (_TUBE_BLOCK, AffineBall, ConstantWeight,
                                 chart, fs_distance, lelong_lift, lift,
                                 lift_weight, project, psh_correspondence,
                                 Weight)
+from discenv import projective
 from discenv.errors import ConfigError, DomainError
 
 
@@ -419,8 +420,27 @@ _C_JSON = [[1.0, 0.0], [0.0, 0.0]]
      {"type": "hyperplane_complement", "normal": [[math.nan, 0.0], [1.0, 0.0]]}),
     (lambda: Intersection(()),
      {"type": "intersection", "members": []}),
+    (lambda: AffineBall(np.zeros(1), 0.0),
+     {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": 0.0}),
+    (lambda: AffineBall(np.zeros(1), -1.0),
+     {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": -1.0}),
+    (lambda: AffineBall(np.zeros(1), math.inf),
+     {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": math.inf}),
+    (lambda: AffineBall(np.zeros(1), math.nan),
+     {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": math.nan}),
+    (lambda: Tube((_C,), 0.0),
+     {"type": "tube", "samples": [_C_JSON], "delta": 0.0}),
+    (lambda: Tube((_C,), -0.1),
+     {"type": "tube", "samples": [_C_JSON], "delta": -0.1}),
+    (lambda: Tube((_C,), math.inf),
+     {"type": "tube", "samples": [_C_JSON], "delta": math.inf}),
+    (lambda: Tube((_C,), math.nan),
+     {"type": "tube", "samples": [_C_JSON], "delta": math.nan}),
 ], ids=["fs-radius-zero", "fs-radius-negative", "fs-radius-inf",
-        "fs-radius-nan", "zero-normal", "nan-normal", "empty-intersection"])
+        "fs-radius-nan", "zero-normal", "nan-normal", "empty-intersection",
+        "affine-radius-zero", "affine-radius-negative", "affine-radius-inf",
+        "affine-radius-nan", "tube-delta-zero", "tube-delta-negative",
+        "tube-delta-inf", "tube-delta-nan"])
 def test_degenerate_domain_rejected(make, obj):
     with pytest.raises(ConfigError):
         make()
@@ -438,6 +458,23 @@ def test_unsampleable_domain_raises(dom):
     with pytest.raises(DomainError):
         dom.sample_points(np.random.default_rng(0), 8)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_intersection_draws_within_one_cap(monkeypatch):
+    # the members' draws share the intersection's one cap on rounds: no
+    # member runs a rejection loop of its own inside it
+    draws = []
+    draw = FsBall._draw
+
+    def counted(self, rng, count):
+        draws.append(count)
+        return draw(self, rng, count)
+
+    monkeypatch.setattr(FsBall, "_draw", counted)
+    dom = Intersection((FsBall(_C, 0.1), FsBall(ProjPoint(np.array([0.0, 1.0])), 0.1)))
+    with pytest.raises(DomainError):
+        dom.sample_points(np.random.default_rng(0), 512)
+    assert 0 < len(draws) <= projective._SAMPLE_ROUNDS
 
 
 def test_small_fs_ball_is_sampled():
