@@ -7,9 +7,10 @@ riesz_area_term on the default and doubled area quadratures (degree 6,
 m = 3) against the pointwise kernels.fs_density route over the flat
 node list, checked to agree to 1e-13, and the sz-mode search path of a
 minimize on the unit ball: AffineBall.clearance_many at 5120 rows (20
-restarts x 256 search nodes) in C and C^2, checked against a per-row
-reference, and one lock-step _objective call over 20 restarts x 256
-nodes; and the re-evaluation of one sz witness on the unit ball in C and
+restarts x 256 search nodes) in C and C^2, called as the search calls it
+(coordinate-major rows with their squared moduli sq), checked against a
+per-row reference and byte for byte against the call without sq, and
+one lock-step _objective call over 20 restarts x 256 nodes; and the re-evaluation of one sz witness on the unit ball in C and
 C^2: evaluate_witness on the 1024-node final grid against an inline
 reference (Horner values, and Jensen's formula from np.roots), checked
 to agree to 1e-13, and the interior term from the zeros of f_0
@@ -171,11 +172,15 @@ def bench_sz(rng, repeats: int) -> None:
     print(f"{'sz search path':<24} {'time':>12}")
     for m in (2, 3):
         ball = AffineBall(np.zeros(m - 1, dtype=complex), 1.0)
-        z = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
-        t = bench(ball.clearance_many, (z,), repeats)
+        # the search's rows: a transposed view of (m, rows) values
+        zc = rng.standard_normal((m, rows)) + 1j * rng.standard_normal((m, rows))
+        z, sq = zc.T, zc.real ** 2 + zc.imag ** 2
+        t = bench(ball.clearance_many, (z, sq), repeats)
         print(f"{f'AffineBall {rows}, m={m}':<24} {t * 1e6:>10.1f}us")
-        assert np.allclose(ball.clearance_many(z), affine_ball_reference(ball, z),
+        got = ball.clearance_many(z, sq)
+        assert np.allclose(got, affine_ball_reference(ball, z),
                            rtol=1e-13, atol=1e-13), "affine ball clearance"
+        assert got.tobytes() == ball.clearance_many(z).tobytes(), "sq changes bits"
 
         x = ProjPoint(affine_lift(np.full(m - 1, 0.3 - 0.2j)))
         spec = build_objective_spec(

@@ -223,7 +223,7 @@ def _domain_penalty(spec: _ObjectiveSpec, rows: np.ndarray,
     it."""
     m, r, n = sq.shape
     eta = spec.eta_search
-    pen = spec.domain.clearance_with_squares(rows, sq.reshape(m, r * n))
+    pen = spec.domain.clearance_many(rows, sq.reshape(m, r * n))
     pen = pen.reshape(r, n)
     np.clip(np.subtract(eta, pen, out=pen), 0.0, eta + 10.0, out=pen)
     return PENALTY_RHO * np.mean(np.square(pen, out=pen), axis=1)

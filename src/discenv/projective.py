@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigError, DomainError
 
 
@@ -124,15 +123,10 @@ class Domain:
     def clearance(self, z) -> float:
         return float(self.clearance_many(np.asarray(z, dtype=np.complex128).reshape(1, -1))[0])
 
-    def clearance_many(self, z_rows: np.ndarray) -> np.ndarray:
+    def clearance_many(self, z_rows: np.ndarray, sq=None) -> np.ndarray:
+        """clearance of each row of z_rows (N, m); sq (m, N), if given,
+        holds the squared moduli |z_j|^2 of its columns, taken already."""
         raise NotImplementedError
-
-    def clearance_with_squares(self, z_rows: np.ndarray,
-                               sq: np.ndarray) -> np.ndarray:
-        """clearance_many(z_rows), where sq (m, N) holds the squared moduli
-        |z_j|^2 of the columns of z_rows, taken already; a domain built on
-        them reads them from sq instead of taking them again."""
-        return self.clearance_many(z_rows)
 
     def dist_lb(self, w) -> float:
         raise NotImplementedError
@@ -207,6 +201,68 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
+# rows per block of a tube's features and products (_FormDomain._clearance):
+# the size of the default final grid
+_FORM_BLOCK = 1024
+
+
+class _FormDomain(Domain):
+    """Clearance radius - dist(s), dist increasing, of s(z) = max_k A_k(z) /
+    B(z) for Hermitian forms A_k and B(z) = sum |z_i|^2 over the first
+    coordinates.  The A_k are rows of real weights on a row's features
+    (|z_i|^2, then Re and Im of z_i conj(z_j) for the form's pairs i < j),
+    so those of a block of rows are one real product.  A row with B(z) = 0
+    (the zero row, or z_0 = 0 for an affine ball) is in no domain: its
+    clearance, as every one that is not finite, is -pi/2."""
+
+    def _set_forms(self, m: int, weights, pairs=None, den=None) -> None:
+        """Forms on C^m: weights (K, F) on the features, and B(z) the sum
+        of |z_i|^2 over i < den, by default |z|^2."""
+        weights.setflags(write=False)
+        # K > 1 forms (a tube's) reuse one product buffer, which a fresh one
+        # per call would map and unmap: such a domain is not thread-safe
+        work = np.empty((len(weights), _FORM_BLOCK)) if len(weights) > 1 else None
+        for name, value in (("_m", m), ("_weights", weights), ("_pairs", pairs),
+                            ("_den", slice(0, den or m)), ("_work", work)):
+            object.__setattr__(self, name, value)
+
+    def _features(self, z_rows, sq):
+        """Features (F, rows) of a block of rows: |z_i|^2, from sq where it
+        is given, then Re and Im of z_i conj(z_j) for the form's pairs."""
+        if sq is not None and self._pairs is None:
+            return sq
+        zt = np.ascontiguousarray(z_rows.T)
+        sq = zt.real ** 2 + zt.imag ** 2 if sq is None else sq
+        if self._pairs is None:
+            return sq
+        cross = zt[self._pairs[0]] * zt[self._pairs[1]].conj()
+        return np.concatenate([sq, cross.real, cross.imag])
+
+    def _clearance(self, z_rows, sq, radius, dist):
+        """radius - dist(s, out) per row; rows must lie in C^m."""
+        if z_rows.shape[1] != self._m:
+            raise ConfigError(f"points of C^{z_rows.shape[1]} for a domain in C^{self._m}")
+        s = np.empty(len(z_rows))
+        step = _FORM_BLOCK if self._work is not None else max(len(s), 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a in range(0, len(s), step):
+                feats = self._features(z_rows[a:a + step],
+                                       None if sq is None else sq[:, a:a + step])
+                out = s[a:a + step]
+                if self._work is None:
+                    np.matmul(self._weights, feats, out=out[None, :])
+                else:  # the leading K * block entries of the work array
+                    prod = self._work.reshape(-1)[:len(self._work) * len(out)]
+                    np.matmul(self._weights, feats, out=prod.reshape(-1, len(out)))
+                    prod.reshape(-1, len(out)).max(axis=0, out=out)
+                den = feats[self._den]
+                np.divide(out, den[0] if len(den) == 1 else den.sum(axis=0), out=out)
+            out = np.subtract(radius, dist(s, out=s), out=s)
+        if not np.isfinite(out).all():
+            out[~np.isfinite(out)] = -np.pi / 2
+        return out
+
+
 class _FsAngleDomain(Domain):
     """Clearance c is an FS angle: the FS ball of radius c about [w] lies
     inside, so the cone's complement is at least |w| sin c from w."""
@@ -229,10 +285,10 @@ class FsBall(_FsAngleDomain):
     def __post_init__(self):
         _check_positive("FS ball radius", self.radius)
 
-    def clearance_many(self, z_rows):
-        """radius - FS distance to the centre per row; the zero row, which
-        is no point of P^n, gets -pi/2 (fs_distances reads it as the
-        centre itself)."""
+    def clearance_many(self, z_rows, sq=None):
+        """radius - FS distance to the centre per row, exact at both ends
+        (fs_distances); the zero row, which is no point of P^n, gets -pi/2
+        (fs_distances reads it as the centre itself)."""
         out = self.radius - fs_distances(z_rows, self.center.vec)
         out[~z_rows.any(axis=1)] = -np.pi / 2
         return out
@@ -248,69 +304,33 @@ class FsBall(_FsAngleDomain):
                 "radius": self.radius}
 
 
-# rows per block of Tube.clearance_many's products: the size of the default
-# final grid
-_TUBE_BLOCK = 1024
-
-
 @dataclass(frozen=True)
-class Tube(_FsAngleDomain):
+class Tube(_FsAngleDomain, _FormDomain):
     """FS tube of radius delta around a finite sample cloud K."""
 
     samples: tuple
     delta: float
     _mat: np.ndarray = field(init=False, repr=False, compare=False)
-    _pairs: tuple = field(init=False, repr=False, compare=False)
-    _gram: np.ndarray = field(init=False, repr=False, compare=False)
-    # (K, _TUBE_BLOCK) scratch for the products of clearance_many, so the
-    # calls reuse one buffer instead of allocating (and, for a buffer this
-    # size, mapping and unmapping) a fresh one; a Tube is therefore not
-    # safe for concurrent calls from several threads
-    _work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_positive("tube radius delta", self.delta)
         mat = np.stack([p.vec for p in self.samples])
         mat.setflags(write=False)
         object.__setattr__(self, "_mat", mat)
-        object.__setattr__(self, "_pairs", np.triu_indices(mat.shape[1], 1))
-        # |<z, s_k>|^2 = gram[k] . F(z) with the features F of _features:
-        # the weights are |s_k,i|^2, then 2 Re and -2 Im of conj(s_k,i) s_k,j
-        i, j = self._pairs
+        # |<z, s_k>|^2 = sum_ij conj(s_ki) s_kj z_i conj(z_j): the weights
+        # are |s_k,i|^2, then 2 Re and -2 Im of conj(s_k,i) s_k,j
+        i, j = pairs = np.triu_indices(mat.shape[1], 1)
         cross = mat[:, i].conj() * mat[:, j]
-        gram = np.concatenate([mat.real ** 2 + mat.imag ** 2,
-                               2.0 * cross.real, -2.0 * cross.imag], axis=1)
-        gram.setflags(write=False)
-        object.__setattr__(self, "_gram", gram)
-        object.__setattr__(self, "_work", np.empty((len(mat), _TUBE_BLOCK)))
+        self._set_forms(mat.shape[1], np.concatenate([mat.real ** 2 + mat.imag ** 2,
+                        2.0 * cross.real, -2.0 * cross.imag], 1), pairs)
 
-    def _features(self, z_rows):
-        """Real features F(z), one column per row of z, shape ((n+1)^2, rows):
-        |z_i|^2, then Re and Im of z_i conj(z_j) for i < j."""
-        zt = np.ascontiguousarray(z_rows.T)
-        i, j = self._pairs
-        cross = zt[i] * zt[j].conj()
-        return np.concatenate([zt.real ** 2 + zt.imag ** 2, cross.real, cross.imag])
-
-    def clearance_many(self, z_rows):
-        # arccos is decreasing, so the distance to the nearest sample is the
-        # arccos of the largest |cos|.  For a block of rows, the squared
-        # moduli of the (K, block) inner products are one real product of
-        # gram with the rows' features, whose max runs down the columns;
-        # each point then costs one sqrt and one arccos.  The error in a
-        # distance d is about eps / sin 2d, small wherever d is near delta.
-        # This hot path keeps the Gram form; fs_distances is the exact one.
-        m = z_rows.shape[1]
-        cos2 = np.empty(z_rows.shape[0])
-        for i in range(0, z_rows.shape[0], _TUBE_BLOCK):
-            feats = self._features(z_rows[i:i + _TUBE_BLOCK])
-            sq_norm = feats[:m].sum(axis=0)
-            sq_norm[sq_norm == 0] = 1.0
-            # the leading K * block entries of the work array, contiguous
-            out = self._work.reshape(-1)[:self._gram.shape[0] * feats.shape[1]]
-            prod = np.matmul(self._gram, feats, out=out.reshape(-1, feats.shape[1]))
-            cos2[i:i + _TUBE_BLOCK] = prod.max(axis=0) / sq_norm
-        return self.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
+    def clearance_many(self, z_rows, sq=None):
+        """delta - FS distance to the nearest sample: arccos is decreasing,
+        so that is the arccos of the largest |<z, s_k>| / |z|.  The error
+        in a distance d is about eps / sin 2d, small wherever d is near
+        delta; fs_distances is exact."""
+        return self._clearance(z_rows, sq, self.delta, lambda s, out: np.arccos(
+            np.sqrt(np.clip(s, 0.0, 1.0, out=out), out=out), out=out))
 
     def _draw(self, rng, count):
         idx = rng.integers(0, len(self.samples), count)
@@ -339,11 +359,11 @@ class HyperplaneComplement(Domain):
         a.setflags(write=False)
         object.__setattr__(self, "normal", a)
 
-    def clearance_many(self, z_rows):
-        ip = np.abs(z_rows @ self.normal.conj())
+    def clearance_many(self, z_rows, sq=None):
         nrm = np.linalg.norm(z_rows, axis=1)
-        sin_ang = np.clip(ip / np.where(nrm == 0, 1.0, nrm), -1.0, 1.0)
-        return np.arcsin(sin_ang)  # FS distance to the hyperplane
+        sin_ang = np.abs(z_rows @ self.normal.conj()) / np.where(nrm == 0, 1.0, nrm)
+        # FS distance to the hyperplane, to relative rounding next to it
+        return np.where(nrm == 0, -np.pi / 2, np.arcsin(np.minimum(sin_ang, 1.0)))
 
     def dist_lb(self, w):
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
@@ -359,7 +379,7 @@ class HyperplaneComplement(Domain):
 
 
 @dataclass(frozen=True)
-class AffineBall(Domain):
+class AffineBall(_FormDomain):
     """Cone over the affine ball |u - center| < radius in the chart z_0 != 0
     (used by the Siciak-Zahariuta affine mode)."""
 
@@ -371,42 +391,21 @@ class AffineBall(Domain):
         c = np.asarray(self.center, dtype=np.complex128).reshape(-1)
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
+        # the centred ball's form, |z_*|^2 over |z_0|^2, of (z_0, z_* - c z_0)
+        object.__setattr__(self, "_shift", c[:, None] if c.any() else None)
+        self._set_forms(c.size + 1, np.append(0.0, np.ones(c.size))[None], den=1)
 
-    def clearance_many(self, z_rows):
-        """R - |z_*/z_0 - c| per row, in real arithmetic: with
-        d = z_* - c z_0, R - sqrt(|d|^2 / |z_0|^2), |d|^2 summed one
-        coordinate at a time (a column of a coordinate-major batch is
-        contiguous) into one buffer; a zero c_j takes no product c_j z_0.
-        A row on the hyperplane z_0 = 0 (the zero row included) gets
-        -pi/2.  Rows must lie in C^(len(center)+1)."""
-        if z_rows.shape[1] != self.center.size + 1:
-            raise ConfigError(f"points of C^{z_rows.shape[1]} for a ball in C^{self.center.size}")
-        z0 = z_rows[:, 0]
-        num, part, scratch = np.zeros(len(z0)), np.empty(len(z0)), np.empty(2 * len(z0))
-        d = np.empty(len(z0), dtype=np.complex128) if self.center.any() else None
-        for j, c in enumerate(self.center, start=1):
-            dj = z_rows[:, j]
-            if c != 0:
-                dj = np.subtract(dj, np.multiply(c, z0, out=d), out=d)
-            num += kernels.abs2(dj, part, scratch)
-        return self._clearance(num, kernels.abs2(z0, part, scratch))
+    def clearance_many(self, z_rows, sq=None):
+        """R - |z_*/z_0 - c|, exact to about eps (|u| + |c|)."""
+        return self._clearance(z_rows, sq, self.radius, np.sqrt)
 
-    def clearance_with_squares(self, z_rows, sq):
-        if self.center.any():
-            return self.clearance_many(z_rows)
-        # centred at 0: d = z_*, and every square is in sq
-        if sq.shape[0] != self.center.size + 1:
-            raise ConfigError(f"points of C^{sq.shape[0]} for a ball in C^{self.center.size}")
-        return self._clearance(sq[1:].sum(axis=0), sq[0])
-
-    def _clearance(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """R - sqrt(num / den), in num; -pi/2 where it is not finite."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(num, den, out=num)
-            out = np.subtract(self.radius, np.sqrt(num, out=num), out=num)
-        if not np.isfinite(out).all():
-            out[~np.isfinite(out)] = -np.pi / 2
-        return out
+    def _features(self, z_rows, sq):
+        """Squares of (z_0, z_* - c z_0), its differences in complex arithmetic."""
+        if self._shift is None:
+            return super()._features(z_rows, sq)
+        d = np.array(z_rows.T, order="C")  # a copy, written in place
+        d[1:] -= d[:1] * self._shift
+        return d.real ** 2 + d.imag ** 2
 
     def dist_lb(self, w):
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
@@ -450,9 +449,8 @@ class Intersection(Domain):
         if not self.members:
             raise ConfigError("an intersection needs at least one member")
 
-    def clearance_many(self, z_rows):
-        return np.min(np.stack([m.clearance_many(z_rows) for m in self.members]),
-                      axis=0)
+    def clearance_many(self, z_rows, sq=None):
+        return np.min([m.clearance_many(z_rows, sq) for m in self.members], axis=0)
 
     def dist_lb(self, w):
         # distance to a union of complements is the min of the distances

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from discenv.projective import (_TUBE_BLOCK, AffineBall, ConstantWeight,
+from discenv.projective import (_FORM_BLOCK, AffineBall, ConstantWeight,
                                 Domain, FsBall,
                                 HomPolynomial, HyperplaneComplement,
                                 Intersection, LiftedWeight, LogPolyWeight,
@@ -69,7 +69,8 @@ def test_fs_distance_triangle_inequality():
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_fs_distance(n):
     # pairs whose inner product is complex: fs_distance, an FS ball's and a
-    # one-sample tube's clearance and arccos|<p, q>| are one distance
+    # one-sample tube's clearance, pi/2 less the clearance of the hyperplane
+    # normal to p and arccos|<p, q>| are one distance
     rng = np.random.default_rng([n, 0xF5])
     checked = 0
     while checked < 200:
@@ -82,8 +83,9 @@ def test_one_fs_distance(n):
         row = q.vec[None, :]
         got = [fs_distance(p, q), fs_distance(q, p),
                1.0 - FsBall(p, 1.0).clearance_many(row)[0],
-               0.5 - Tube((p,), 0.5).clearance_many(row)[0]]
-        assert got == pytest.approx([want] * 4, rel=0, abs=1e-12)
+               0.5 - Tube((p,), 0.5).clearance_many(row)[0],
+               math.pi / 2 - HyperplaneComplement(p.vec).clearance_many(row)[0]]
+        assert got == pytest.approx([want] * 5, rel=0, abs=1e-12)
         checked += 1
 
 
@@ -153,8 +155,11 @@ def test_lelong_lift():
 # domains
 
 
+_C = ProjPoint(np.array([1.0, 0.0]))
+
+
 def _domains():
-    center = ProjPoint(np.array([1.0, 0.0]))
+    center = _C
     ball = FsBall(center, 0.5)
     tube = Tube((center, ProjPoint(np.array([1.0, 1.0]))), 0.3)
     hyp = HyperplaneComplement(np.array([0.0, 1.0]))
@@ -163,14 +168,33 @@ def _domains():
     return [ball, tube, hyp, aff, inter]
 
 
-@pytest.mark.parametrize("dom", _domains(),
-                         ids=["FsBall", "Tube", "HyperplaneComplement",
-                              "AffineBall", "Intersection"])
+_DOMAIN_IDS = ["FsBall", "Tube", "HyperplaneComplement", "AffineBall",
+               "Intersection"]
+
+
+@pytest.mark.parametrize("dom", _domains() + [FsBall(_C, 2.0), Tube((_C,), 2.0)],
+                         ids=_DOMAIN_IDS + ["FsBall-radius-2", "Tube-delta-2"])
 def test_domain_excludes_zero_vector(dom):
     # the zero vector is no point of P^n, so no cone domain contains it
     zero = np.zeros(2, dtype=complex)
     assert not dom.contains(zero)
     assert dom.clearance(zero) <= 0
+
+
+@pytest.mark.parametrize("dom", _domains() + [
+    AffineBall(np.array([0.4 - 0.3j]), 0.8)],
+    ids=_DOMAIN_IDS + ["AffineBall-off-centre"])
+def test_clearance_reads_squares(dom):
+    # the search's coordinate-major rows with their squared moduli: sq
+    # changes no bit of any domain's clearance
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((2, 2500)) + 1j * rng.standard_normal((2, 2500))
+    z[:, 7] = 0.0
+    z[0, 8] = 0.0
+    sq = z.real ** 2 + z.imag ** 2
+    got = dom.clearance_many(z.T, sq)
+    assert got.tobytes() == dom.clearance_many(z.T).tobytes()
+    assert got[7] == -math.pi / 2
 
 
 def test_domain_scalar_invariance():
@@ -223,6 +247,43 @@ def test_hyperplane_clearance_angle():
     # <z, a> = z_1; z = (1, 1) has angle arcsin(1/sqrt(2)) = pi/4
     assert hyp.clearance(np.array([1.0, 1.0])) == pytest.approx(math.pi / 4)
     assert hyp.clearance(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_hyperplane_clearance_next_to_the_hyperplane():
+    # a normal whose products read cross terms: points on the hyperplane
+    # (to rounding) clear it by rounding at most, points 1e-11 off it by
+    # their distance to relative rounding, and dist_lb is |<n, w>|
+    rng = np.random.default_rng(44)
+    hyp = HyperplaneComplement(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    n = hyp.normal
+    on = _unit_rows(rng, 2000, 3)
+    on = on - (on @ n.conj())[:, None] * n
+    on /= np.linalg.norm(on, axis=1)[:, None]
+    assert np.all(hyp.clearance_many(on) <= 1e-15)
+    off = on + 1e-11 * np.exp(2j * np.pi * rng.uniform(size=(2000, 1))) * n
+    np.testing.assert_allclose(hyp.clearance_many(off),
+                               1e-11 / np.linalg.norm(off, axis=1), rtol=1e-4)
+    for w in off[:200]:
+        assert hyp.dist_lb(w) <= abs(np.vdot(n, w))
+
+
+def test_small_balls_hold_their_centres():
+    # an FS ball and an affine ball of radius 1e-9 hold their centre and
+    # a point at half the radius from it, not one at twice the radius
+    rng = np.random.default_rng(45)
+    for _ in range(200):
+        p = ProjPoint(_unit_rows(rng, 1, 3)[0])
+        v = _unit_rows(rng, 1, 3)[0]
+        v -= np.vdot(p.vec, v) * p.vec
+        v /= np.linalg.norm(v)  # FS distance t from p: cos t p + sin t v
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        d = _unit_rows(rng, 1, 2)[0]
+        for ball, at in ((FsBall(p, 1e-9), lambda t: math.cos(t) * p.vec + math.sin(t) * v),
+                         (AffineBall(c, 1e-9), lambda t: affine_lift(c + t * d))):
+            lam = 0.3 + 2j
+            assert ball.contains(lam * at(0.0))
+            assert ball.contains(lam * at(0.5e-9))
+            assert not ball.contains(lam * at(2e-9))
 
 
 def test_affine_ball_membership():
@@ -340,25 +401,26 @@ def test_tube_clearance_blocks_match_pairwise_reference(make_samples, delta):
     ref = np.empty(len(z))
     for i, row in enumerate(z):
         nrm = np.linalg.norm(row)
+        # the zero row is in no domain
         ref[i] = tube.delta - min(
-            math.acos(min(abs(np.vdot(p.vec, row)) / nrm, 1.0)) if nrm else math.pi / 2
-            for p in tube.samples)
-    assert clear[1500] == tube.delta - math.pi / 2
+            math.acos(min(abs(np.vdot(p.vec, row)) / nrm, 1.0))
+            for p in tube.samples) if nrm else -math.pi / 2
+    assert clear[1500] == -math.pi / 2
     assert np.any(clear > 0) and np.any(clear < 0)
     # the band's nearest sample is at most delta + 1e-3 away
     assert np.all(clear[2500:] >= -1e-3 - 1e-12) and np.any(clear[2500:] < 0)
     np.testing.assert_allclose(clear, ref, rtol=0, atol=1e-12)
 
 
-def _gram_clearance(tube, z):
-    """Tube.clearance_many with a fresh product gram @ feats per block."""
+def _form_clearance(tube, z):
+    """Tube.clearance_many with a fresh product weights @ features per
+    block (the rows are nonzero)."""
     m = z.shape[1]
     cos2 = np.empty(len(z))
-    for i in range(0, len(z), _TUBE_BLOCK):
-        feats = tube._features(z[i:i + _TUBE_BLOCK])
-        sq_norm = feats[:m].sum(axis=0)
-        sq_norm[sq_norm == 0] = 1.0
-        cos2[i:i + _TUBE_BLOCK] = (tube._gram @ feats).max(axis=0) / sq_norm
+    for i in range(0, len(z), _FORM_BLOCK):
+        feats = tube._features(z[i:i + _FORM_BLOCK], None)
+        cos2[i:i + _FORM_BLOCK] = ((tube._weights @ feats).max(axis=0) /
+                                   feats[:m].sum(axis=0))
     return tube.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
 
 
@@ -368,7 +430,7 @@ def test_tube_clearance_work_array_bitwise():
     rng = np.random.default_rng(21)
     circle = Tube(_circle_samples(rng), 0.05)
     cloud = Tube(_cloud_samples(rng), 0.2)
-    assert circle._work.shape == (64, _TUBE_BLOCK)
+    assert circle._work.shape == (64, _FORM_BLOCK)
     results = []
     for rows in (5120, 1024, 2500):
         for tube in (circle, cloud):
@@ -377,7 +439,7 @@ def test_tube_clearance_work_array_bitwise():
             # the coordinate-major rows of the search, and a C-ordered copy
             for rows_view in (z.T, np.ascontiguousarray(z.T)):
                 got = tube.clearance_many(rows_view)
-                assert got.tobytes() == _gram_clearance(tube, rows_view).tobytes()
+                assert got.tobytes() == _form_clearance(tube, rows_view).tobytes()
                 results.append((tube, rows_view, got, got.copy()))
     for tube, z, got, kept in results:
         assert got.tobytes() == kept.tobytes()
@@ -401,7 +463,6 @@ def test_log_poly_weight_rejects_mixed_degrees():
             {"exponents": [0, 0], "coeff": [-1.0, 0.0]}]})
 
 
-_C = ProjPoint(np.array([1.0, 0.0]))
 _C_JSON = [[1.0, 0.0], [0.0, 0.0]]
 
 
