@@ -15,7 +15,10 @@ C^2: evaluate_witness on the 1024-node final grid against an inline
 reference (Horner values, and Jensen's formula from np.roots), checked
 to agree to 1e-13, and the interior term from the zeros of f_0
 (sz_interior_roots, the witness route) beside the 65536-node
-sz_interior_jensen (the independent route), checked to agree; and one
+sz_interior_jensen (the independent route), checked to agree; and the
+re-evaluation of one omega witness in the 0.05-tube about the 64-point
+circle (hull_test's path), against Horner values and the pairwise
+tube_reference, checked to agree to 1e-13; and one
 (1+1)-ES _search at 20 restarts x 100 evaluations for sz on the unit ball
 (m = 2, 3) and for omega on the 64-point circle Tube, with the minor page
 faults per search, checked byte for byte against a serial
@@ -210,9 +213,33 @@ def roots_witness(disc, ball: AffineBall, eta: float, nodes: np.ndarray):
     validation_grid, and the interior term of roots_jensen."""
     pts = kernels.eval_poly(disc.coeffs, nodes)
     floor = np.linalg.norm(kernels.eval_poly(disc.coeffs, validation_grid()), axis=1)
-    if not (np.all(ball.clearance_many(pts) >= eta) and floor.min() >= disc.delta_min):
+    if not (ball.clearance_many(pts).min() > eta and floor.min() >= disc.delta_min):
         return np.inf, False
     return roots_jensen(disc), True
+
+
+def tube_witness(disc, samples: np.ndarray, delta: float, eta: float,
+                 nodes: np.ndarray):
+    """evaluate_witness('omega', ...) with the zero weight, by Horner and
+    tube_reference: the clearance on the grid nodes, the origin floor on
+    validation_grid, and mean log|f| - log|f(0)| over the nodes."""
+    pts = kernels.eval_poly(disc.coeffs, nodes)
+    floor = np.linalg.norm(kernels.eval_poly(disc.coeffs, validation_grid()), axis=1)
+    if not (tube_reference(pts, samples, delta).min() > eta and
+            floor.min() >= disc.delta_min):
+        return np.inf, False
+    return float(np.log(np.linalg.norm(pts, axis=1)).mean() -
+                 math.log(np.linalg.norm(disc.coeffs[0]))), True
+
+
+def omega_witness(rng) -> AnalyticDiscLift:
+    """A feasible degree-6 witness for the tube about the 64-point circle
+    {[1 : e^{it}]}: the circle f = (1, t) about [1:0], whose boundary runs
+    through the samples (value 1/2 log 2), plus small terms of degree 2 to 6."""
+    c = np.zeros((7, 2), dtype=complex)
+    c[0, 0] = c[1, 1] = 1.0
+    c[2:] = 0.002 * (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+    return AnalyticDiscLift(c)
 
 
 def sz_witness(rng, m: int) -> AnalyticDiscLift:
@@ -232,7 +259,7 @@ def bench_witness(rng, repeats: int) -> None:
     # the reference's nodes are built once, outside the timed calls
     grid = BoundaryGrid(1024)
     nodes = circle_nodes(grid.n)
-    print(f"{'sz witness re-evaluation':<24} {'tables':>12} {'reference':>12} "
+    print(f"{'witness re-evaluation':<24} {'tables':>12} {'reference':>12} "
           f"{'speedup':>9}")
     for m in (2, 3):
         ball = AffineBall(np.zeros(m - 1, dtype=complex), 1.0)
@@ -252,7 +279,22 @@ def bench_witness(rng, repeats: int) -> None:
         tj = bench(sz_interior_jensen, (disc,), repeats)
         print(f"{f'sz interior, m={m}':<24} {tr * 1e3:>10.2f}ms "
               f"{tj * 1e3:>10.2f}ms {tj / tr:>8.2f}x  (zeros, 65536-node mean)")
-    print("witness re-evaluation agrees with the np.roots Jensen sum")
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    samples = np.stack([np.array([1.0, np.exp(1j * a)]) / math.sqrt(2.0)
+                        for a in angles])
+    tube = Tube(tuple(ProjPoint(k) for k in samples), 0.05)
+    disc = omega_witness(rng)
+    args = ("omega", disc, tube, ZeroWeight(), 1e-3, grid)
+    ref_args = (disc, samples, 0.05, 1e-3, nodes)
+    got, want = evaluate_witness(*args), tube_witness(*ref_args)
+    assert got[1] and want[1], "the witness is feasible"
+    assert abs(got[0] - want[0]) <= 1e-13, "evaluate_witness value"
+    tt = bench(evaluate_witness, args, repeats)
+    th = bench(tube_witness, ref_args, max(repeats // 10, 1))
+    print(f"{'evaluate_witness, tube':<24} {tt * 1e3:>10.2f}ms "
+          f"{th * 1e3:>10.2f}ms {th / tt:>8.2f}x  (64-point circle, delta 0.05)")
+    print("witness re-evaluation agrees with the np.roots Jensen sum and the "
+          "pairwise tube reference")
 
 
 def serial_search(spec, theta0s, seed: int, budget: int) -> np.ndarray:

@@ -106,7 +106,7 @@ def cmd_functional(args) -> int:
     if args.route == "direct":
         fv = omega_functional_direct(weight, disc, domain, grid, quad)
     elif args.route == "lifted":
-        fv = omega_functional_lifted(LiftedWeight(weight, domain), disc, grid)
+        fv = omega_functional_lifted(LiftedWeight(weight), disc, grid, domain)
     elif args.route == "jensen":
         fv = sz_functional(weight, disc, domain, grid, route="jensen")
     else:

@@ -85,13 +85,6 @@ class AnalyticDiscLift:
                          power_table(_validation_radii, n_r, d))
         return float(np.sqrt(kernels.sq_norms(f).min()))
 
-    def validate(self) -> float:
-        mn = self.min_norm_on_grid()
-        if mn < self.delta_min:
-            raise OriginViolation(
-                f"disc norm {mn:.3e} below declared floor {self.delta_min:.3e}")
-        return mn
-
     def to_json(self) -> dict:
         return {
             "m": self.m,

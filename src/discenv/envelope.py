@@ -11,9 +11,10 @@ import numpy as np
 
 from . import kernels
 from .discs import (AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES,
-                    circle_powers, grid_values, power_table)
-from .errors import BoundaryZeroError, ConfigError, DomainError
-from .functionals import _omega_lifted, _sz, encode_float
+                    circle_powers, power_table)
+from .errors import (BoundaryZeroError, ConfigError, DomainError,
+                     InfeasibleDiscError, OriginViolation)
+from .functionals import _omega_lifted, _sz, admissible_values, encode_float
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
                          Tube, Weight, ZeroWeight, affine_lift, chart)
 from .structure import StructureDiscParams, make_structure_disc
@@ -351,25 +352,18 @@ def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
                      grid: BoundaryGrid) -> tuple[float, bool]:
     """Penalty-free functional value and feasibility of a witness disc.
 
-    The value of an infeasible disc is not computed: it is (inf, False).
-    The boundary values of the clearance check also give the value.  In sz
-    mode the interior term comes from the zeros of f_0 (Jensen's formula,
-    exact where a boundary mean reads low next to a zero near the circle),
-    and a disc whose f_0 has a zero within the roots' margin of the circle
-    is infeasible.
+    Feasible means admissible_values at margin eta, whose values give the
+    value; an infeasible disc's is not computed: (inf, False).  In sz mode
+    the interior term comes from the zeros of f_0 (Jensen's formula), and
+    f_0 may not vanish at a node or within the roots' margin of the circle.
     """
-    pts = grid_values(disc, grid)
-    clear = domain.clearance_many(pts)
-    if not (np.all(clear >= eta) and disc.min_norm_on_grid() >= disc.delta_min):
+    try:
+        pts = admissible_values(disc, grid, domain, eta)
+        if mode == "omega":
+            return _omega_lifted(LiftedWeight(weight), disc, grid, pts).total, True
+        return _sz(weight, disc, grid, pts, "direct").total, True
+    except (InfeasibleDiscError, OriginViolation, BoundaryZeroError):
         return math.inf, False
-    if mode == "omega":
-        value = _omega_lifted(LiftedWeight(weight), disc, grid, pts).total
-    else:
-        try:
-            value = _sz(weight, disc, None, grid, pts, "direct").total
-        except BoundaryZeroError:
-            return math.inf, False
-    return value, True
 
 
 def build_objective_spec(mode: str, x: ProjPoint, domain: Domain,

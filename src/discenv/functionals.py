@@ -12,7 +12,7 @@ from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                     boundary_lognorms, circle_mean, circle_powers, grid_values,
                     polar_values, power_table, riesz_area_term,
                     roots_in_unit_disc)
-from .errors import InfeasibleDiscError, NumericalError
+from .errors import InfeasibleDiscError, NumericalError, OriginViolation
 from .projective import Domain, LiftedWeight, Weight, ZeroWeight, chart
 
 # quadrature size for the Jensen-route boundary mean of log|f_0|; the
@@ -51,13 +51,20 @@ def _combine(boundary: float, interior: float) -> float:
     return boundary + interior
 
 
-def _check_boundary(domain: Domain | None, pts: np.ndarray):
-    if domain is None:
-        return
-    clear = domain.clearance_many(pts)
-    if np.any(clear <= 0):
-        raise InfeasibleDiscError(
-            f"disc boundary leaves the domain (worst clearance {clear.min():.3e})")
+def admissible_values(disc: AnalyticDiscLift, grid: BoundaryGrid,
+                      domain: Domain, margin: float = 0.0) -> np.ndarray:
+    """The disc's grid_values, if every node clears the open domain by more
+    than margin (InfeasibleDiscError otherwise) and then min_norm_on_grid()
+    is at least delta_min (OriginViolation otherwise).  The library's one
+    admissibility test; it reads the nodes only (ROADMAP item 1)."""
+    pts = grid_values(disc, grid)
+    worst = domain.clearance_many(pts).min()
+    if not worst > margin:
+        raise InfeasibleDiscError(f"disc boundary does not clear the domain by "
+                                  f"{margin:g} (worst clearance {worst:.3e})")
+    if disc.min_norm_on_grid() < disc.delta_min:
+        raise OriginViolation(f"disc comes within {disc.delta_min:g} of the origin")
+    return pts
 
 
 def poisson_functional(phi_tilde: LiftedWeight, disc,
@@ -76,8 +83,8 @@ def omega_functional_direct(phi: Weight, disc, domain: Domain | None = None,
     Fubini-Study pullback density, boundary term from phi on pi(f(T))."""
     grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    pts = grid_values(disc, grid)
-    _check_boundary(domain, pts)
+    pts = grid_values(disc, grid) if domain is None else \
+        admissible_values(disc, grid, domain)
     interior = -riesz_area_term(disc, quad)
     if interior < -1e-10:
         raise NumericalError(f"negative interior term {interior:.3e}")
@@ -88,10 +95,13 @@ def omega_functional_direct(phi: Weight, disc, domain: Domain | None = None,
 
 
 def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
-                            grid: BoundaryGrid | None = None) -> FunctionalValue:
+                            grid: BoundaryGrid | None = None,
+                            domain: Domain | None = None) -> FunctionalValue:
     """H_{omega,phi}(f) = H_{phi~}(f~) - log|f~(0)|."""
     grid = grid or BoundaryGrid()
-    return _omega_lifted(phi_tilde, disc, grid, grid_values(disc, grid))
+    pts = grid_values(disc, grid) if domain is None else \
+        admissible_values(disc, grid, domain)
+    return _omega_lifted(phi_tilde, disc, grid, pts)
 
 
 def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
@@ -169,16 +179,17 @@ def sz_functional(phi: Weight, disc: AnalyticDiscLift,
     this route.
     """
     grid = grid or BoundaryGrid()
-    return _sz(phi, disc, domain, grid, grid_values(disc, grid), route)
+    pts = grid_values(disc, grid) if domain is None else \
+        admissible_values(disc, grid, domain)
+    return _sz(phi, disc, grid, pts, route)
 
 
-def _sz(phi: Weight, disc: AnalyticDiscLift, domain: Domain | None,
-        grid: BoundaryGrid, pts: np.ndarray, route: str) -> FunctionalValue:
+def _sz(phi: Weight, disc: AnalyticDiscLift, grid: BoundaryGrid,
+        pts: np.ndarray, route: str) -> FunctionalValue:
     """sz_functional from the disc's values pts on grid.nodes."""
     mags0 = np.abs(pts[:, 0])
     if np.any(mags0 == 0):
         raise InfeasibleDiscError("disc boundary meets the hyperplane at infinity")
-    _check_boundary(domain, pts)
     if isinstance(phi, ZeroWeight):
         boundary = 0.0  # the zero weight's mean: no chart is needed
     else:

@@ -16,9 +16,7 @@ from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
 from .envelope import (DiscFamilySpec, OptimizerConfig, evaluate_witness,
                        minimize)
 from .errors import InfeasibleDiscError, NumericalError
-from .functionals import _omega_lifted
-from .projective import (LiftedWeight, ProjPoint, Tube, ZeroWeight,
-                         fs_distances)
+from .projective import ProjPoint, Tube, ZeroWeight, fs_distances
 
 log = logging.getLogger(__name__)
 
@@ -74,19 +72,18 @@ class HullCertificate:
 
     def revalidate(self, K: CompactSetSpec, grid: BoundaryGrid | None = None,
                    tol: float = 1e-8) -> dict:
-        """Recheck boundary-in-tube, center, and value (doubled resolution)."""
+        """evaluate_witness in the tube at margin 0 on the doubled final grid
+        (boundary_in_tube, origin floor included), and the center."""
         grid = grid or BoundaryGrid(2 * int(self.settings.get("final_nodes", 1024)))
-        pts = grid_values(self.witness, grid)
-        clear = K.tube(self.delta).clearance_many(pts)
+        revalue, admissible = evaluate_witness(
+            "omega", self.witness, K.tube(self.delta), ZeroWeight(), 0.0, grid)
         center_ok = ProjPoint(self.witness.center).isclose(self.x, 1e-9)
-        revalue = _omega_lifted(LiftedWeight(ZeroWeight()), self.witness,
-                                grid, pts).total
+        drift = abs(revalue - self.value)
         return {
-            "boundary_in_tube": bool(np.all(clear > 0)),
+            "boundary_in_tube": admissible,
             "center_ok": center_ok,
-            "value_drift": abs(revalue - self.value),
-            "ok": bool(np.all(clear > 0)) and center_ok and
-                  abs(revalue - self.value) <= tol,
+            "value_drift": drift,
+            "ok": admissible and center_ok and drift <= tol,
         }
 
 
@@ -147,9 +144,9 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
     settings = {"final_nodes": final_grid.n, "starts": opt.starts,
                 "budget": opt.budget, "seed": opt.seed,
                 "degree": family.degree}
-    # evaluate_witness's test of the constant disc, whose boundary is x
-    if tube.clearance(x.vec) >= family.eta:
-        disc = AnalyticDiscLift(x.vec[None, :])
+    disc = AnalyticDiscLift(x.vec[None, :])  # value 0 where admissible
+    if evaluate_witness("omega", disc, tube, ZeroWeight(), family.eta,
+                        final_grid)[1]:
         return HullCertificate(x, lam, eps, delta, disc, 0.0, settings)
     est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
     if est.upper is not None and est.upper < lam + eps:

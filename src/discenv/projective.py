@@ -193,6 +193,7 @@ def _check_positive(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be positive and finite, not {value!r}")
 
 
+
 def _gaussian_rows(rng, count: int, m: int) -> np.ndarray:
     return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
 
@@ -314,6 +315,9 @@ class Tube(_FsAngleDomain, _FormDomain):
 
     def __post_init__(self):
         _check_positive("tube radius delta", self.delta)
+        if self.delta < 1e-7:  # arccos sqrt(s) resolves only about 1.5e-8
+            raise ConfigError(f"tube radius delta must be at least 1e-7, "
+                              f"not {self.delta!r}")
         mat = np.stack([p.vec for p in self.samples])
         mat.setflags(write=False)
         object.__setattr__(self, "_mat", mat)
@@ -611,20 +615,16 @@ class LiftedWeight:
     """Logarithmically homogeneous lift phi~(z) = phi(pi(z)) + log|z|."""
 
     phi: Weight
-    domain: Domain | None = None
 
     def value_many(self, z_rows: np.ndarray) -> np.ndarray:
-        if self.domain is not None:
-            if np.any(self.domain.clearance_many(z_rows) <= 0):
-                raise DomainError("lifted weight evaluated outside its cone domain")
         return self.phi.value_proj_many(z_rows) + np.log(np.linalg.norm(z_rows, axis=1))
 
     def value(self, z) -> float:
         return float(self.value_many(np.asarray(z, dtype=np.complex128).reshape(1, -1))[0])
 
 
-def lift_weight(phi: Weight, domain: Domain | None = None) -> LiftedWeight:
-    return LiftedWeight(phi, domain)
+def lift_weight(phi: Weight) -> LiftedWeight:
+    return LiftedWeight(phi)
 
 
 def psh_correspondence(v):

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import AnalyticDiscLift, BoundaryGrid, circle_mean
-from .errors import DomainError
+from .discs import AnalyticDiscLift, BoundaryGrid, circle_mean, grid_values
+from .errors import DomainError, InfeasibleDiscError, OriginViolation
+from .functionals import admissible_values
 from .projective import Domain, LiftedWeight, fs_distances
 
 SHRINK_FLOOR = 1e-10
@@ -88,18 +89,22 @@ def structure_params(x, w, domain: Domain) -> StructureDiscParams:
 
 def verify_feasible(disc: AnalyticDiscLift, domain: Domain,
                     n_boundary: int = 256) -> dict:
-    """Sampled check: boundary in the cone domain, no origin approach."""
+    """functionals.admissible_values at n_boundary nodes: origin_ok (norm at
+    least delta_min) is None where boundary_ok already fails."""
     grid = BoundaryGrid(n_boundary)
-    pts = disc(grid.nodes)
-    clear = domain.clearance_many(pts)
-    min_norm = disc.min_norm_on_grid()
-    boundary_ok = bool(np.all(clear > 0))
+    try:
+        admissible_values(disc, grid, domain)
+        boundary_ok, origin_ok = True, True
+    except InfeasibleDiscError:
+        boundary_ok, origin_ok = False, None
+    except OriginViolation:
+        boundary_ok, origin_ok = True, False
     return {
         "boundary_ok": boundary_ok,
-        "min_clearance": float(clear.min()),
-        "min_norm": min_norm,
-        "origin_ok": bool(min_norm > 0),
-        "feasible": bool(boundary_ok and min_norm > 0),
+        "min_clearance": float(domain.clearance_many(grid_values(disc, grid)).min()),
+        "min_norm": disc.min_norm_on_grid(),
+        "origin_ok": origin_ok,
+        "feasible": bool(boundary_ok and origin_ok),
     }
 
 
@@ -152,13 +157,11 @@ def epsilon_upper_bound(x, phi_tilde: LiftedWeight, domain: Domain,
             w = x + rad * d
             if not domain.contains(w):
                 continue
-            try:
-                params = structure_params(x, w, domain)
-            except (DomainError, ValueError):
-                continue
-            disc = make_structure_disc(params)
-            pts = disc(grid.nodes)
-            if np.any(domain.clearance_many(pts) <= 0):
+            try:  # no structure disc through w, or not an admissible one
+                disc = make_structure_disc(structure_params(x, w, domain))
+                pts = admissible_values(disc, grid, domain)
+            except (DomainError, ValueError, InfeasibleDiscError,
+                    OriginViolation):
                 continue
             value = circle_mean(phi_tilde.value_many(pts))
             if value < best[0]:

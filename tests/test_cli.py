@@ -387,15 +387,18 @@ def test_linalg_error_exit_3(files, monkeypatch, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_infeasible_exit_2(files):
+@pytest.mark.parametrize("route", ["direct", "lifted", "jensen"])
+def test_infeasible_exit_2(files, route, capsys):
     # disc (1, t) boundary leaves a tiny ball around [1:0]
     dom = write(files["tmp"] / "tiny.json",
                 {"type": "fs_ball",
                  "center": [[1.0, 0.0], [0.0, 0.0]], "radius": 0.1})
     rc = main(["functional", "eval", "--disc", files["disc"],
                "--weight", files["zero"], "--domain", dom,
-               "--route", "direct", "--out", str(files["tmp"] / "o.json")])
+               "--route", route, "--out", str(files["tmp"] / "o.json")])
     assert rc == 2
+    assert "infeasible:" in capsys.readouterr().err
+    assert not (files["tmp"] / "o.json").exists()
 
 
 def test_artifact_rejects_non_finite_floats(tmp_path):
@@ -513,17 +516,30 @@ def _envelope_on(files, domain):
 _ORIGIN = [[1.0, 0.0], [0.0, 0.0]]
 
 
-@pytest.mark.parametrize("domain", [
-    {"type": "fs_ball", "center": _ORIGIN, "radius": 0.0},
-    {"type": "fs_ball", "center": _ORIGIN, "radius": -0.2},
-    {"type": "hyperplane_complement", "normal": [[0.0, 0.0], [0.0, 0.0]]},
-    {"type": "intersection", "members": []},
-    {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": -1.0},
-    {"type": "tube", "samples": [_ORIGIN], "delta": -0.1},
+def _tiny_tube_hull(files):
+    # a tube too thin to hold its own samples; argparse keeps the last --delta
+    return _circle_hull(files, 0.3) + ["--lambda", "0.35", "--delta", "1e-9",
+                                       "--out", str(files["tmp"] / "env.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda f: _envelope_on(f, {"type": "fs_ball", "center": _ORIGIN,
+                               "radius": 0.0}),
+    lambda f: _envelope_on(f, {"type": "fs_ball", "center": _ORIGIN,
+                               "radius": -0.2}),
+    lambda f: _envelope_on(f, {"type": "hyperplane_complement",
+                               "normal": [[0.0, 0.0], [0.0, 0.0]]}),
+    lambda f: _envelope_on(f, {"type": "intersection", "members": []}),
+    lambda f: _envelope_on(f, {"type": "affine_ball", "center": [[0.0, 0.0]],
+                               "radius": -1.0}),
+    lambda f: _envelope_on(f, {"type": "tube", "samples": [_ORIGIN],
+                               "delta": -0.1}),
+    _tiny_tube_hull,
 ], ids=["fs-radius-zero", "fs-radius-negative", "zero-normal",
-        "empty-intersection", "affine-radius-negative", "tube-delta-negative"])
-def test_degenerate_domain_exit_1(files, domain, capsys):
-    rc = main(_envelope_on(files, domain))
+        "empty-intersection", "affine-radius-negative", "tube-delta-negative",
+        "hull-tube-delta-tiny"])
+def test_degenerate_domain_exit_1(files, argv, capsys):
+    rc = main(argv(files))
     assert rc == 1
     assert "config error:" in capsys.readouterr().err
     assert not (files["tmp"] / "env.json").exists()

@@ -59,11 +59,6 @@ def test_disc_json_roundtrip():
     assert np.allclose(d.coeffs, d2.coeffs)
 
 
-def test_validate_min_norm():
-    d = disc_1t()
-    assert d.validate() >= 1.0 - 1e-12
-
-
 # ---------------------------------------------------------------------------
 # circle_mean
 

@@ -239,11 +239,22 @@ def test_witness_with_a_zero_on_the_circle_is_infeasible():
                             BoundaryGrid(1024)) == (math.inf, False)
 
 
-@pytest.mark.parametrize("mode", ["omega", "sz"])
-def test_evaluate_witness_infeasible_disc(mode):
-    disc, dom, weight = _witness_case(mode, 3.0)
+def _f0_zero_at_node():
+    """(disc, domain, weight) of a disc whose f_0 = (1 - t)/2 vanishes at
+    the node t = 1, where its boundary [0 : 1 : 0] lies in the FS ball."""
+    disc = AnalyticDiscLift([[0.5, 1, 0], [-0.5, 0, 0]])
+    return disc, FsBall(ProjPoint(np.array([0.5, 1.0, 0.0])), 1.0), ZeroWeight()
+
+
+@pytest.mark.parametrize("mode, case, nodes", [
+    ("omega", lambda: _witness_case("omega", 3.0), 512),
+    ("sz", lambda: _witness_case("sz", 3.0), 512),
+    ("sz", _f0_zero_at_node, 1024),
+], ids=["omega", "sz", "sz-f0-zero-at-node"])
+def test_evaluate_witness_infeasible_disc(mode, case, nodes):
+    disc, dom, weight = case()
     assert evaluate_witness(mode, disc, dom, weight, 1e-3,
-                            BoundaryGrid(512)) == (math.inf, False)
+                            BoundaryGrid(nodes)) == (math.inf, False)
 
 
 def _objective_cases():
@@ -580,14 +591,30 @@ def test_between_nodes_witness_clears_nodes_only(case):
     assert ball.clearance_many(disc(fine)).min() < 0
 
 
-@pytest.mark.xfail(strict=True, reason="feasibility is checked at the final "
-                   "nodes only (ROADMAP item 1)")
+_NODES_ONLY = pytest.mark.xfail(strict=True, reason="feasibility is checked "
+                               "at the final nodes only (ROADMAP item 1)")
+
+
+@_NODES_ONLY
 @pytest.mark.parametrize("case", _BETWEEN_NODES, ids=lambda c: c["label"])
 def test_between_nodes_witness_rejected(case):
     ball = Domain.from_json(case["ball"])
     disc = AnalyticDiscLift.from_json(case["witness"])
     _value, feasible = evaluate_witness("sz", disc, ball, ZeroWeight(), 1e-3,
                                         BoundaryGrid(1024))
+    assert not feasible
+
+
+@_NODES_ONLY
+def test_witness_through_the_origin_rejected():
+    # f = (t - 1/2)(1, 1) vanishes at t = 1/2, between the radii k/63 of
+    # the 64 x 64 floor grid (min_norm_on_grid reads 0.0112), and its
+    # boundary [1 : 1] lies on the circle: accepted today with value log 2
+    tube = Tube(tuple(ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
+                      for k in range(64)), 0.05)
+    disc = AnalyticDiscLift(np.array([[-0.5, -0.5], [1.0, 1.0]]))
+    _value, feasible = evaluate_witness("omega", disc, tube, ZeroWeight(),
+                                        1e-3, BoundaryGrid(1024))
     assert not feasible
 
 

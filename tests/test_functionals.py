@@ -7,8 +7,9 @@ import pytest
 from discenv import kernels
 from discenv.discs import AnalyticDiscLift, AreaQuadrature, BoundaryGrid, \
     circle_mean, circle_powers, grid_values, power_table, random_disc
-from discenv.errors import InfeasibleDiscError, NumericalError
-from discenv.functionals import (identity_check_eqH, omega_functional_direct,
+from discenv.errors import InfeasibleDiscError, NumericalError, OriginViolation
+from discenv.functionals import (admissible_values, identity_check_eqH,
+                                 omega_functional_direct,
                                  omega_functional_lifted, poisson_functional,
                                  riesz_residual, sz_functional,
                                  sz_interior_jensen, sz_interior_roots,
@@ -132,6 +133,43 @@ def test_infeasible_boundary_detected():
     ball = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.1)
     with pytest.raises(InfeasibleDiscError):
         omega_functional_direct(ZeroWeight(), disc_1t(), domain=ball)
+
+
+def test_lifted_route_domain_check():
+    # the lifted route takes its domain as the other two routes do; a
+    # positional grid still comes third
+    grid = BoundaryGrid(64)
+    with pytest.raises(InfeasibleDiscError):
+        omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t(), grid,
+                                domain=FsBall(ProjPoint(np.array([1.0, 0.0])), 0.1))
+    wide = FsBall(ProjPoint(np.array([1.0, 0.0])), 1.0)
+    fv = omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t(), grid,
+                                 domain=wide)
+    assert fv.total == omega_functional_lifted(LiftedWeight(ZeroWeight()),
+                                               disc_1t(), grid).total
+    assert fv.meta["nodes"] == 64
+
+
+def test_admissible_values_clearance_then_floor():
+    grid = BoundaryGrid(64)
+    wide = FsBall(ProjPoint(np.array([1.0, 0.0])), 1.0)
+    # disc (1, t) passes: its grid values come back; its least norm is 1
+    assert disc_1t().min_norm_on_grid() >= 1.0 - 1e-12
+    pts = admissible_values(disc_1t(), grid, wide)
+    assert np.array_equal(pts, grid_values(disc_1t(), grid))
+    # every node clears by 1 - pi/4: margins are strict
+    clear = wide.clearance_many(pts)
+    with pytest.raises(InfeasibleDiscError):
+        admissible_values(disc_1t(), grid, wide, float(clear.min()))
+    admissible_values(disc_1t(), grid, wide, np.nextafter(clear.min(), 0.0))
+    # (t - 1/3)(1, 1) lies on [1 : 1] but vanishes at a floor-grid node
+    through = AnalyticDiscLift(np.array([[-1.0, -1.0], [3.0, 3.0]]) / 3.0)
+    with pytest.raises(OriginViolation):
+        admissible_values(through, grid, wide)
+    # the floor is not computed for a disc that leaves the domain
+    tiny = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.1)
+    with pytest.raises(InfeasibleDiscError):
+        admissible_values(through, grid, tiny)
 
 
 # ---------------------------------------------------------------------------

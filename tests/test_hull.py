@@ -8,12 +8,12 @@ import pytest
 from discenv import hull, kernels
 from discenv.discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
                            boundary_lognorms)
-from discenv.envelope import DiscFamilySpec, OptimizerConfig
+from discenv.envelope import DiscFamilySpec, OptimizerConfig, evaluate_witness
 from discenv.errors import InfeasibleDiscError
 from discenv.hull import (CompactSetSpec, HullCertificate, b_to_bprime,
                           bprime_to_b, center_report, hull_test, lambda_c_rho,
                           lambda_schedule, normalize_disc, spherical_lift)
-from discenv.projective import ProjPoint, Tube, fs_distances
+from discenv.projective import ProjPoint, Tube, ZeroWeight, fs_distances
 
 SMALL = OptimizerConfig(starts=5, budget=300, seed=1, search_nodes=128)
 
@@ -91,6 +91,21 @@ def test_hull_circle_case():
     assert cert.value <= 0.5 * math.log(2.0) + 1e-6
     rep = cert.revalidate(K)
     assert rep["ok"]
+
+
+def test_revalidate_applies_the_origin_floor():
+    # f = (t - 1/3)(1, 1) vanishes at t = 1/3, a node of the 64 x 64 floor
+    # grid: evaluate_witness rejects it, so revalidation must too
+    K = circle_set()
+    disc = AnalyticDiscLift(np.array([[-1.0, -1.0], [3.0, 3.0]]) / 3.0)
+    assert evaluate_witness("omega", disc, K.tube(0.05), ZeroWeight(), 1e-3,
+                            BoundaryGrid(1024)) == (math.inf, False)
+    cert = HullCertificate(ProjPoint(np.array([1.0, 1.0])), math.log(3.0),
+                           0.01, 0.05, disc, math.log(3.0),
+                           {"final_nodes": 1024})
+    rep = cert.revalidate(K)
+    assert rep["center_ok"]
+    assert not rep["boundary_in_tube"] and not rep["ok"]
 
 
 def test_hull_failure_is_one_sided():

@@ -8,7 +8,7 @@ import pytest
 from discenv.projective import (_FORM_BLOCK, AffineBall, ConstantWeight,
                                 Domain, FsBall,
                                 HomPolynomial, HyperplaneComplement,
-                                Intersection, LiftedWeight, LogPolyWeight,
+                                Intersection, LogPolyWeight,
                                 ProjPoint, Tube, ZeroWeight, affine_lift,
                                 chart, fs_distance, lelong_lift, lift,
                                 lift_weight, project, psh_correspondence,
@@ -355,15 +355,6 @@ def test_log_poly_weight_value():
     assert w.value_proj_many(z)[0] == pytest.approx(-0.5 * math.log(2.0))
 
 
-def test_lifted_weight_domain_check():
-    from discenv.errors import DomainError
-
-    ball = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.2)
-    phi = LiftedWeight(ZeroWeight(), ball)
-    with pytest.raises(DomainError):
-        phi.value(np.array([0.0, 1.0]))
-
-
 def _circle_samples(rng):
     # the 64-point circle {[1 : e^{it}]} of the hull benchmark
     return tuple(project(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
@@ -497,16 +488,31 @@ _C_JSON = [[1.0, 0.0], [0.0, 0.0]]
      {"type": "tube", "samples": [_C_JSON], "delta": math.inf}),
     (lambda: Tube((_C,), math.nan),
      {"type": "tube", "samples": [_C_JSON], "delta": math.nan}),
+    (lambda: Tube((_C,), 1e-9),
+     {"type": "tube", "samples": [_C_JSON], "delta": 1e-9}),
 ], ids=["fs-radius-zero", "fs-radius-negative", "fs-radius-inf",
         "fs-radius-nan", "zero-normal", "nan-normal", "empty-intersection",
         "affine-radius-zero", "affine-radius-negative", "affine-radius-inf",
         "affine-radius-nan", "tube-delta-zero", "tube-delta-negative",
-        "tube-delta-inf", "tube-delta-nan"])
+        "tube-delta-inf", "tube-delta-nan", "tube-delta-tiny"])
 def test_degenerate_domain_rejected(make, obj):
     with pytest.raises(ConfigError):
         make()
     with pytest.raises(ConfigError):
         Domain.from_json(obj)
+
+
+def test_thinnest_tube_holds_its_samples():
+    # at 1e-9 the arccos sqrt(s) route missed 77 of these 200 anchors, and
+    # 180 of 800 sample points of a 4-anchor tube cleared by <= 0
+    delta = 1e-7  # the thinnest tube allowed
+    rng = np.random.default_rng(0)
+    anchors = [ProjPoint(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+               for _ in range(200)]
+    assert all(Tube((p,), delta).contains(p.vec) for p in anchors)
+    tube = Tube(tuple(anchors[:4]), delta)
+    pts = tube.sample_points(np.random.default_rng(1), 800)
+    assert tube.clearance_many(pts).min() > 0
 
 
 @pytest.mark.parametrize("dom", [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from discenv.discs import BoundaryGrid
+from discenv.discs import AnalyticDiscLift, BoundaryGrid
 from discenv.errors import DomainError
 from discenv.projective import (FsBall, HyperplaneComplement, LiftedWeight,
                                 ProjPoint, ZeroWeight)
@@ -118,6 +118,19 @@ def test_verify_feasible_positive_and_negative():
     disc_bad = make_structure_disc(StructureDiscParams(x2, w_near, r))
     rep_bad = verify_feasible(disc_bad, ball)
     assert not rep_bad["boundary_ok"]
+    assert rep_bad["origin_ok"] is None and not rep_bad["feasible"]
+    assert rep_bad["min_clearance"] < 0
+
+
+def test_verify_feasible_floor_is_delta_min():
+    # f = (t - 1/2)(1, 0.5, 1) reads 0.0119 on the floor grid: above 0, but
+    # below a declared floor of 0.05; its boundary [1 : 0.5 : 1] lies in HYP
+    c = np.array([[-0.5, -0.25, -0.5], [1.0, 0.5, 1.0]], dtype=complex)
+    for floor, origin_ok in ((1e-8, True), (0.05, False)):
+        rep = verify_feasible(AnalyticDiscLift(c, delta_min=floor), HYP)
+        assert rep["boundary_ok"] and rep["origin_ok"] is origin_ok
+        assert rep["feasible"] is origin_ok
+        assert 0.0 < rep["min_norm"] < 0.05
 
 
 def test_conservative_radius_never_violates():
