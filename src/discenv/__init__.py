@@ -21,7 +21,7 @@ from .kernels import BACKEND
 from .projective import (AffineBall, Domain, FsBall, HomPolynomial,
                          HyperplaneComplement, Intersection, LiftedWeight,
                          ProjPoint, Tube, Weight, ZeroWeight, fs_distance,
-                         lift, lift_weight, project)
+                         lift, project)
 from .structure import (StructureDiscParams, epsilon_upper_bound,
                         make_structure_disc, radius_r, structure_params,
                         verify_feasible)
@@ -43,7 +43,7 @@ __all__ = [
     "normalize_disc", "spherical_lift", "BACKEND", "AffineBall", "Domain",
     "FsBall", "HomPolynomial", "HyperplaneComplement", "Intersection",
     "LiftedWeight", "ProjPoint", "Tube", "Weight", "ZeroWeight",
-    "fs_distance", "lift", "lift_weight", "project", "StructureDiscParams",
+    "fs_distance", "lift", "project", "StructureDiscParams",
     "epsilon_upper_bound", "make_structure_disc", "radius_r",
     "structure_params", "verify_feasible",
 ]

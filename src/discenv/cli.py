@@ -127,8 +127,8 @@ def cmd_identity_check(args) -> int:
     for i in range(args.count):
         degree = int(rng.integers(1, 7))
         disc = random_disc(rng, 3, degree)
-        res = identity_check_eqH(ZeroWeight(), disc, None, grid, quad)
-        res2 = identity_check_eqH(ZeroWeight(), disc, None, grid2, quad2)
+        res = identity_check_eqH(ZeroWeight(), disc, grid, quad)
+        res2 = identity_check_eqH(ZeroWeight(), disc, grid2, quad2)
         riesz = riesz_residual(disc, grid, quad, area_term=res["area_term"])
         rows.append({"index": i, "degree": degree,
                      "eqH_residual": res["residual"],

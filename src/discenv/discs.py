@@ -29,6 +29,12 @@ DEFAULT_DELTA_MIN = 1e-8
 _VALIDATION_RADIAL = 64
 _VALIDATION_ANGULAR = 64
 
+# roots_in_unit_disc polishes roots closer than this as one cluster
+_CLUSTER_TOL = 1e-7
+# random_disc: coefficient rows scaled into norm 2, least norm on the
+# validation grid at least 0.1, at most 1000 draws
+_RANDOM_RADIUS, _RANDOM_MIN_NORM, _RANDOM_TRIES = 2.0, 0.1, 1000
+
 
 def _as_coeff_array(coeffs) -> np.ndarray:
     a = np.array(coeffs, dtype=np.complex128)
@@ -340,6 +346,16 @@ def eval_disc(disc, t):
     return vals.reshape(t_arr.shape + (vals.shape[-1],))
 
 
+def neg_log_center_norm(disc) -> float:
+    """-log|f(0)| of a disc or a CompositeDisc.  Raises OriginViolation
+    where |f(0)| < delta_min (a CompositeDisc's base is tested: dividing
+    by exp(g) scales |f(0)| and the floor alike)."""
+    base = disc.base if isinstance(disc, CompositeDisc) else disc
+    if float(np.linalg.norm(base.center)) < base.delta_min:
+        raise OriginViolation(f"disc center within {base.delta_min:g} of the origin")
+    return -math.log(float(np.linalg.norm(disc.center)))
+
+
 def circle_mean(samples) -> float:
     """Mean of boundary samples against normalized arclength measure.
 
@@ -500,18 +516,17 @@ def _newton_polish(coeffs_desc: np.ndarray, roots, steps: int = 2) -> np.ndarray
     return z
 
 
-def _clustered_roots(desc: np.ndarray, raw: np.ndarray,
-                     cluster_tol: float) -> list:
+def _clustered_roots(desc: np.ndarray, raw: np.ndarray) -> list:
     """(root, multiplicity) of the roots raw of desc, sorted by modulus:
     each cluster is an unclustered root with every unclustered root within
-    cluster_tol of it, and a cluster of size k is refined on the (k-1)-th
+    _CLUSTER_TOL of it, and a cluster of size k is refined on the (k-1)-th
     derivative, so multiple roots also reach ~1e-10 accuracy."""
     used = np.zeros(raw.size, dtype=bool)
     out = []
     for i in range(raw.size):
         if used[i]:
             continue
-        grp = np.flatnonzero(~used & (np.abs(raw - raw[i]) < cluster_tol))
+        grp = np.flatnonzero(~used & (np.abs(raw - raw[i]) < _CLUSTER_TOL))
         used[grp] = True
         mult = len(grp)
         dcoef = desc
@@ -523,12 +538,11 @@ def _clustered_roots(desc: np.ndarray, raw: np.ndarray,
     return out
 
 
-def roots_in_unit_disc(p, boundary_margin: float = 1e-9,
-                       cluster_tol: float = 1e-7):
+def roots_in_unit_disc(p, boundary_margin: float = 1e-9):
     """Zeros of the polynomial p (ascending coefficients) inside |t| < 1.
 
     Companion-matrix eigenvalues and one Newton polish, sorted by
-    modulus.  When no two lie within cluster_tol, the common case, every
+    modulus.  When no two lie within _CLUSTER_TOL, the common case, every
     root is simple and takes two more steps; otherwise _clustered_roots
     finds the multiplicities.  Returns a list of (root, multiplicity);
     raises BoundaryZeroError for a zero within boundary_margin of |t| = 1.
@@ -544,10 +558,10 @@ def roots_in_unit_disc(p, boundary_margin: float = 1e-9,
     desc = a[::-1]
     raw = _newton_polish(desc, np.roots(desc), 1)
     raw = raw[np.argsort(np.abs(raw), kind="stable")]
-    # every root is within cluster_tol of itself: any further close pair
+    # every root is within _CLUSTER_TOL of itself: any further close pair
     # means a cluster
-    if np.count_nonzero(np.abs(raw[:, None] - raw) < cluster_tol) > raw.size:
-        found = _clustered_roots(desc, raw, cluster_tol)
+    if np.count_nonzero(np.abs(raw[:, None] - raw) < _CLUSTER_TOL) > raw.size:
+        found = _clustered_roots(desc, raw)
     else:
         found = [(z, 1) for z in _newton_polish(desc, raw, 2).tolist()]
     out = []
@@ -560,10 +574,11 @@ def roots_in_unit_disc(p, boundary_margin: float = 1e-9,
     return out
 
 
-def winding_number(p, n: int = 4096) -> int:
-    """Winding of t -> p(t) over the unit circle (argument principle)."""
+def winding_number(p) -> int:
+    """Winding of t -> p(t) over the unit circle (argument principle), from
+    the phase steps between 4096 equispaced nodes."""
     a = np.asarray(p, dtype=np.complex128).reshape(-1)
-    t = np.exp(2j * np.pi * np.arange(n) / n)
+    t = np.exp(2j * np.pi * np.arange(4096) / 4096)
     vals = kernels.eval_poly(a[:, None], t)[:, 0]
     ph = np.angle(vals)
     d = np.diff(np.concatenate([ph, ph[:1]]))
@@ -591,7 +606,7 @@ def harmonic_extension_and_conjugate(g, r: float):
     return u, v
 
 
-def holomorphic_completion_coeffs(g, r: float, max_degree: int | None = None) -> np.ndarray:
+def holomorphic_completion_coeffs(g, r: float) -> np.ndarray:
     """Taylor coefficients of the holomorphic h with Re h(t) = u(rt),
     Im h(t) = v(rt) on T and Im h(0) = 0, for boundary data g.
 
@@ -600,7 +615,7 @@ def holomorphic_completion_coeffs(g, r: float, max_degree: int | None = None) ->
     g = np.asarray(g, dtype=float)
     n = g.size
     ghat = np.fft.fft(g) / n
-    kmax = n // 2 if max_degree is None else min(max_degree, n // 2)
+    kmax = n // 2
     coeffs = np.zeros(kmax + 1, dtype=np.complex128)
     coeffs[0] = ghat[0]
     ks = np.arange(1, kmax + 1)
@@ -608,18 +623,17 @@ def holomorphic_completion_coeffs(g, r: float, max_degree: int | None = None) ->
     return coeffs
 
 
-def random_disc(rng: np.random.Generator, m: int, degree: int,
-                radius: float = 2.0, min_norm: float = 0.1,
-                max_tries: int = 1000) -> AnalyticDiscLift:
+def random_disc(rng: np.random.Generator, m: int, degree: int) -> AnalyticDiscLift:
     """Seeded random polynomial disc, rejection-sampled so the closed-disc
-    norm stays above min_norm (keeps the quadratures well conditioned)."""
-    for _ in range(max_tries):
+    norm stays above _RANDOM_MIN_NORM (keeps the quadratures well
+    conditioned)."""
+    for _ in range(_RANDOM_TRIES):
         c = rng.standard_normal((degree + 1, m)) + 1j * rng.standard_normal((degree + 1, m))
         norms = np.sqrt(np.einsum("ij,ij->i", c, c.conj()).real)
-        big = norms > radius
+        big = norms > _RANDOM_RADIUS
         if np.any(big):
-            c[big] *= (radius / norms[big])[:, None]
+            c[big] *= (_RANDOM_RADIUS / norms[big])[:, None]
         disc = AnalyticDiscLift(c)
-        if disc.min_norm_on_grid() >= min_norm:
+        if disc.min_norm_on_grid() >= _RANDOM_MIN_NORM:
             return disc
     raise NumericalError("rejection sampling failed to produce a valid disc")

@@ -445,12 +445,7 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
 class _Candidate:
     name: str
     value_fn: object  # rows (2-D) of cone representatives -> values
-    shift: float
-    violation: float  # max over W samples of (v + shift - phi)
-
-    @property
-    def excluded(self) -> bool:
-        return self.violation > 1e-12
+    shift: float  # <= 0: v + shift <= phi on the sampled W
 
 
 class CandidateLibrary:
@@ -474,7 +469,7 @@ class CandidateLibrary:
     def _build_defaults(self):
         phi_min = float(np.min(self._phi_samples))
         if math.isfinite(phi_min):
-            self.add("constant", lambda z: np.full(len(z), phi_min), shift=0.0)
+            self.add("constant", lambda z: np.full(len(z), phi_min))
         m = self._samples.shape[1]
         if self.mode == "omega":
             for i in range(m):
@@ -496,26 +491,22 @@ class CandidateLibrary:
                         return np.log(np.abs(u[:, i]))
                 self.add(f"log_affine_coord_{i}", v)
 
-    def add(self, name: str, value_fn, shift: float | None = None):
+    def add(self, name: str, value_fn):
+        """Add the candidate value_fn, shifted down by its largest excess
+        over phi on the samples.  A candidate already below phi keeps
+        shift 0: shifting it up would break admissibility off the sample
+        set."""
         vals = np.asarray(value_fn(self._samples), dtype=float)
         excess = vals - self._phi_samples
         worst = float(np.max(excess[np.isfinite(excess)], initial=-math.inf))
-        if shift is None:
-            shift = -max(worst, 0.0) if math.isfinite(worst) else 0.0
-            # a candidate already below phi keeps shift 0 (shifting up would
-            # break admissibility off the sample set)
-            if worst < 0:
-                shift = 0.0
-        violation = worst + shift
-        self.candidates.append(_Candidate(name, value_fn, shift, violation))
+        self.candidates.append(
+            _Candidate(name, value_fn, -worst if worst > 0 else 0.0))
 
     def lower_bound(self, x: ProjPoint) -> tuple[float, str | None]:
         best = -math.inf
         best_name = None
         z = x.vec.reshape(1, -1)
         for c in self.candidates:
-            if c.excluded:
-                continue
             val = float(np.asarray(c.value_fn(z), dtype=float)[0]) + c.shift
             if val > best:
                 best, best_name = val, c.name

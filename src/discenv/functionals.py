@@ -10,8 +10,8 @@ import numpy as np
 
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                     boundary_lognorms, circle_mean, circle_powers, grid_values,
-                    polar_values, power_table, riesz_area_term,
-                    roots_in_unit_disc)
+                    neg_log_center_norm, polar_values, power_table,
+                    riesz_area_term, roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError, OriginViolation
 from .projective import Domain, LiftedWeight, Weight, ZeroWeight, chart
 
@@ -108,7 +108,7 @@ def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
                   pts: np.ndarray) -> FunctionalValue:
     """omega_functional_lifted from the disc's values pts on grid.nodes."""
     boundary = circle_mean(phi_tilde.value_many(pts))
-    interior = -math.log(float(np.linalg.norm(disc.center)))
+    interior = neg_log_center_norm(disc)
     return FunctionalValue(_combine(boundary, interior), boundary, interior,
                            "lifted", {"nodes": grid.n})
 
@@ -156,13 +156,12 @@ def _root_sums(roots) -> tuple[float, float]:
     return counted, once
 
 
-def sz_interior_roots(disc, count_multiplicity: bool = True) -> float:
+def sz_interior_roots(disc) -> float:
     """-sum m_a log|a| over the zeros a of f_0 inside the unit disc."""
     f0 = np.asarray(disc.coeffs[:, 0])
     if f0[0] == 0:
         return math.inf
-    counted, once = _root_sums(roots_in_unit_disc(f0))
-    return counted if count_multiplicity else once
+    return _root_sums(roots_in_unit_disc(f0))[0]
 
 
 def sz_functional(phi: Weight, disc: AnalyticDiscLift,
@@ -211,8 +210,7 @@ def _sz(phi: Weight, disc: AnalyticDiscLift, grid: BoundaryGrid,
                            route, meta)
 
 
-def identity_check_eqH(phi: Weight, disc, domain: Domain | None = None,
-                       grid: BoundaryGrid | None = None,
+def identity_check_eqH(phi: Weight, disc, grid: BoundaryGrid | None = None,
                        quad: AreaQuadrature | None = None) -> dict:
     """Residual |direct - lifted| of the lifting identity for one disc.
 
@@ -221,7 +219,7 @@ def identity_check_eqH(phi: Weight, disc, domain: Domain | None = None,
     """
     grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    direct = omega_functional_direct(phi, disc, domain, grid, quad)
+    direct = omega_functional_direct(phi, disc, None, grid, quad)
     lifted = omega_functional_lifted(LiftedWeight(phi), disc, grid)
     return {
         "direct": direct.total,
@@ -245,6 +243,5 @@ def riesz_residual(disc, grid: BoundaryGrid | None = None,
     grid = grid or BoundaryGrid()
     if area_term is None:
         area_term = riesz_area_term(disc, quad or AreaQuadrature())
-    rhs = math.log(float(np.linalg.norm(disc.center))) - circle_mean(
-        boundary_lognorms(disc, grid))
+    rhs = -neg_log_center_norm(disc) - circle_mean(boundary_lognorms(disc, grid))
     return abs(area_term - rhs)

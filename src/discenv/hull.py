@@ -12,7 +12,7 @@ import numpy as np
 
 from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
                     boundary_lognorms, circle_mean, grid_values,
-                    holomorphic_completion_coeffs)
+                    holomorphic_completion_coeffs, neg_log_center_norm)
 from .envelope import (DiscFamilySpec, OptimizerConfig, evaluate_witness,
                        minimize)
 from .errors import InfeasibleDiscError, NumericalError
@@ -70,32 +70,30 @@ class HullCertificate:
                 "delta": self.delta, "witness": self.witness.to_json(),
                 "value": self.value, "settings": self.settings}
 
-    def revalidate(self, K: CompactSetSpec, grid: BoundaryGrid | None = None,
-                   tol: float = 1e-8) -> dict:
+    def revalidate(self, K: CompactSetSpec) -> dict:
         """evaluate_witness in the tube at margin 0 on the doubled final grid
-        (boundary_in_tube, origin floor included), and the center."""
-        grid = grid or BoundaryGrid(2 * int(self.settings.get("final_nodes", 1024)))
+        (boundary_in_tube, origin floor included), the center, the drift
+        of the value (at most 1e-8) and the value itself, which must lie
+        below lambda + eps (below_threshold)."""
+        grid = BoundaryGrid(2 * int(self.settings.get("final_nodes", 1024)))
         revalue, admissible = evaluate_witness(
             "omega", self.witness, K.tube(self.delta), ZeroWeight(), 0.0, grid)
         center_ok = ProjPoint(self.witness.center).isclose(self.x, 1e-9)
         drift = abs(revalue - self.value)
+        below = _certifies(self.value, self.lam, self.eps)
         return {
             "boundary_in_tube": admissible,
             "center_ok": center_ok,
             "value_drift": drift,
-            "ok": admissible and center_ok and drift <= tol,
+            "below_threshold": below,
+            "ok": admissible and center_ok and drift <= 1e-8 and below,
         }
 
 
-@dataclass(frozen=True)
-class SphericalLiftSet:
-    """Phase-fiber samples of the unit-sphere lift of a compact set."""
-
-    samples: np.ndarray  # (n_points * n_phase, n+1), all unit norm
-
-    def min_distance(self, z_rows: np.ndarray) -> np.ndarray:
-        diff = z_rows[:, None, :] - self.samples[None, :, :]
-        return np.linalg.norm(diff, axis=2).min(axis=1)
+def _certifies(value: float | None, lam: float, eps: float) -> bool:
+    """Whether a disc of this value meets condition (B): value < lam + eps
+    (false for a missing value and for a NaN anywhere)."""
+    return value is not None and value < lam + eps
 
 
 def lambda_c_rho(value: float, source: str = "lambda") -> dict:
@@ -115,12 +113,13 @@ def lambda_c_rho(value: float, source: str = "lambda") -> dict:
     return {"lambda": lam, "C": math.exp(lam), "rho": math.exp(-lam)}
 
 
-def spherical_lift(K: CompactSetSpec, n_phase: int) -> SphericalLiftSet:
+def spherical_lift(K: CompactSetSpec, n_phase: int) -> np.ndarray:
+    """Phase-fiber samples of the unit-sphere lift of K, shape
+    (len(K.samples) * n_phase, n+1), all of unit norm."""
     if n_phase < 4:
         raise ValueError("need at least 4 phase samples")
     phases = np.exp(2j * np.pi * np.arange(n_phase) / n_phase)
-    rows = [ph * p.vec for p in K.samples for ph in phases]
-    return SphericalLiftSet(np.stack(rows))
+    return np.stack([ph * p.vec for p in K.samples for ph in phases])
 
 
 def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
@@ -131,7 +130,9 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
     x, boundary in the delta-tube of K, functional value < lam + eps.
 
     Success yields a HullCertificate for that tube; failure is only a
-    report (the search is incomplete and proves nothing about x).
+    report (the search is incomplete and proves nothing about x).  The
+    constant disc at x is tried first: where it is admissible its value,
+    0, is the least of any disc (log|f| is subharmonic), so no search runs.
     """
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
@@ -144,15 +145,14 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
     settings = {"final_nodes": final_grid.n, "starts": opt.starts,
                 "budget": opt.budget, "seed": opt.seed,
                 "degree": family.degree}
-    disc = AnalyticDiscLift(x.vec[None, :])  # value 0 where admissible
-    if evaluate_witness("omega", disc, tube, ZeroWeight(), family.eta,
-                        final_grid)[1]:
-        return HullCertificate(x, lam, eps, delta, disc, 0.0, settings)
-    est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
-    if est.upper is not None and est.upper < lam + eps:
-        return HullCertificate(x, lam, eps, delta, est.witness, est.upper,
-                               settings)
-    return {"certified": False, "best_value": est.upper,
+    disc, value = AnalyticDiscLift(x.vec[None, :]), 0.0
+    if not evaluate_witness("omega", disc, tube, ZeroWeight(), family.eta,
+                            final_grid)[1]:
+        est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
+        disc, value = est.witness, est.upper
+    if _certifies(value, lam, eps):
+        return HullCertificate(x, lam, eps, delta, disc, value, settings)
+    return {"certified": False, "best_value": value,
             "statement": "condition (B) not certified at this search budget; "
                          "this does not witness exclusion from the hull",
             "settings": settings}
@@ -216,8 +216,8 @@ def normalize_disc(f0: AnalyticDiscLift, r: float,
 
 def center_report(disc: CompositeDisc) -> dict:
     p = disc.center
-    norm = float(np.linalg.norm(p))
-    return {"center": p, "norm": norm, "neg_log_norm": -math.log(norm)}
+    return {"center": p, "norm": float(np.linalg.norm(p)),
+            "neg_log_norm": neg_log_center_norm(disc)}
 
 
 def b_to_bprime(cert: HullCertificate, K: CompactSetSpec, n_phase: int,
@@ -230,8 +230,9 @@ def b_to_bprime(cert: HullCertificate, K: CompactSetSpec, n_phase: int,
     norm_disc = normalize_disc(cert.witness, r, grid)
     lifted = spherical_lift(K, n_phase)
     pts = grid_values(norm_disc, grid)
-    dists = lifted.min_distance(pts)
-    worst = float(dists.max())
+    # the least distance of each node's value to the lifted samples
+    worst = float(np.linalg.norm(pts[:, None, :] - lifted[None, :, :],
+                                 axis=2).min(axis=1).max())
     if worst > tube_radius:
         raise InfeasibleDiscError(
             f"normalized boundary misses the spherical-lift tube "
@@ -261,8 +262,7 @@ def bprime_to_b(disc: CompositeDisc, eps: float,
         raise InfeasibleDiscError(
             f"max log-norm on the boundary is {lognorms.max():.3e} > eps")
     rep = center_report(disc)
-    functional = -math.log(float(np.linalg.norm(disc.base.center))) + \
-        circle_mean(base_lognorms)
+    functional = neg_log_center_norm(disc.base) + circle_mean(base_lognorms)
     slack = 1e-8
     ok = functional <= rep["neg_log_norm"] + eps + slack
     if not ok:

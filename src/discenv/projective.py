@@ -623,10 +623,6 @@ class LiftedWeight:
         return float(self.value_many(np.asarray(z, dtype=np.complex128).reshape(1, -1))[0])
 
 
-def lift_weight(phi: Weight) -> LiftedWeight:
-    return LiftedWeight(phi)
-
-
 def psh_correspondence(v):
     """v omega-psh candidate on P^n (callable on cone reps via v(z_rows))
     -> (u on C^{n+1}\\{0}, inverse map u -> v)."""

@@ -73,7 +73,7 @@ def test_criterion_1_identity_eqH(disc_population):
     grid = BoundaryGrid(2048)
     quad = AreaQuadrature(256, 512)
     t0 = time.monotonic()
-    worst = max(identity_check_eqH(ZeroWeight(), d, None, grid, quad)
+    worst = max(identity_check_eqH(ZeroWeight(), d, grid, quad)
                 ["residual"] for d in disc_population)
     elapsed = time.monotonic() - t0
     _report(1, worst <= 1e-8 and elapsed <= 60.0,

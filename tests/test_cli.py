@@ -334,6 +334,25 @@ def test_hull_normalize_cli(files):
         0.5 * math.log(2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ["functional", "eval", "--route", "direct"],
+    ["functional", "eval", "--route", "lifted"],
+    ["hull", "normalize", "--r", "0.9"],
+], ids=["direct", "lifted", "normalize"])
+def test_disc_through_origin_exit_3(files, argv, capsys):
+    # f = (t, t/2) passes through the origin at t = 0
+    disc = write(files["tmp"] / "d0.json",
+                 {"m": 2, "degree": 1,
+                  "coeffs": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]]]})
+    if argv[0] == "functional":
+        argv = argv + ["--weight", files["zero"]]
+    out = files["tmp"] / "o.json"
+    rc = main(argv + ["--disc", disc, "--out", str(out)])
+    assert rc == 3
+    assert "numerical error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_disc_structure_make_cli(files):
     x = write(files["tmp"] / "sx.json",
               {"coords": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]})
@@ -478,6 +497,17 @@ def _circle_hull(files, point):
               {"type": "proj", "coords": [[1.0, 0.0], [point, 0.0]]})
     return ["hull", "test", "--point", x, "--set", K, "--eps", "0.01",
             "--delta", "0.05", "--starts", "2", "--budget", "20"]
+
+
+def test_hull_test_below_zero_threshold_exit_2(files):
+    # [1:1] is a point of K: the constant disc there is admissible, with
+    # value 0, which is not below lambda + eps = -0.99
+    out = files["tmp"] / "cert.json"
+    rc = main(_circle_hull(files, 1.0) + ["--lambda", "-1", "--budget", "5",
+                                          "--out", str(out)])
+    assert rc == 2
+    result = read_artifact(out)["result"]
+    assert result["certified"] is False and result["best_value"] == 0.0
 
 
 @pytest.mark.parametrize("point, extra", [

@@ -12,8 +12,8 @@ from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            disc_values, eval_disc, fs_pullback_density,
                            grid_values,
                            harmonic_extension_and_conjugate,
-                           holomorphic_completion_coeffs, power_table,
-                           random_disc, riesz_area_term, roots_in_unit_disc,
+                           holomorphic_completion_coeffs,
+                           neg_log_center_norm, power_table, random_disc, riesz_area_term, roots_in_unit_disc,
                            validation_grid, winding_number)
 from discenv.errors import (BoundaryZeroError, NumericalError,
                             OriginViolation)
@@ -50,6 +50,18 @@ def test_eval_origin_violation():
                          delta_min=1e-2)
     with pytest.raises(OriginViolation):
         d(1.0)
+
+
+def test_neg_log_center_norm():
+    d = AnalyticDiscLift(np.array([[3.0, 4.0], [1.0, 0.0]], dtype=complex))
+    assert neg_log_center_norm(d) == -math.log(5.0)
+    half = CompositeDisc(d, np.array([math.log(2.0)]))  # f / 2
+    assert neg_log_center_norm(half) == pytest.approx(-math.log(2.5), abs=1e-15)
+    # below the floor, for a disc and for a CompositeDisc on its base
+    low = AnalyticDiscLift(np.array([[1e-9, 0.0], [1.0, 0.0]], dtype=complex))
+    for disc in (low, CompositeDisc(low, np.array([-30.0]))):
+        with pytest.raises(OriginViolation):
+            neg_log_center_norm(disc)
 
 
 def test_disc_json_roundtrip():
@@ -375,7 +387,7 @@ def test_roots_fast_path_matches_clustered():
         desc = p[::-1]
         raw = _newton_polish(desc, np.roots(desc), 1)
         raw = raw[np.argsort(np.abs(raw), kind="stable")]
-        want = [(z, m) for z, m in _clustered_roots(desc, raw, 1e-7)
+        want = [(z, m) for z, m in _clustered_roots(desc, raw)
                 if abs(z) < 1.0]
         got = roots_in_unit_disc(p)
         assert [m for _z, m in got] == [m for _z, m in want] == [1] * len(got)

@@ -102,18 +102,21 @@ def test_siciak_small_budget():
     assert est.lower_candidate == "log_plus_norm"
 
 
-def test_candidate_library_negative_control():
+def test_candidate_library_shifts_an_over_large_candidate():
     dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
     lib = CandidateLibrary("sz", dom, ZeroWeight(), seed=0)
 
     def too_big(z_rows):
         return np.full(np.atleast_2d(z_rows).shape[0], 5.0)
 
-    lib.add("bogus", too_big, shift=0.0)  # forced shift, violates v <= phi
-    assert lib.candidates[-1].excluded
+    lib.add("too_big", too_big)  # 5 > phi = 0: shifted down onto phi
+    cand = lib.candidates[-1]
+    assert cand.shift == -5.0
+    assert np.all(too_big(lib._samples) + cand.shift <= lib._phi_samples)
     x = ProjPoint(affine_lift(np.array([2.0 + 0j])))
-    _val, name = lib.lower_bound(x)
-    assert name != "bogus"
+    val, name = lib.lower_bound(x)
+    assert name == "log_plus_norm"
+    assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_candidate_library_shift_applied():
@@ -563,7 +566,7 @@ def test_workers_other_than_one_rejected():
 
 
 def test_estimate_json_encodes_infinite_bounds():
-    # every candidate excluded: lower bound -inf
+    # every candidate -inf at the point: lower bound -inf
     est = EnvelopeEstimate(None, None, -math.inf, None, None, [None], {}, False)
     doc = json.loads(json.dumps(est.to_json(), allow_nan=False))
     assert doc["lower"] == "-inf" and doc["upper"] is None

@@ -7,13 +7,15 @@ import pytest
 
 from discenv import hull, kernels
 from discenv.discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
-                           boundary_lognorms)
+                           boundary_lognorms, grid_values)
 from discenv.envelope import DiscFamilySpec, OptimizerConfig, evaluate_witness
-from discenv.errors import InfeasibleDiscError
+from discenv.errors import InfeasibleDiscError, OriginViolation
+from discenv.functionals import omega_functional_lifted, riesz_residual
 from discenv.hull import (CompactSetSpec, HullCertificate, b_to_bprime,
                           bprime_to_b, center_report, hull_test, lambda_c_rho,
                           lambda_schedule, normalize_disc, spherical_lift)
-from discenv.projective import ProjPoint, Tube, ZeroWeight, fs_distances
+from discenv.projective import (LiftedWeight, ProjPoint, Tube, ZeroWeight,
+                                fs_distances)
 
 SMALL = OptimizerConfig(starts=5, budget=300, seed=1, search_nodes=128)
 
@@ -46,11 +48,10 @@ def test_lambda_c_rho_roundtrips():
 def test_spherical_lift_counts_and_norms():
     K = CompactSetSpec((ProjPoint(np.array([1.0, 0.0])),))
     lifted = spherical_lift(K, 4)
-    assert lifted.samples.shape == (4, 2)
-    assert np.allclose(np.linalg.norm(lifted.samples, axis=1), 1.0,
-                       atol=1e-15)
+    assert lifted.shape == (4, 2)
+    assert np.allclose(np.linalg.norm(lifted, axis=1), 1.0, atol=1e-15)
     # projecting back recovers the K sample
-    for row in lifted.samples:
+    for row in lifted:
         assert ProjPoint(row).isclose(K.samples[0], 1e-12)
 
 
@@ -106,6 +107,24 @@ def test_revalidate_applies_the_origin_floor():
     rep = cert.revalidate(K)
     assert rep["center_ok"]
     assert not rep["boundary_in_tube"] and not rep["ok"]
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan], ids=["below-zero", "nan"])
+def test_certificate_needs_value_below_lambda_eps(lam):
+    # the constant disc at a point of K is admissible, but its value 0 is
+    # not below lambda + eps: no certificate, and revalidate refuses one
+    # made by hand
+    K = circle_set()
+    x = K.samples[0]
+    out = hull_test(x, K, lam, 0.01, 0.05)
+    assert isinstance(out, dict) and not out["certified"]
+    assert out["best_value"] == 0.0
+    cert = HullCertificate(x, lam, 0.01, 0.05, AnalyticDiscLift(x.vec[None, :]),
+                           0.0, {"final_nodes": 1024})
+    rep = cert.revalidate(K)
+    assert rep["boundary_in_tube"] and rep["center_ok"]
+    assert rep["value_drift"] <= 1e-8
+    assert not rep["below_threshold"] and not rep["ok"]
 
 
 def test_hull_failure_is_one_sided():
@@ -243,6 +262,20 @@ def test_b_to_bprime_constant_certificate():
     assert rep["bound_ok"]
 
 
+def test_b_to_bprime_worst_distance_brute_force():
+    K = circle_set(16)
+    x = ProjPoint(np.array([1.0, 0.0]))
+    witness = AnalyticDiscLift(np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex))
+    cert = HullCertificate(x, 1.0, 0.01, 0.05, witness, 0.0, {})
+    grid = BoundaryGrid(64)
+    rep = b_to_bprime(cert, K, 8, 2.0, 0.99, grid)
+    lifted = spherical_lift(K, 8)
+    want = max(min(np.linalg.norm(p - row) for row in lifted)
+               for p in grid_values(rep["disc"], grid))
+    assert 0.1 < want < 2.0
+    assert rep["worst_tube_distance"] == pytest.approx(want, rel=0, abs=1e-15)
+
+
 def test_b_to_bprime_tube_violation():
     K = circle_set()
     x = ProjPoint(np.array([1.0, 0.0]))
@@ -250,6 +283,21 @@ def test_b_to_bprime_tube_violation():
                      DiscFamilySpec(m=2), SMALL)
     with pytest.raises(InfeasibleDiscError):
         b_to_bprime(cert, K, 16, 1e-6, 0.999)
+
+
+_THROUGH_ORIGIN = AnalyticDiscLift(np.array([[0.0, 0.0], [1.0, 0.5]],
+                                            dtype=complex))  # (t, t/2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: omega_functional_lifted(LiftedWeight(ZeroWeight()), d),
+    lambda d: riesz_residual(d, area_term=0.0),
+    lambda d: center_report(normalize_disc(d, 0.9)),
+    lambda d: bprime_to_b(normalize_disc(d, 0.9), 1e-2),
+], ids=["omega-lifted", "riesz-residual", "center-report", "bprime-to-b"])
+def test_center_at_the_origin_is_an_origin_violation(call):
+    with pytest.raises(OriginViolation):
+        call(_THROUGH_ORIGIN)
 
 
 def test_bprime_to_b_unit_boundary():

@@ -8,11 +8,10 @@ import pytest
 from discenv.projective import (_FORM_BLOCK, AffineBall, ConstantWeight,
                                 Domain, FsBall,
                                 HomPolynomial, HyperplaneComplement,
-                                Intersection, LogPolyWeight,
+                                Intersection, LiftedWeight, LogPolyWeight,
                                 ProjPoint, Tube, ZeroWeight, affine_lift,
                                 chart, fs_distance, lelong_lift, lift,
-                                lift_weight, project, psh_correspondence,
-                                Weight)
+                                project, psh_correspondence, Weight)
 from discenv import projective
 from discenv.errors import ConfigError, DomainError
 
@@ -90,10 +89,10 @@ def test_one_fs_distance(n):
 
 
 def test_lifted_weight_values():
-    phi = lift_weight(ZeroWeight())
+    phi = LiftedWeight(ZeroWeight())
     assert phi.value(np.array([1.0, 0.0])) == pytest.approx(0.0)
     assert phi.value(np.array([2.0, 0.0])) == pytest.approx(math.log(2.0))
-    phic = lift_weight(ConstantWeight(1.5))
+    phic = LiftedWeight(ConstantWeight(1.5))
     z = np.array([0.3, 0.4j])
     assert phic.value(z) == pytest.approx(1.5 + math.log(0.5))
 
@@ -101,7 +100,7 @@ def test_lifted_weight_values():
 def test_lifted_weight_log_homogeneity():
     rng = np.random.default_rng(2)
     poly = HomPolynomial(((2, 0), (0, 2)), (1.0, -0.5j))
-    phi = lift_weight(LogPolyWeight(poly))
+    phi = LiftedWeight(LogPolyWeight(poly))
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         lam = 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform())

@@ -1,8 +1,10 @@
 """The benchmark tooling still fits the library: every layer the traced
 perfbench run wraps exists, the kernel benchmark script imports, and one
 operation of each perfbench workload (two of `identity`) passes its own
-check."""
+check, and the fingerprint script hashes a search as this process does."""
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,18 @@ def test_workloads_pass_their_checks(tmp_path):
     # degree 6 has the highest trigonometric degree in the area term
     for label in ("degree-1", "degree-6"):
         assert _run_checked(identity, label)["cli.artifact_bytes"] > 0
+
+
+def test_fingerprint_one_operation():
+    # the script in a fresh process, and its digest in this one, agree:
+    # the search output is a function of the inputs alone
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "fingerprint.py"),
+         "--seeds", "1", "--labels", "centre-0"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    workload, seed, label, digest = out.split()
+    assert (workload, seed, label) == ("hull", "1", "centre-0")
+    fingerprint = _load("benchmarks/fingerprint.py", "fingerprint")
+    assert list(fingerprint.fingerprints("hull", 1, {"centre-0"})) == \
+        [("centre-0", digest)]
