@@ -15,7 +15,8 @@ C^2: evaluate_witness on the 1024-node final grid against an inline
 reference (Horner values, and Jensen's formula from np.roots), checked
 to agree to 1e-13, and the interior term from the zeros of f_0
 (sz_interior_roots, the witness route) beside the 65536-node
-sz_interior_jensen (the independent route), checked to agree; and the
+sz_interior_jensen (the independent route: f_0 at the nodes by one
+inverse FFT; no perfbench workload calls it), checked to agree; and the
 re-evaluation of one omega witness in the 0.05-tube about the 64-point
 circle (hull_test's path), against Horner values and the pairwise
 tube_reference, checked to agree to 1e-13; and one

@@ -1,14 +1,16 @@
-"""Fingerprints of the perfbench searches: for every operation of the
-`siciak` and `hull` workloads (perfbench/workloads.py, loaded read-only)
-at the given seeds, one line
+"""Fingerprints of the perfbench operations: for every operation of the
+`siciak`, `hull` and `identity` workloads (perfbench/workloads.py, loaded
+read-only) at the given seeds, one line
 
     <workload> <seed> <label> <sha256>
 
-where the hash is that of json.dumps(result, sort_keys=True) for the
-operation's result: EnvelopeEstimate.to_json() (upper, witness, lower,
+where the hash is that of json.dumps(result, sort_keys=True) for a
+search's result: EnvelopeEstimate.to_json() (upper, witness, lower,
 lower_candidate, gap, trace, settings), HullCertificate.to_json(), or
-hull_test's failure report.  Two library trees that print the same lines
-give byte-identical search outputs.
+hull_test's failure report; for an `identity-check` call it is that of
+its exit code and its artifact's bytes (the artifact's config leaves out
+the output path).  Two library trees that print the same lines give
+byte-identical outputs.
 
 Run from a source checkout:
 
@@ -27,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("siciak", "hull")
+WORKLOADS = ("siciak", "hull", "identity")
 
 
 @functools.cache
@@ -49,6 +51,13 @@ def digest(result) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def artifact_digest(code: int, path: Path) -> str:
+    """SHA-256 of a CLI call's exit code and the bytes of its artifact
+    (none if it wrote none)."""
+    text = path.read_bytes() if path.exists() else b""
+    return hashlib.sha256(f"exit {code}\n".encode() + text).hexdigest()
+
+
 def fingerprints(workload: str, seed: int, labels=None):
     """(label, digest) of each operation of one round of the workload at
     the seed, or of those whose label is in labels."""
@@ -57,7 +66,11 @@ def fingerprints(workload: str, seed: int, labels=None):
         w = cls(seed, Path(tmp))
         for op in w.round:
             if labels is None or op.label in labels:
-                yield op.label, digest(w.run(op))
+                result = w.run(op)
+                if workload == "identity":  # (exit code, stdout)
+                    yield op.label, artifact_digest(result[0], op.inputs["path"])
+                else:
+                    yield op.label, digest(result)
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -26,9 +27,9 @@ from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
 from .errors import (BoundaryZeroError, ConfigError, DiscEnvError,
                      DomainError, InfeasibleDiscError, NumericalError,
                      OriginViolation)
-from .functionals import (identity_check_eqH, omega_functional_direct,
-                          omega_functional_lifted, riesz_residual,
-                          sz_functional)
+from .functionals import (admissible_values, identity_check_eqH,
+                          omega_functional_direct, omega_functional_lifted,
+                          riesz_residual, sz_functional)
 from .projective import (Domain, LiftedWeight, ProjPoint, Weight,
                          ZeroWeight, affine_lift, vec_from_json)
 
@@ -73,6 +74,17 @@ def _parse_point(obj) -> ProjPoint:
     raise ConfigError(f"unknown point type {kind!r}")
 
 
+def _write_text(path: str, text: str, newline: str | None = None):
+    """text written to path.  Every output file is written here: an
+    unwritable path (a missing directory, a directory) is a ConfigError
+    that names it, as an unreadable input is in _read."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+
+
 def _write_artifact(path: str, config: dict, result, progress: str = ""):
     doc = {"schema_version": SCHEMA_VERSION, "config": config,
            "result": result}
@@ -80,9 +92,7 @@ def _write_artifact(path: str, config: dict, result, progress: str = ""):
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as e:  # a NaN or an unencoded inf
         raise NumericalError(f"artifact is not strict JSON: {e}") from e
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_text(path, text + "\n")
     if progress:
         print(progress, file=sys.stderr)
     print(path)
@@ -103,12 +113,14 @@ def cmd_functional(args) -> int:
     weight = _read(args.weight, Weight.from_json)
     domain = _read(args.domain, Domain.from_json) if args.domain else None
     grid, quad = _grids(args)
+    if domain is not None:
+        admissible_values(disc, grid, domain)
     if args.route == "direct":
-        fv = omega_functional_direct(weight, disc, domain, grid, quad)
+        fv = omega_functional_direct(weight, disc, grid, quad)
     elif args.route == "lifted":
-        fv = omega_functional_lifted(LiftedWeight(weight), disc, grid, domain)
+        fv = omega_functional_lifted(LiftedWeight(weight), disc, grid)
     elif args.route == "jensen":
-        fv = sz_functional(weight, disc, domain, grid, route="jensen")
+        fv = sz_functional(weight, disc, grid, route="jensen")
     else:
         raise ConfigError(f"unknown route {args.route!r}")
     _write_artifact(args.out, _config_dict(args), fv.to_json())
@@ -129,7 +141,7 @@ def cmd_identity_check(args) -> int:
         disc = random_disc(rng, 3, degree)
         res = identity_check_eqH(ZeroWeight(), disc, grid, quad)
         res2 = identity_check_eqH(ZeroWeight(), disc, grid2, quad2)
-        riesz = riesz_residual(disc, grid, quad, area_term=res["area_term"])
+        riesz = riesz_residual(disc, res["area_term"], grid)
         rows.append({"index": i, "degree": degree,
                      "eqH_residual": res["residual"],
                      "eqH_residual_doubled": res2["residual"],
@@ -187,12 +199,13 @@ def cmd_grid(args) -> int:
     lib = env.CandidateLibrary(args.mode, domain, weight, seed=args.seed)
     ests = env.envelope_grid(args.mode, pts, domain, weight, fam, opt, grid,
                              library=lib)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point", "upper", "lower", "gap", "degree"])
-        for x, est in zip(pts, ests):
-            w.writerow([json.dumps(x.to_json()), est.upper, est.lower,
-                        est.gap, args.degree])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["point", "upper", "lower", "gap", "degree"])
+    for x, est in zip(pts, ests):
+        w.writerow([json.dumps(x.to_json()), est.upper, est.lower,
+                    est.gap, args.degree])
+    _write_text(args.out, buf.getvalue(), newline="")
     print(args.out)
     return 0
 

@@ -130,16 +130,10 @@ class CompositeDisc:
         return kernels.eval_poly(self.exponent[:, None], t.reshape(-1))[:, 0].reshape(t.shape)
 
     def exponent_on_grid(self, grid: "BoundaryGrid") -> np.ndarray:
-        """g at the grid's n nodes, shape (n,), by one inverse FFT.
-
-        The exponent of a normalized disc has up to n/2 + 1 terms, so a
-        power table would be the n x (n/2 + 1) DFT matrix; on the nodes
-        t^k = t^(k mod n), so the coefficients fold modulo n first.
-        """
-        n = grid.n
-        folded = np.zeros(-(-self.exponent.size // n) * n, dtype=np.complex128)
-        folded[:self.exponent.size] = self.exponent
-        return np.fft.ifft(folded.reshape(-1, n).sum(axis=0), norm="forward")
+        """g at the grid's n nodes, shape (n,), by node_values_fft: the
+        exponent of a normalized disc has up to n/2 + 1 terms, so a power
+        table would be the n x (n/2 + 1) DFT matrix."""
+        return node_values_fft(self.exponent, grid.n)
 
     def __call__(self, t):
         return eval_disc(self, t)
@@ -310,6 +304,16 @@ def polar_values(coeffs: np.ndarray, angular: np.ndarray,
             d1, rows * len(radial)).T
         shape += (len(radial),)
     return (c @ angular[:, :d1].T).reshape(shape + (len(angular),))
+
+
+def node_values_fft(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values (n,) at the n nodes of BoundaryGrid(n) of the polynomial with
+    Taylor coefficients coeffs (1-D), by one inverse FFT; on the nodes
+    t^k = t^(k mod n), so the coefficients fold modulo n first."""
+    size = len(coeffs)
+    folded = np.zeros(-(-size // n) * n, dtype=np.complex128)
+    folded[:size] = coeffs
+    return np.fft.ifft(folded.reshape(-1, n).sum(axis=0), norm="forward")
 
 
 def disc_values(disc, t: np.ndarray) -> np.ndarray:

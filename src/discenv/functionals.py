@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                    boundary_lognorms, circle_mean, circle_powers, grid_values,
-                    neg_log_center_norm, polar_values, power_table,
-                    riesz_area_term, roots_in_unit_disc)
+                    boundary_lognorms, circle_mean, grid_values,
+                    neg_log_center_norm, node_values_fft, riesz_area_term,
+                    roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError, OriginViolation
 from .projective import Domain, LiftedWeight, Weight, ZeroWeight, chart
 
@@ -76,15 +76,14 @@ def poisson_functional(phi_tilde: LiftedWeight, disc,
     return FunctionalValue(b, b, 0.0, "poisson", {"nodes": grid.n})
 
 
-def omega_functional_direct(phi: Weight, disc, domain: Domain | None = None,
+def omega_functional_direct(phi: Weight, disc,
                             grid: BoundaryGrid | None = None,
                             quad: AreaQuadrature | None = None) -> FunctionalValue:
     """Interior term from the area quadrature of log|t| times the
     Fubini-Study pullback density, boundary term from phi on pi(f(T))."""
     grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    pts = grid_values(disc, grid) if domain is None else \
-        admissible_values(disc, grid, domain)
+    pts = grid_values(disc, grid)
     interior = -riesz_area_term(disc, quad)
     if interior < -1e-10:
         raise NumericalError(f"negative interior term {interior:.3e}")
@@ -95,13 +94,10 @@ def omega_functional_direct(phi: Weight, disc, domain: Domain | None = None,
 
 
 def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
-                            grid: BoundaryGrid | None = None,
-                            domain: Domain | None = None) -> FunctionalValue:
+                            grid: BoundaryGrid | None = None) -> FunctionalValue:
     """H_{omega,phi}(f) = H_{phi~}(f~) - log|f~(0)|."""
     grid = grid or BoundaryGrid()
-    pts = grid_values(disc, grid) if domain is None else \
-        admissible_values(disc, grid, domain)
-    return _omega_lifted(phi_tilde, disc, grid, pts)
+    return _omega_lifted(phi_tilde, disc, grid, grid_values(disc, grid))
 
 
 def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
@@ -113,31 +109,13 @@ def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
                            "lifted", {"nodes": grid.n})
 
 
-def _jensen_split(n_nodes: int) -> tuple[int, int]:
-    """(b, a) with b * a = n_nodes and b the largest divisor of n_nodes
-    not above its square root: 256 * 256 for 65536 nodes."""
-    b = math.isqrt(n_nodes)
-    while n_nodes % b:
-        b -= 1
-    return b, n_nodes // b
-
-
-def _jensen_phases(n_nodes: int) -> np.ndarray:
-    """omega^j, j < b, for omega = e^{2 pi i/n_nodes} and n_nodes = b * a:
-    node j + b l is omega^j e^{2 pi i l/a}, so the values on the nodes are
-    polar_values with the radial factors omega^{jk} and a angles."""
-    b, _a = _jensen_split(n_nodes)
-    return np.exp(2j * np.pi * np.arange(b) / n_nodes)
-
-
 def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
-    """-log|f_0(0)| + mean over T of log|f_0|."""
+    """-log|f_0(0)| + mean over T of log|f_0|, f_0 at the n_nodes nodes by
+    one inverse FFT."""
     center = complex(disc.coeffs[0, 0])
     if center == 0:
         return math.inf
-    d, a = disc.degree, _jensen_split(n_nodes)[1]
-    mags = np.abs(polar_values(disc.coeffs[:, :1], circle_powers(a, d),
-                               power_table(_jensen_phases, n_nodes, d)))
+    mags = np.abs(node_values_fft(disc.coeffs[:, 0], n_nodes))
     if np.any(mags == 0):
         raise InfeasibleDiscError("f_0 vanishes on the unit circle")
     # log in place: at 65536 nodes the page faults of a fresh array can
@@ -145,27 +123,18 @@ def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
     return float(np.log(mags, out=mags).mean()) - math.log(abs(center))
 
 
-def _root_sums(roots) -> tuple[float, float]:
-    """-sum m_a log|a| and -sum log|a| over the (zero a, multiplicity m_a)
-    list roots."""
-    counted = once = 0.0
-    for a, m in roots:
-        log_a = math.log(abs(a))
-        counted -= m * log_a
-        once -= log_a
-    return counted, once
-
-
 def sz_interior_roots(disc) -> float:
     """-sum m_a log|a| over the zeros a of f_0 inside the unit disc."""
     f0 = np.asarray(disc.coeffs[:, 0])
     if f0[0] == 0:
         return math.inf
-    return _root_sums(roots_in_unit_disc(f0))[0]
+    interior = 0.0
+    for a, m in roots_in_unit_disc(f0):
+        interior -= m * math.log(abs(a))
+    return interior
 
 
 def sz_functional(phi: Weight, disc: AnalyticDiscLift,
-                  domain: Domain | None = None,
                   grid: BoundaryGrid | None = None,
                   route: str = "jensen") -> FunctionalValue:
     """Siciak-Zahariuta functional in the affine chart z_0 != 0.
@@ -173,14 +142,11 @@ def sz_functional(phi: Weight, disc: AnalyticDiscLift,
     route 'jensen': interior from the 65536-node boundary mean of
     log|f_0|, the independent route of the cross-check;
     route 'direct': interior from the zeros of f_0 in the disc by Jensen's
-    formula, exact for any f_0(0) != 0 (multiplicity counted; the
-    multiplicity-free sum is in meta).  envelope.evaluate_witness takes
-    this route.
+    formula, exact for any f_0(0) != 0 (multiplicity counted).
+    envelope.evaluate_witness takes this route.
     """
     grid = grid or BoundaryGrid()
-    pts = grid_values(disc, grid) if domain is None else \
-        admissible_values(disc, grid, domain)
-    return _sz(phi, disc, grid, pts, route)
+    return _sz(phi, disc, grid, grid_values(disc, grid), route)
 
 
 def _sz(phi: Weight, disc: AnalyticDiscLift, grid: BoundaryGrid,
@@ -202,8 +168,7 @@ def _sz(phi: Weight, disc: AnalyticDiscLift, grid: BoundaryGrid,
         interior = sz_interior_jensen(disc)
         meta["jensen_nodes"] = SZ_JENSEN_NODES
     elif route == "direct":
-        interior, meta["interior_no_multiplicity"] = _root_sums(
-            roots_in_unit_disc(disc.coeffs[:, 0]))
+        interior = sz_interior_roots(disc)
     else:
         raise ValueError(f"unknown sz route {route!r}")
     return FunctionalValue(_combine(boundary, interior), boundary, interior,
@@ -212,36 +177,22 @@ def _sz(phi: Weight, disc: AnalyticDiscLift, grid: BoundaryGrid,
 
 def identity_check_eqH(phi: Weight, disc, grid: BoundaryGrid | None = None,
                        quad: AreaQuadrature | None = None) -> dict:
-    """Residual |direct - lifted| of the lifting identity for one disc.
-
-    Also returns the disc's riesz_area_term on quad (the direct route's
-    interior term with its sign flipped), for riesz_residual.
-    """
+    """Residual |direct - lifted| of the lifting identity for one disc,
+    and the disc's riesz_area_term on quad (the direct route's interior
+    term with its sign flipped), for riesz_residual."""
     grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    direct = omega_functional_direct(phi, disc, None, grid, quad)
+    direct = omega_functional_direct(phi, disc, grid, quad)
     lifted = omega_functional_lifted(LiftedWeight(phi), disc, grid)
-    return {
-        "direct": direct.total,
-        "lifted": lifted.total,
-        "residual": abs(direct.total - lifted.total),
-        "area_term": -direct.interior_term,
-        "nodes": grid.n,
-        "n_r": quad.n_r,
-        "n_theta": quad.n_theta,
-    }
+    return {"residual": abs(direct.total - lifted.total),
+            "area_term": -direct.interior_term}
 
 
-def riesz_residual(disc, grid: BoundaryGrid | None = None,
-                   quad: AreaQuadrature | None = None,
-                   area_term: float | None = None) -> float:
-    """|riesz_area_term - (log|f(0)| - mean log|f|)| for one disc.
-
-    area_term, if given, is the disc's riesz_area_term on quad, already
-    computed (identity_check_eqH returns it), and quad is not used.
-    """
+def riesz_residual(disc, area_term: float,
+                   grid: BoundaryGrid | None = None) -> float:
+    """|area_term - (log|f(0)| - mean log|f|)| for one disc, area_term its
+    riesz_area_term on some AreaQuadrature (identity_check_eqH returns
+    it)."""
     grid = grid or BoundaryGrid()
-    if area_term is None:
-        area_term = riesz_area_term(disc, quad or AreaQuadrature())
     rhs = -neg_log_center_norm(disc) - circle_mean(boundary_lognorms(disc, grid))
     return abs(area_term - rhs)

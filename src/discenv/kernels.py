@@ -26,16 +26,12 @@ _horner = eval_poly
 def abs2(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """|z|^2 of complex z as Re^2 + Im^2, written into out, so that a
     caller's work arrays can be reused; scratch is a flat float array of at
-    least 2 z.size entries.  Where z's last axis is contiguous, its
-    interleaved real and imaginary parts are squared in one contiguous
-    pass, faster than two strided ones; the sums are the same."""
-    if z.strides[-1] == z.itemsize:
-        sq = np.square(z.view(np.float64),
-                       out=scratch[:2 * z.size].reshape(z.shape[:-1] + (-1,)))
-        return np.add(sq[..., 0::2], sq[..., 1::2], out=out)
-    np.multiply(z.real, z.real, out=out)
-    out += np.multiply(z.imag, z.imag, out=scratch[:z.size].reshape(z.shape))
-    return out
+    least 2 z.size entries.  z's last axis must be contiguous (z.view
+    raises otherwise): its interleaved real and imaginary parts are squared
+    in one contiguous pass, faster than two strided ones."""
+    sq = np.square(z.view(np.float64),
+                   out=scratch[:2 * z.size].reshape(z.shape[:-1] + (-1,)))
+    return np.add(sq[..., 0::2], sq[..., 1::2], out=out)
 
 
 def sq_norms(vals: np.ndarray) -> np.ndarray:

@@ -193,6 +193,13 @@ def _check_positive(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be positive and finite, not {value!r}")
 
 
+def _check_log_degree(poly: "HomPolynomial") -> None:
+    """A (1/d) log|P| weight needs total degree d >= 1: a constant P would
+    divide by 0."""
+    if poly.degree < 1:
+        raise ConfigError(f"a log-polynomial weight needs total degree at "
+                          f"least 1, not {poly.degree}")
+
 
 def _gaussian_rows(rng, count: int, m: int) -> np.ndarray:
     return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
@@ -576,6 +583,7 @@ class LogPolyWeight(Weight):
     def __post_init__(self):
         if len({sum(e) for e in self.poly.exponents}) != 1:
             raise ConfigError("polynomial terms must share one total degree")
+        _check_log_degree(self.poly)
 
     def value_proj_many(self, z_rows):
         d = self.poly.degree
@@ -598,6 +606,9 @@ class AffineLogPolyWeight(Weight):
     """
 
     poly: HomPolynomial
+
+    def __post_init__(self):
+        _check_log_degree(self.poly)
 
     def value_affine_many(self, u_rows):
         d = self.poly.degree

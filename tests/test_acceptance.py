@@ -11,7 +11,7 @@ import pytest
 
 import discenv.kernels as kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                           random_disc, roots_in_unit_disc)
+                           random_disc, riesz_area_term, roots_in_unit_disc)
 from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
                               OptimizerConfig, evaluate_witness, minimize)
 from discenv.errors import BoundaryZeroError
@@ -84,8 +84,10 @@ def test_criterion_2_riesz_identity(disc_population):
     d_grid, d_quad = BoundaryGrid(), AreaQuadrature()
     x_grid = BoundaryGrid(2 * d_grid.n)
     x_quad = AreaQuadrature(2 * d_quad.n_r, 2 * d_quad.n_theta)
-    w1 = max(riesz_residual(d, d_grid, d_quad) for d in disc_population)
-    w2 = max(riesz_residual(d, x_grid, x_quad) for d in disc_population)
+    w1 = max(riesz_residual(d, riesz_area_term(d, d_quad), d_grid)
+             for d in disc_population)
+    w2 = max(riesz_residual(d, riesz_area_term(d, x_quad), x_grid)
+             for d in disc_population)
     _report(2, w1 <= 1e-6 and w2 <= 1e-8,
             f"default {w1:.2e}, doubled {w2:.2e}")
 

@@ -598,3 +598,45 @@ def test_malformed_input_exit_1(files, flag, obj, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err and "malformed.json" in err
     assert not (files["tmp"] / "env.json").exists()
+
+
+def _unwritable(files, where):
+    if where == "missing-dir":
+        return str(files["tmp"] / "no-such-dir" / "out")
+    return str(files["tmp"])  # an existing directory
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["identity-check", "grid"])
+def test_unwritable_out_exit_1(files, command, where, capsys):
+    out = _unwritable(files, where)
+    if command == "identity-check":
+        argv = ["identity-check", "--count", "1", "--nodes", "64",
+                "--radial", "8", "--angular", "16", "--out", out]
+    else:
+        pts = write(files["tmp"] / "pts.json",
+                    {"points": [point_affine(2.0 + 0j)]})
+        argv = ["grid", "--points", pts, "--domain", files["ball"],
+                "--weight", files["zero"], "--mode", "sz", "--degree", "1",
+                "--starts", "1", "--budget", "10", "--out", out]
+    rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"config error: cannot write {out}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind, exponents, route", [
+    ("log_poly", [0, 0], "lifted"),
+    ("affine_log_poly", [0], "jensen"),
+], ids=["log_poly", "affine_log_poly"])
+def test_constant_log_poly_weight_exit_1(files, kind, exponents, route, capsys):
+    weight = write(files["tmp"] / "const.json", {"type": kind, "terms": [
+        {"exponents": exponents, "coeff": [2.0, 0.0]}]})
+    rc = main(["functional", "eval", "--disc", files["disc"],
+               "--weight", weight, "--route", route,
+               "--out", str(files["tmp"] / "o.json")])
+    assert rc == 1
+    assert "total degree at least 1" in capsys.readouterr().err
+    assert not (files["tmp"] / "o.json").exists()

@@ -119,6 +119,30 @@ def test_candidate_library_shifts_an_over_large_candidate():
     assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_inconsistent_bounds_flagged():
+    # a candidate 0 on the ball (so add leaves it unshifted) and 5 at
+    # |u| > 1.5 claims a lower bound above the search's value at u = 2
+    dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    x = ProjPoint(affine_lift(np.array([2.0 + 0j])))
+    fam = DiscFamilySpec(degree=2, m=2, center=x)
+    opt = OptimizerConfig(starts=2, budget=50, seed=0, search_nodes=128)
+
+    def step(z_rows):
+        return np.where(np.abs(chart(z_rows)[:, 0]) > 1.5, 5.0, 0.0)
+
+    settings = {}
+    for extra in (False, True):
+        lib = CandidateLibrary("sz", dom, ZeroWeight(), seed=0)
+        if extra:
+            lib.add("step", step)
+            assert lib.candidates[-1].shift == 0.0
+        est = minimize("sz", x, dom, ZeroWeight(), fam, opt, library=lib)
+        assert est.feasible and est.upper < 5.0
+        settings[extra] = est.to_json()["settings"]
+    assert "inconsistent_bounds" not in settings[False]
+    assert settings[True]["inconsistent_bounds"] is True
+
+
 def test_candidate_library_shift_applied():
     dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
     lib = CandidateLibrary("sz", dom, ConstantWeight(-2.0), seed=0)
@@ -206,7 +230,7 @@ def test_evaluate_witness_equals_functional(mode):
     if mode == "omega":
         want = omega_functional_lifted(LiftedWeight(weight), disc, grid)
     else:
-        want = sz_functional(weight, disc, None, grid, route="direct")
+        want = sz_functional(weight, disc, grid, route="direct")
     assert feasible
     assert value == want.total
 
@@ -540,8 +564,8 @@ def test_search_matches_serial_reference(mode, x, dom, nodes, budget):
 
 def test_warm_minimize_builds_no_table():
     # every node set's tables (search nodes, interior probes, final grid,
-    # validation grid, Jensen polyphase) are built by the first minimize
-    # and only read by the second
+    # validation grid) are built by the first minimize and only read by
+    # the second
     from discenv import discs
 
     def misses():

@@ -6,14 +6,13 @@ import pytest
 
 from discenv import kernels
 from discenv.discs import AnalyticDiscLift, AreaQuadrature, BoundaryGrid, \
-    circle_mean, circle_powers, grid_values, power_table, random_disc
+    circle_mean, grid_values, random_disc, riesz_area_term
 from discenv.errors import InfeasibleDiscError, NumericalError, OriginViolation
 from discenv.functionals import (admissible_values, identity_check_eqH,
                                  omega_functional_direct,
                                  omega_functional_lifted, poisson_functional,
                                  riesz_residual, sz_functional,
-                                 sz_interior_jensen, sz_interior_roots,
-                                 _jensen_phases, _jensen_split)
+                                 sz_interior_jensen, sz_interior_roots)
 from discenv.projective import (ConstantWeight, FsBall, HomPolynomial,
                                 LiftedWeight, LogPolyWeight, ProjPoint,
                                 ZeroWeight, chart)
@@ -126,27 +125,30 @@ def test_riesz_residual_small():
     rng = np.random.default_rng(5)
     for _ in range(5):
         d = random_disc(rng, 3, 4)
-        assert riesz_residual(d) < 1e-6
+        assert riesz_residual(d, riesz_area_term(d, AreaQuadrature())) < 1e-6
 
 
 def test_infeasible_boundary_detected():
+    # a caller with a domain tests the disc before it takes a route
     ball = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.1)
     with pytest.raises(InfeasibleDiscError):
-        omega_functional_direct(ZeroWeight(), disc_1t(), domain=ball)
+        admissible_values(disc_1t(), BoundaryGrid(), ball)
 
 
 def test_lifted_route_domain_check():
-    # the lifted route takes its domain as the other two routes do; a
-    # positional grid still comes third
+    # admissible_values, then a route on the same grid: the route's value
+    # is the one it has without a domain; every route takes the grid third
     grid = BoundaryGrid(64)
     with pytest.raises(InfeasibleDiscError):
-        omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t(), grid,
-                                domain=FsBall(ProjPoint(np.array([1.0, 0.0])), 0.1))
+        admissible_values(disc_1t(), grid,
+                          FsBall(ProjPoint(np.array([1.0, 0.0])), 0.1))
     wide = FsBall(ProjPoint(np.array([1.0, 0.0])), 1.0)
-    fv = omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t(), grid,
-                                 domain=wide)
-    assert fv.total == omega_functional_lifted(LiftedWeight(ZeroWeight()),
-                                               disc_1t(), grid).total
+    pts = admissible_values(disc_1t(), grid, wide)
+    assert np.array_equal(pts, grid_values(disc_1t(), grid))
+    fv = omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t(), grid)
+    assert fv.total == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+    for route in (omega_functional_direct, sz_functional):
+        assert route(ZeroWeight(), disc_1t(), grid).meta["nodes"] == 64
     assert fv.meta["nodes"] == 64
 
 
@@ -202,8 +204,7 @@ def test_sz_double_root():
     d = _sz_disc([0.25, -1.0, 1.0])
     fv = sz_functional(ZeroWeight(), d, route="direct")
     assert fv.interior_term == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
-    assert fv.meta["interior_no_multiplicity"] == pytest.approx(
-        math.log(2.0), abs=1e-9)
+    assert fv.meta == {"nodes": 1024}
 
 
 def test_sz_center_at_infinity():
@@ -219,6 +220,13 @@ def test_sz_boundary_on_hyperplane_rejected():
         sz_functional(ZeroWeight(), d, route="jensen")
 
 
+@pytest.mark.parametrize("zero", [1.0, -1.0, 1j, -1j])
+def test_sz_interior_jensen_zero_at_a_node(zero):
+    # the inverse FFT gives f_0 = t - zero exactly 0 at the node t = zero
+    with pytest.raises(InfeasibleDiscError):
+        sz_interior_jensen(_sz_disc([-zero, 1.0]))
+
+
 @pytest.mark.parametrize("weight", [ZeroWeight(), ConstantWeight(0.3)],
                          ids=["zero", "constant"])
 def test_sz_functional_matches_chart_formula(weight):
@@ -226,7 +234,7 @@ def test_sz_functional_matches_chart_formula(weight):
     # the zero weight skipped the chart
     d = _sz_disc([1.0, 0.4 - 0.2j, 0.1j], [0.2, 0.3j, -0.1])
     grid = BoundaryGrid(512)
-    fv = sz_functional(weight, d, None, grid, route="jensen")
+    fv = sz_functional(weight, d, grid, route="jensen")
     boundary = circle_mean(weight.value_affine_many(chart(grid_values(d, grid))))
     interior = sz_interior_jensen(d)
     assert fv.boundary_term == boundary
@@ -253,45 +261,6 @@ def test_sz_route_agreement_random():
             raise
         assert a == pytest.approx(b, abs=1e-9)
         checked += 1
-
-
-@pytest.mark.parametrize("n", [65536, 1000])
-def test_jensen_tables_bitwise(n):
-    b, a = _jensen_split(n)
-    assert b * a == n and b <= a
-    # the polyphase factors: radial omega^{jk}, angular the a-node table
-    w = power_table(_jensen_phases, n, 6)
-    z = circle_powers(a, 6)
-    assert w.shape == (b, 7) and z.shape == (a, 7)
-    assert not w.flags.writeable and not z.flags.writeable
-    assert np.shares_memory(power_table(_jensen_phases, n, 6), w)
-    # the first powers are the nodes j and b*l, as np.exp builds all n of
-    # them; the a-node table rounds 2 pi l/a, which is the same float as
-    # 2 pi b l/n when n is a power of two
-    nodes = np.exp(2j * np.pi * np.arange(n) / n)
-    assert w[:, 1].tobytes() == nodes[:b].tobytes()
-    if n & (n - 1) == 0:
-        assert z[:, 1].tobytes() == nodes[::b].tobytes()
-    np.testing.assert_allclose(z[:, 1], nodes[::b], rtol=0, atol=2e-15)
-    k = np.arange(7)
-    assert w.tobytes() == (w[:, 1:2] ** k).tobytes()
-    assert z.tobytes() == (z[:, 1:2] ** k).tobytes()
-
-
-def test_sz_interior_jensen_bitwise_on_polyphase_product():
-    # the mean as the two contiguous polyphase tables gave it before the
-    # angular factor came from circle_powers: |(W * c_0) @ Z|
-    n = 65536
-    b, a = _jensen_split(n)
-    k = np.arange(7)
-    w = np.exp(2j * np.pi * np.arange(b) / n)[:, None] ** k
-    z = np.exp(2j * np.pi * (b * np.arange(a)) / n)[None, :] ** k[:, None]
-    rng = np.random.default_rng(29)
-    for _ in range(6):
-        d = random_disc(rng, 2, 6)
-        mags = np.abs((w * d.coeffs[:, 0]) @ z)
-        want = float(np.log(mags).mean()) - math.log(abs(d.coeffs[0, 0]))
-        assert sz_interior_jensen(d) == want
 
 
 @pytest.mark.parametrize("n", [65536, 4096, 1000])

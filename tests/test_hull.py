@@ -291,7 +291,7 @@ _THROUGH_ORIGIN = AnalyticDiscLift(np.array([[0.0, 0.0], [1.0, 0.5]],
 
 @pytest.mark.parametrize("call", [
     lambda d: omega_functional_lifted(LiftedWeight(ZeroWeight()), d),
-    lambda d: riesz_residual(d, area_term=0.0),
+    lambda d: riesz_residual(d, 0.0),
     lambda d: center_report(normalize_disc(d, 0.9)),
     lambda d: bprime_to_b(normalize_disc(d, 0.9), 1e-2),
 ], ids=["omega-lifted", "riesz-residual", "center-report", "bprime-to-b"])

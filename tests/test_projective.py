@@ -453,6 +453,16 @@ def test_log_poly_weight_rejects_mixed_degrees():
             {"exponents": [0, 0], "coeff": [-1.0, 0.0]}]})
 
 
+@pytest.mark.parametrize("kind, exponents", [("log_poly", [0, 0]),
+                                              ("affine_log_poly", [0])],
+                         ids=["log_poly", "affine_log_poly"])
+def test_log_poly_weight_rejects_degree_0(kind, exponents):
+    # (1/d) log|P| of a constant P would divide by d = 0
+    with pytest.raises(ConfigError, match="total degree at least 1"):
+        Weight.from_json({"type": kind, "terms": [
+            {"exponents": exponents, "coeff": [2.0, 0.0]}]})
+
+
 _C_JSON = [[1.0, 0.0], [0.0, 0.0]]
 
 

@@ -45,15 +45,18 @@ def test_workloads_pass_their_checks(tmp_path):
 
 
 def test_fingerprint_one_operation():
-    # the script in a fresh process, and its digest in this one, agree:
-    # the search output is a function of the inputs alone
+    # the script in a fresh process, and its digests in this one, agree:
+    # a search's output and an identity-check artifact are functions of
+    # the inputs alone
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "fingerprint.py"),
-         "--seeds", "1", "--labels", "centre-0"],
+         "--seeds", "1", "--labels", "centre-0", "degree-1"],
         env=env, capture_output=True, text=True, check=True).stdout
-    workload, seed, label, digest = out.split()
-    assert (workload, seed, label) == ("hull", "1", "centre-0")
+    lines = [line.split() for line in out.splitlines()]
+    assert [line[:3] for line in lines] == [["hull", "1", "centre-0"],
+                                             ["identity", "1", "degree-1"]]
     fingerprint = _load("benchmarks/fingerprint.py", "fingerprint")
-    assert list(fingerprint.fingerprints("hull", 1, {"centre-0"})) == \
-        [("centre-0", digest)]
+    for workload, _seed, label, digest in lines:
+        assert list(fingerprint.fingerprints(workload, 1, {label})) == \
+            [(label, digest)]
