@@ -5,9 +5,12 @@ over 20 restarts x 256 search nodes, and one 1024-node final grid),
 checked against a pairwise atan2 FS-distance reference, and timings of
 riesz_area_term on the default and doubled area quadratures (degree 6,
 m = 3) against the pointwise kernels.fs_density route over the flat
-node list, checked to agree to 1e-13, and the sz-mode search path of a
-minimize on the unit ball: AffineBall.clearance_many at 5120 rows (20
-restarts x 256 search nodes) in C and C^2, called as the search calls it
+node list, with the share of the nodes on which its certified angle
+counts evaluate the density, checked to agree to 1e-13 in total and to
+1e-14, relative, in each radius's density sum; and the sz-mode search
+path of a minimize on the unit ball: AffineBall.clearance_many at 5120
+rows (20 restarts x 256 search nodes) in C and C^2, called as the
+search calls it
 (coordinate-major rows with their squared moduli sq), checked against a
 per-row reference and byte for byte against the call without sq, and
 one lock-step _objective call over 20 restarts x 256 nodes; and the re-evaluation of one sz witness on the unit ball in C and
@@ -43,10 +46,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from discenv import cli, kernels
+from discenv import cli, discs, kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            riesz_area_term, validation_grid)
 from discenv.envelope import (_DRAW_BLOCK, CandidateLibrary, DiscFamilySpec,
@@ -143,6 +147,20 @@ def bench_tube(rng, repeats: int) -> None:
     print("tube clearance agrees with the pairwise reference")
 
 
+def sums_and_counts(disc, quad):
+    """The per-radius density sums of riesz_area_term on this disc and the
+    angle counts it chose for them."""
+    chosen, choose = [], discs._angle_counts
+
+    def spy(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    with mock.patch.object(discs, "_angle_counts", spy):
+        sums = discs._polar_density_sums(disc.coeffs, disc.delta_min, quad)
+    return sums, chosen[0]
+
+
 def bench_riesz(rng, repeats: int) -> None:
     coeffs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     coeffs[0] += 3.0  # keeps |f| away from 0 on the disc
@@ -153,16 +171,23 @@ def bench_riesz(rng, repeats: int) -> None:
         return quad.integral(quad.log_r * dens) / (2.0 * np.pi)
 
     print(f"{'riesz_area_term, d=6 m=3':<24} {'trig':>12} {'pointwise':>12} "
-          f"{'speedup':>9}")
+          f"{'speedup':>9} {'angles':>7}")
     for n_r, n_theta in AREA_SIZES:
         quad = AreaQuadrature(n_r, n_theta)
         tt = bench(riesz_area_term, (disc, quad), repeats)
         tp = bench(pointwise, (quad,), repeats)
+        sums, counts = sums_and_counts(disc, quad)
         print(f"{f'{n_r} x {n_theta}':<24} {tt * 1e3:>10.2f}ms "
-              f"{tp * 1e3:>10.2f}ms {tp / tt:>8.2f}x")
+              f"{tp * 1e3:>10.2f}ms {tp / tt:>8.2f}x "
+              f"{counts.sum() / (n_r * n_theta):>6.1%}")
         diff = abs(riesz_area_term(disc, quad) - pointwise(quad))
         assert diff <= 1e-13, f"riesz_area_term differs by {diff:.2e}"
-    print("riesz_area_term agrees with the pointwise route")
+        dens, _sq = kernels.fs_density(disc.coeffs, quad.nodes)
+        want = dens.reshape(n_r, n_theta).sum(axis=1)
+        rel = float(np.max(np.abs(sums - want) / want))
+        assert rel <= 1e-14, f"a radius's density sum differs by {rel:.2e}"
+    print("riesz_area_term agrees with the pointwise route, in total and "
+          "per radius")
 
 
 def affine_ball_reference(ball: AffineBall, z: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -74,10 +75,28 @@ def _parse_point(obj) -> ProjPoint:
     raise ConfigError(f"unknown point type {kind!r}")
 
 
+def _check_writable(path: str):
+    """Raises the ConfigError of _write_text now, before any work, where
+    path cannot be written: a directory, a file without write permission,
+    or a path whose directory is missing or not writable.  Creates no
+    file."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def _write_text(path: str, text: str, newline: str | None = None):
     """text written to path.  Every output file is written here: an
     unwritable path (a missing directory, a directory) is a ConfigError
-    that names it, as an unreadable input is in _read."""
+    that names it, as an unreadable input is in _read; main tests the
+    path before the run with _check_writable."""
     try:
         with open(path, "w", newline=newline) as fh:
             fh.write(text)
@@ -431,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_writable(args.out)
         return args.func(args)
     except np.linalg.LinAlgError as e:
         # a ValueError subclass, but a numerical failure, not a bad input

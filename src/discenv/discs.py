@@ -431,16 +431,21 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     coefficients from _trig_rows: sq = |f|^2 (degree d) and, by Lagrange's
     identity, num = |f|^2 |f'|^2 - |<f',f>|^2 = sum_{i<j} |W_ij|^2 with
     W_ij = f_i f'_j - f_j f'_i (degree 2d - 1, coefficients by
-    convolution).  Each block of radii then takes one real product per
-    factor against the cos and sin rows of circle_powers, and one divide
-    of num by sq^2.
+    convolution).  _angle_counts gives each circle the fewest of the
+    n_theta angles proven to give its n_theta-angle sum; radii with one
+    count form contiguous runs, and each block of a run takes one real
+    product per factor against the cos and sin rows of the run's angles,
+    and one divide of num by sq^2.  A run of all n_theta angles sums as
+    the fixed rule does.
 
     The rounding error of sq is about eps (sum_k |c_k| r^k)^2, so the
     density's relative error grows as eps (sum_k |c_k| r^k)^2 / |f|^2,
     where evaluating f itself gives eps sum_k |c_k| r^k / |f|.  Raises
     OriginViolation where sq at a node is below delta_min^2 plus that
     bound (4 (d + 1 + m) eps (sum_k |c_k|)^2): there |f| cannot be told
-    from a value below delta_min.
+    from a value below delta_min.  Only circles proven to clear that
+    floor between nodes are summed on fewer angles, so the same discs
+    raise as on all n_theta angles.
     """
     d1, m = coeffs.shape
     d = d1 - 1
@@ -455,24 +460,103 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     span = max(top, 2 * _TABLE_COLUMNS - 1)
     radial = power_table(_area_radii, quad.n_r, span)[:, :top + 1]
     radial = np.hstack([radial, radial[:, top:] * radial[:, 1:]])  # to 2 top
-    e = circle_powers(quad.n_theta, span)[:, :top + 1].T
-    trig = np.stack([e.real, e.imag], axis=1).reshape(-1, quad.n_theta)
     sq_rows, num_rows = _trig_rows(coeffs, radial), _trig_rows(w, radial)
     scale = np.linalg.norm(coeffs, axis=1).sum()
     floor = delta_min ** 2 + 4 * (d1 + m) * np.finfo(float).eps * scale ** 2
-    rows = max(1, _AREA_BLOCK // quad.n_theta)
-    ones = np.ones(quad.n_theta)  # row sums as one BLAS product per block
+    n = quad.n_theta
+    counts = _angle_counts(sq_rows, num_rows, floor, n)
+    table = circle_powers(n, span)
+    ends = np.append(np.flatnonzero(np.diff(counts)) + 1, quad.n_r)
     sums = np.empty(quad.n_r)
-    for a in range(0, quad.n_r, rows):
-        sq = sq_rows[a:a + rows] @ trig[:2 * d1]
-        if sq.min() < floor:
-            raise OriginViolation(
-                "area quadrature node too close to the origin")
-        num = num_rows[a:a + rows] @ trig
-        sq *= sq  # after the origin check, which reads |f|^2 itself
-        num /= sq
-        sums[a:a + rows] = num @ ones
+    start = 0
+    for stop in ends:
+        k = int(counts[start])
+        # the cos and sin rows of every (n / k)-th angle, interleaved: the
+        # row order of _trig_rows
+        e = table[::n // k, :top + 1].T
+        trig = np.stack([e.real, e.imag], axis=1).reshape(-1, k)
+        rows = max(1, _AREA_BLOCK // k)
+        # row sums as one BLAS product per block, scaled by the exact
+        # power of two n / k to the n-angle sum
+        ones = np.full(k, n / k)
+        for a in range(start, stop, rows):
+            b = min(a + rows, stop)
+            sq = sq_rows[a:b] @ trig[:2 * d1]
+            if sq.min() < floor:
+                raise OriginViolation(
+                    "area quadrature node too close to the origin")
+            num = num_rows[a:b] @ trig
+            sq *= sq  # after the origin check, which reads |f|^2 itself
+            num /= sq
+            sums[a:b] = num @ ones
+        start = stop
     return 2.0 * sums
+
+
+# _angle_counts bounds the integrand on the strips |Im theta| <= y, y in
+# _STRIPS, and sums no circle on fewer than _MIN_ANGLES angles; a strip
+# with p y > _MAX_EXPONENT for a harmonic p of the integrand is not used
+# (cosh(p y) would overflow)
+_STRIPS = (1 / 32, 1 / 8, 1 / 2, 2.0)
+_MIN_ANGLES = 8
+_MAX_EXPONENT = 700.0
+
+
+def _angle_counts(sq_rows: np.ndarray, num_rows: np.ndarray, floor: float,
+                  n: int) -> np.ndarray:
+    """Per radius, the number k of equispaced angles on which the circle's
+    density g = num / sq^2 is summed: the least k = n / 2^j >= _MIN_ANGLES
+    whose trapezoid sum is proven to be within 8 eps, relative, of the
+    n-angle sum, or n; then the running maximum over the radii, which
+    increase.  The bound reads only the coefficients.
+
+    The rows are those of _trig_rows, a_p and b_p against cos(p theta) and
+    sin(p theta).  On |Im theta| <= y, |a_p cos p theta + b_p sin p theta|
+    <= c_p cosh(py) with c_p = |a_p + i b_p|.  So on one circle, with the
+    amplitudes c_p of sq and n_p of num:
+      - |sq| >= lo(y) = a_0 - sum_{p>=1} c_p cosh(py) - slack sum_p c_p,
+        the last term a rounding allowance; and |num| <= N(y) =
+        sum_p n_p cosh(py).  Where lo(y) > 0, |g| <= M(y) = N(y) / lo(y)^2;
+      - the k-angle trapezoid sum T_k of the integral I over [0, 2 pi]
+        then has |T_k - I| <= B_k = 4 pi M / (e^{yk} - 1) (Trefethen &
+        Weideman, SIAM Review 56 (2014), Thm 3.2), and B_n <= B_k;
+      - num >= 0 up to rounding and sq <= sum_p c_p, so I >= I_lo =
+        2 pi (a_0(num) / (sum_p c_p)^2 - slack sum_p n_p / lo(0)^2).
+    |T_k - T_n| <= 2 B_k and T_n >= I_lo - B_k, so B_k <= 4 eps I_lo /
+    (1 + 4 eps) for some strip proves |T_k - T_n| <= 8 eps T_n.  A circle
+    is certified only where lo(0) > floor, the origin check's floor: sq
+    at its n nodes, as computed, is then above it too.
+    """
+    eps = np.finfo(float).eps
+    d1, top1 = sq_rows.shape[1] // 2, num_rows.shape[1] // 2
+    p = np.arange(top1, dtype=float)
+    ys = np.array([y for y in _STRIPS if y * p[-1] <= _MAX_EXPONENT])
+    ks = [n >> j for j in range(1, n.bit_length())
+          if (n >> j) << j == n and n >> j >= _MIN_ANGLES]
+    if not ks or not len(ys):
+        return np.full(len(sq_rows), n)
+    slack = 16 * (top1 + 1) * eps  # rounding allowance per unit amplitude
+    # radii run along the last axis, so that every reduction is over a
+    # short leading axis.  Rows, per radius: sum_p c_p, then lo(y) for
+    # y = 0 and each strip; and N(y) for y = 0 (sum_p n_p) and each strip
+    ch = np.cosh(np.outer(np.append(0.0, ys), p))
+    w = -ch[:, :d1] - slack
+    w[:, 0] = 1.0 - slack
+    sq_b = np.vstack([np.ones(d1), w]) @ np.abs(sq_rows.view(np.complex128)).T
+    num_b = ch @ np.abs(num_rows.view(np.complex128)).T
+    lo, gap = sq_b[1], sq_b[2:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # I_lo / 2 pi
+        i_lo = num_rows[:, 0] / sq_b[0] ** 2 - slack * num_b[0] / lo ** 2
+        ok = (lo > floor) & (i_lo > 0)
+        bound = np.where(gap > 0, num_b[1:] / (gap * gap), np.inf)  # M(y)
+        # e^{yk} - 1 >= pi M (1 + 4 eps) / (eps I_lo) for k >= need
+        need = (np.log1p(bound * ((1 + 4 * eps) / (2 * eps) /
+                                  np.where(ok, i_lo, 1.0))) /
+                ys[:, None]).min(axis=0)
+    cand = np.append(ks[::-1], n)
+    k = cand[np.searchsorted(cand[:-1], np.where(ok, need, np.inf))]
+    return np.maximum.accumulate(k)
 
 
 def _trig_rows(w: np.ndarray, radial: np.ndarray) -> np.ndarray:

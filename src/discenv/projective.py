@@ -493,12 +493,27 @@ class HomPolynomial:
     exponents: tuple  # tuple of integer tuples
     coeffs: tuple     # tuple of complex
 
+    def __post_init__(self):
+        widths = {len(e) for e in self.exponents}
+        if len(widths) != 1:
+            raise ConfigError(f"a polynomial needs terms whose exponent tuples "
+                              f"share one length, not lengths {sorted(widths)}")
+
+    @property
+    def width(self) -> int:
+        """The number of variables: the one length of the exponent tuples."""
+        return len(self.exponents[0])
+
     @property
     def degree(self) -> int:
         """The total degree: the largest total degree of a term."""
         return max(sum(e) for e in self.exponents)
 
     def eval_many(self, z_rows: np.ndarray) -> np.ndarray:
+        """P at each row of z_rows, whose width must be the polynomial's."""
+        if z_rows.shape[1] != self.width:
+            raise ConfigError(f"a polynomial in {self.width} variables at "
+                              f"points of C^{z_rows.shape[1]}")
         out = np.zeros(z_rows.shape[0], dtype=np.complex128)
         for e, c in zip(self.exponents, self.coeffs):
             term = np.full(z_rows.shape[0], complex(c))

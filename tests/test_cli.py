@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from discenv import discs
+from discenv import discs, envelope, hull
 from discenv.cli import _write_artifact, main
 from discenv.errors import NumericalError
 
@@ -625,6 +625,52 @@ def test_unwritable_out_exit_1(files, command, where, capsys):
     assert f"config error: cannot write {out}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _searching_argv(files, command, out):
+    """argv of a command that runs an envelope search before it writes."""
+    if command == "grid":
+        pts = write(files["tmp"] / "pts.json",
+                    {"points": [point_affine(2.0 + 0j)]})
+        return ["grid", "--points", pts, "--domain", files["ball"],
+                "--weight", files["zero"], "--mode", "sz", "--degree", "1",
+                "--starts", "1", "--budget", "10", "--out", out]
+    if command == "envelope":
+        return _envelope_on(files, {"type": "affine_ball",
+                                    "center": [[0.0, 0.0]], "radius": 1.0}
+                            )[:-1] + [out]
+    return _circle_hull(files, 0.3) + ["--lambda", "0.35", "--out", out]
+
+
+@pytest.mark.parametrize("command", ["grid", "envelope", "hull-test"])
+def test_unwritable_out_fails_before_search(files, command, monkeypatch,
+                                            capsys):
+    def no_search(*args, **kwargs):
+        pytest.fail("the search ran although --out cannot be written")
+
+    monkeypatch.setattr(envelope, "minimize", no_search)
+    monkeypatch.setattr(hull, "minimize", no_search)
+    out = _unwritable(files, "missing-dir")
+    assert main(_searching_argv(files, command, out)) == 1
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {out}" in err
+    assert "Traceback" not in err
+    assert not (files["tmp"] / "no-such-dir").exists()
+
+
+@pytest.mark.parametrize("exponents", [[0, 0, 1], [1, 0, 0]],
+                         ids=["0,0,1", "1,0,0"])
+def test_weight_of_other_width_exit_1(files, exponents, capsys):
+    # the disc (1, t) lies in C^2; the weight's terms are in 3 variables
+    weight = write(files["tmp"] / "w3.json", {"type": "log_poly", "terms": [
+        {"exponents": exponents, "coeff": [1.0, 0.0]}]})
+    out = files["tmp"] / "o.json"
+    rc = main(["functional", "eval", "--disc", files["disc"], "--weight",
+               weight, "--route", "lifted", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, exponents, route", [

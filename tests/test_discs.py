@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from discenv import kernels
+from discenv import discs, kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                           CompositeDisc, _area_radii, _clustered_roots,
-                           _newton_polish, _validation_radii,
+                           CompositeDisc, _angle_counts, _area_radii,
+                           _clustered_roots, _newton_polish,
+                           _polar_density_sums, _validation_radii,
                            boundary_lognorms, circle_mean,
                            disc_values, eval_disc, fs_pullback_density,
                            grid_values,
@@ -288,6 +289,60 @@ def test_riesz_without_lagrange_pairs():
     for coeffs in ([[1e-9, 0.0]], [[-t0], [1.0]]):
         with pytest.raises(OriginViolation):
             riesz_area_term(AnalyticDiscLift(np.array(coeffs)), quad)
+
+
+def _sums_and_counts(disc, quad, monkeypatch):
+    """The per-radius density sums of the area term and the angle counts
+    it chose for them."""
+    chosen = []
+
+    def spy(*args):
+        chosen.append(_angle_counts(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(discs, "_angle_counts", spy)
+    sums = _polar_density_sums(disc.coeffs, disc.delta_min, quad)
+    (counts,) = chosen
+    return sums, counts
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(256, 512), (512, 1024)],
+                         ids=["256x512", "512x1024"])
+def test_area_sums_certified_counts_match_pointwise(n_r, n_theta, monkeypatch):
+    # each circle summed on its certified count of angles gives the sum of
+    # the pointwise density over all n_theta nodes of the radius
+    rng = np.random.default_rng(60)
+    quad = AreaQuadrature(n_r, n_theta)
+    for degree in range(1, 7):
+        d = random_disc(rng, 3, degree)
+        sums, counts = _sums_and_counts(d, quad, monkeypatch)
+        want = fs_pullback_density(d, quad.nodes).reshape(n_r, n_theta).sum(axis=1)
+        assert np.all(np.abs(sums - want) <= 1e-14 * want)
+        assert np.all(n_theta % counts == 0) and np.all(counts <= n_theta)
+        assert np.all(np.diff(counts) >= 0)
+        assert counts[0] < n_theta  # the fewer-angle path ran
+
+
+def test_angle_counts_odd_n_theta_keeps_every_angle(monkeypatch):
+    d = random_disc(np.random.default_rng(61), 3, 2)
+    quad = AreaQuadrature(32, 65)  # no n_theta / 2^j is an integer
+    sums, counts = _sums_and_counts(d, quad, monkeypatch)
+    assert np.all(counts == 65)
+    want = fs_pullback_density(d, quad.nodes).reshape(32, 65).sum(axis=1)
+    assert np.all(np.abs(sums - want) <= 1e-14 * want)
+
+
+def test_angle_counts_keep_every_angle_near_a_zero(monkeypatch):
+    # f = (10(t - t0), 1e-2, 1e-2 t) nearly vanishes at |t| = 0.6: no
+    # strip about those circles keeps |f|^2 away from 0
+    t0 = 0.6 * np.exp(0.7j)
+    d = AnalyticDiscLift(np.array([[-10.0 * t0, 1e-2, 0.0],
+                                   [10.0, 0.0, 1e-2]]))
+    quad = AreaQuadrature(256, 512)
+    _, counts = _sums_and_counts(d, quad, monkeypatch)
+    near = np.abs(quad.radii - 0.6) < 0.1
+    assert near.any() and np.all(counts[near] == 512)
+    assert counts[0] < 512
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(0, 8), (-1, 8), (4, 0), (4, -2)])

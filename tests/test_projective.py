@@ -463,6 +463,21 @@ def test_log_poly_weight_rejects_degree_0(kind, exponents):
             {"exponents": exponents, "coeff": [2.0, 0.0]}]})
 
 
+def test_polynomial_rejects_mixed_exponent_lengths():
+    with pytest.raises(ConfigError, match="share one length"):
+        Weight.from_json({"type": "affine_log_poly", "terms": [
+            {"exponents": [1], "coeff": [1.0, 0.0]},
+            {"exponents": [0, 1], "coeff": [1.0, 0.0]}]})
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_polynomial_rejects_points_of_other_width(width):
+    poly = HomPolynomial(((1, 1),), (1.0,))
+    with pytest.raises(ConfigError, match="2 variables at points of C\\^"):
+        poly.eval_many(np.ones((4, width), dtype=complex))
+    assert poly.eval_many(np.full((4, 2), 2.0 + 0j)).tolist() == [4.0] * 4
+
+
 _C_JSON = [[1.0, 0.0], [0.0, 0.0]]
 
 
