@@ -1,13 +1,16 @@
 """Timings of the three hot kernels (polynomial evaluation, log-norm,
 Fubini-Study pullback density), of Tube.clearance_many at the
 sizes of a hull_test on the 64-point circle (one lock-step objective call
-over 20 restarts x 256 search nodes, and one 1024-node final grid),
-checked against a pairwise atan2 FS-distance reference, and timings of
-riesz_area_term on the default and doubled area quadratures (degree 6,
-m = 3) against the pointwise kernels.fs_density route over the flat
-node list, with the share of the nodes on which its certified angle
-counts evaluate the density, checked to agree to 1e-13 in total and to
-1e-14, relative, in each radius's density sum; and the sz-mode search
+over 20 restarts x 256 search nodes, and one 1024-node final grid), with
+the minor page faults per call, checked against a pairwise atan2
+FS-distance reference, and timings of riesz_area_term on the default and
+doubled area quadratures (degree 6, m = 3): its first call on a fresh
+node set, which builds the cached cos/sin table, power tables and strip
+constants, beside a later call that reads them, against the pointwise
+kernels.fs_density route over the flat node list, with the share of the
+nodes on which its certified angle counts evaluate the density, checked
+to agree to 1e-13 in total and to 1e-14, relative, in each radius's
+density sum; and the sz-mode search
 path of a minimize on the unit ball: AffineBall.clearance_many at 5120
 rows (20 restarts x 256 search nodes) in C and C^2, called as the
 search calls it
@@ -70,10 +73,14 @@ AREA_SIZES = ((256, 512), (512, 1024))
 SZ_RESTARTS, SZ_NODES = 20, 256
 # evaluations per restart of one timed search (the perfbench budget)
 SEARCH_BUDGET = 100
-# perfbench's identity operation: one degree-6 disc (CLI seed 1000) on the
-# default 1024-node boundary and 256 x 512 area grids
+# the caches of riesz_area_term's tables and constants, cleared before its
+# first call on a node set
+AREA_CACHES = (discs._circle_nodes, discs._power_table, discs._trig_table,
+               discs._gram_map, discs._strip_constants)
 # samples of a CandidateLibrary (perfbench's LIBRARY_SAMPLES)
 LIBRARY_SAMPLES = 512
+# perfbench's identity operation: one degree-6 disc (CLI seed 1000) on the
+# default 1024-node boundary and 256 x 512 area grids
 IDENTITY_ARGS = ("--count", "1", "--tolerance", "1e-8", "--seed", "1000",
                  "--nodes", "1024", "--radial", "256", "--angular", "512")
 
@@ -130,15 +137,21 @@ def tube_reference(z: np.ndarray, samples: np.ndarray, delta: float) -> np.ndarr
     return out
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def bench_tube(rng, repeats: int) -> None:
-    print(f"{'Tube.clearance_many':<24} {'time':>12}")
+    print(f"{'Tube.clearance_many':<24} {'time':>12} {'minflt':>9}")
     for rows, k in TUBE_SIZES:
         th = 2.0 * np.pi * np.arange(k) / k
         tube = Tube(tuple(ProjPoint(np.array([1.0, np.exp(1j * t)])) for t in th),
                     0.05)
         z = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+        before = minor_faults()
         t = bench(tube.clearance_many, (z,), repeats)
-        print(f"{f'{rows} x {k}, m=2':<24} {t * 1e6:>10.1f}us")
+        faults = (minor_faults() - before) / (repeats + 1)
+        print(f"{f'{rows} x {k}, m=2':<24} {t * 1e6:>10.1f}us {faults:>9.1f}")
         if rows == 1024:
             samples = np.stack([p.vec for p in tube.samples])
             assert np.allclose(tube.clearance_many(z),
@@ -170,15 +183,20 @@ def bench_riesz(rng, repeats: int) -> None:
         dens, _sq = kernels.fs_density(disc.coeffs, quad.nodes)
         return quad.integral(quad.log_r * dens) / (2.0 * np.pi)
 
-    print(f"{'riesz_area_term, d=6 m=3':<24} {'trig':>12} {'pointwise':>12} "
-          f"{'speedup':>9} {'angles':>7}")
+    print(f"{'riesz_area_term, d=6 m=3':<24} {'first':>12} {'trig':>12} "
+          f"{'pointwise':>12} {'speedup':>9} {'angles':>7}")
     for n_r, n_theta in AREA_SIZES:
+        # a fresh node set: the quadrature's radial rule is built here, and
+        # the first call builds the tables that later calls read
+        for table in AREA_CACHES:
+            table.cache_clear()
         quad = AreaQuadrature(n_r, n_theta)
+        first = once(riesz_area_term, disc, quad)
         tt = bench(riesz_area_term, (disc, quad), repeats)
         tp = bench(pointwise, (quad,), repeats)
         sums, counts = sums_and_counts(disc, quad)
-        print(f"{f'{n_r} x {n_theta}':<24} {tt * 1e3:>10.2f}ms "
-              f"{tp * 1e3:>10.2f}ms {tp / tt:>8.2f}x "
+        print(f"{f'{n_r} x {n_theta}':<24} {first * 1e3:>10.2f}ms "
+              f"{tt * 1e3:>10.2f}ms {tp * 1e3:>10.2f}ms {tp / tt:>8.2f}x "
               f"{counts.sum() / (n_r * n_theta):>6.1%}")
         diff = abs(riesz_area_term(disc, quad) - pointwise(quad))
         assert diff <= 1e-13, f"riesz_area_term differs by {diff:.2e}"
@@ -381,9 +399,9 @@ def bench_search(rng, repeats: int) -> None:
         args = (spec, theta0s, 7, SEARCH_BUDGET)
         got = _search(*args)
         assert got.tobytes() == serial_search(*args).tobytes(), "search end points"
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = minor_faults()
         t = bench(_search, args, repeats)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        faults = minor_faults() - before
         print(f"{label:<24} {t * 1e3:>10.2f}ms {faults / (repeats + 1):>9.0f}")
     print("searches equal the serial reference byte for byte")
 

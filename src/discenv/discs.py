@@ -367,11 +367,14 @@ def circle_mean(samples) -> float:
     for smooth integrands.  -inf samples propagate to a -inf mean.
     """
     s = np.asarray(samples, dtype=float)
-    if np.any(np.isnan(s)) or np.any(np.isposinf(s)):
+    mean = float(s.mean())
+    if math.isfinite(mean):  # no sample is NaN or infinite
+        return mean
+    if np.isnan(s).any() or (s == math.inf).any():
         raise NumericalError("boundary samples contain NaN or +inf")
-    if np.any(np.isneginf(s)):
-        return float("-inf")  # singular boundary
-    return float(s.mean())
+    if (s == -math.inf).any():
+        return -math.inf  # singular boundary
+    return mean  # finite samples whose sum overflows
 
 
 def boundary_lognorms(disc, grid: BoundaryGrid) -> np.ndarray:
@@ -434,8 +437,9 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     convolution).  _angle_counts gives each circle the fewest of the
     n_theta angles proven to give its n_theta-angle sum; radii with one
     count form contiguous runs, and each block of a run takes one real
-    product per factor against the cos and sin rows of the run's angles,
-    and one divide of num by sq^2.  A run of all n_theta angles sums as
+    product per factor against the cos and sin rows of the run's angles
+    (columns of _trig_table, built once per node set), and one divide of
+    num by sq^2.  A run of all n_theta angles sums as
     the fixed rule does.
 
     The rounding error of sq is about eps (sum_k |c_k| r^k)^2, so the
@@ -465,16 +469,13 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
     floor = delta_min ** 2 + 4 * (d1 + m) * np.finfo(float).eps * scale ** 2
     n = quad.n_theta
     counts = _angle_counts(sq_rows, num_rows, floor, n)
-    table = circle_powers(n, span)
+    table = _trig_table(n, span)[:2 * top + 2]
     ends = np.append(np.flatnonzero(np.diff(counts)) + 1, quad.n_r)
     sums = np.empty(quad.n_r)
     start = 0
     for stop in ends:
         k = int(counts[start])
-        # the cos and sin rows of every (n / k)-th angle, interleaved: the
-        # row order of _trig_rows
-        e = table[::n // k, :top + 1].T
-        trig = np.stack([e.real, e.imag], axis=1).reshape(-1, k)
+        trig = _trig_columns(table, k)
         rows = max(1, _AREA_BLOCK // k)
         # row sums as one BLAS product per block, scaled by the exact
         # power of two n / k to the n-angle sum
@@ -491,6 +492,22 @@ def _polar_density_sums(coeffs: np.ndarray, delta_min: float,
             sums[a:b] = num @ ones
         start = stop
     return 2.0 * sums
+
+
+@lru_cache(maxsize=4)
+def _trig_table(n: int, span: int) -> np.ndarray:
+    """The rows cos(p theta_j), sin(p theta_j), p = 0..span, interleaved (the
+    row order of _trig_rows), at the n equispaced angles; read-only and
+    built once per node set from circle_powers."""
+    e = circle_powers(n, span).T
+    return _read_only(np.stack([e.real, e.imag], axis=1).reshape(-1, n))
+
+
+def _trig_columns(table: np.ndarray, k: int) -> np.ndarray:
+    """The columns of every (n / k)-th angle of a table over n angles: the
+    table itself for k = n, else one contiguous copy for the products."""
+    n = table.shape[1]
+    return table if k == n else np.ascontiguousarray(table[:, ::n // k])
 
 
 # _angle_counts bounds the integrand on the strips |Im theta| <= y, y in
@@ -528,21 +545,14 @@ def _angle_counts(sq_rows: np.ndarray, num_rows: np.ndarray, floor: float,
     at its n nodes, as computed, is then above it too.
     """
     eps = np.finfo(float).eps
-    d1, top1 = sq_rows.shape[1] // 2, num_rows.shape[1] // 2
-    p = np.arange(top1, dtype=float)
-    ys = np.array([y for y in _STRIPS if y * p[-1] <= _MAX_EXPONENT])
-    ks = [n >> j for j in range(1, n.bit_length())
-          if (n >> j) << j == n and n >> j >= _MIN_ANGLES]
-    if not ks or not len(ys):
+    consts = _strip_constants(sq_rows.shape[1] // 2, num_rows.shape[1] // 2, n)
+    if consts is None:
         return np.full(len(sq_rows), n)
-    slack = 16 * (top1 + 1) * eps  # rounding allowance per unit amplitude
+    ys, ch, sq_w, cand, slack = consts
     # radii run along the last axis, so that every reduction is over a
     # short leading axis.  Rows, per radius: sum_p c_p, then lo(y) for
     # y = 0 and each strip; and N(y) for y = 0 (sum_p n_p) and each strip
-    ch = np.cosh(np.outer(np.append(0.0, ys), p))
-    w = -ch[:, :d1] - slack
-    w[:, 0] = 1.0 - slack
-    sq_b = np.vstack([np.ones(d1), w]) @ np.abs(sq_rows.view(np.complex128)).T
+    sq_b = sq_w @ np.abs(sq_rows.view(np.complex128)).T
     num_b = ch @ np.abs(num_rows.view(np.complex128)).T
     lo, gap = sq_b[1], sq_b[2:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -554,9 +564,30 @@ def _angle_counts(sq_rows: np.ndarray, num_rows: np.ndarray, floor: float,
         need = (np.log1p(bound * ((1 + 4 * eps) / (2 * eps) /
                                   np.where(ok, i_lo, 1.0))) /
                 ys[:, None]).min(axis=0)
-    cand = np.append(ks[::-1], n)
     k = cand[np.searchsorted(cand[:-1], np.where(ok, need, np.inf))]
     return np.maximum.accumulate(k)
+
+
+@lru_cache(maxsize=16)
+def _strip_constants(d1: int, top1: int, n: int):
+    """_angle_counts' constants for sq of degree d1 - 1 and num of degree
+    top1 - 1 on n angles, read-only and built once: the strips y, the
+    table cosh(p y) (a row of ones, y = 0, first), the weight rows of sum_p
+    c_p and lo(y), the candidate counts k, ascending and ending in n, and
+    the rounding allowance per unit amplitude.  None where no strip or no
+    count below n can be used."""
+    p = np.arange(top1, dtype=float)
+    ys = np.array([y for y in _STRIPS if y * p[-1] <= _MAX_EXPONENT])
+    ks = [n >> j for j in range(1, n.bit_length())
+          if (n >> j) << j == n and n >> j >= _MIN_ANGLES]
+    if not ks or not len(ys):
+        return None
+    slack = 16 * (top1 + 1) * np.finfo(float).eps
+    ch = np.cosh(np.outer(np.append(0.0, ys), p))
+    w = -ch[:, :d1] - slack
+    w[:, 0] = 1.0 - slack
+    return (_read_only(ys), _read_only(ch), _read_only(np.vstack([np.ones(d1), w])),
+            _read_only(np.append(ks[::-1], n)), slack)
 
 
 def _trig_rows(w: np.ndarray, radial: np.ndarray) -> np.ndarray:
@@ -573,11 +604,22 @@ def _trig_rows(w: np.ndarray, radial: np.ndarray) -> np.ndarray:
     """
     d1 = len(w)
     g = w @ w.conj().T
-    k, l = np.tril_indices(d1)
+    k, l, power, p, weight = _gram_map(d1)
     a = np.zeros((2 * d1 - 1, d1), dtype=np.complex128)
-    a[k + l, k - l] = np.where(k == l, 1.0, 2.0) * g[k, l]
-    # Re(S e^{ip theta}) = Re S cos - Im S sin: conj(S) viewed as real pairs
-    return np.conj(radial[:, :2 * d1 - 1] @ a).view(np.float64)
+    a[power, p] = weight * g[k, l]
+    # Re(S e^{ip theta}) = Re S cos - Im S sin: conj(S) viewed as real
+    # pairs, from the real radial table times conj(a) viewed as real pairs
+    return radial[:, :2 * d1 - 1] @ np.conj(a).view(np.float64)
+
+
+@lru_cache(maxsize=16)
+def _gram_map(d1: int) -> tuple:
+    """_trig_rows' index map for a (d1, d1) Gram matrix, read-only and built
+    once: its lower triangle (k, l), the power k + l of r and the harmonic
+    k - l of each entry, and its weight, 1 on the diagonal and 2 below."""
+    k, l = np.tril_indices(d1)
+    return tuple(_read_only(a) for a in (k, l, k + l, k - l,
+                                         np.where(k == l, 1.0, 2.0)))
 
 
 def _newton_polish(coeffs_desc: np.ndarray, roots, steps: int = 2) -> np.ndarray:

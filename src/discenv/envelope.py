@@ -282,18 +282,25 @@ def _search(spec: _ObjectiveSpec, theta0s, seed: int,
     scale = 1.0 / math.sqrt(dim)
     best = _objective(spec, theta)
     sigma = np.full(len(theta), 0.25)
+    # one block of draws per restart, a row of each array, filled in place:
+    # random(out=) is uniform(size=B) bit for bit
+    u = np.empty((len(theta), _DRAW_BLOCK))
+    z = np.empty((len(theta), _DRAW_BLOCK, dim))
+    k = np.empty((len(theta), _DRAW_BLOCK), dtype=np.int64)
+    g = np.empty((len(theta), _DRAW_BLOCK))
     for step in range(budget - 1):
         i = step % _DRAW_BLOCK
         if i == 0:
-            draws = [(rng.uniform(size=_DRAW_BLOCK),
-                      rng.standard_normal((_DRAW_BLOCK, dim)) * scale,
-                      rng.integers(dim, size=_DRAW_BLOCK),
-                      rng.standard_normal(_DRAW_BLOCK)) for rng in rngs]
-            full, z, k, g = (np.stack(a, axis=1) for a in zip(*draws))
-            full = full < 0.5
-        prop = np.where(full[i, :, None], theta + sigma[:, None] * z[i], theta)
-        one = ~full[i]
-        prop[one, k[i, one]] += sigma[one] * g[i, one]
+            for r, rng in enumerate(rngs):
+                rng.random(out=u[r])
+                rng.standard_normal(out=z[r])
+                k[r] = rng.integers(dim, size=_DRAW_BLOCK)
+                rng.standard_normal(out=g[r])
+            z *= scale
+            full = u < 0.5
+        prop = np.where(full[:, i, None], theta + sigma[:, None] * z[:, i], theta)
+        one = ~full[:, i]
+        prop[one, k[one, i]] += sigma[one] * g[one, i]
         prop = _clip_bound(spec, prop)
         f = _objective(spec, prop)
         better = f < best

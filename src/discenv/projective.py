@@ -209,8 +209,8 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
-# rows per block of a tube's features and products (_FormDomain._clearance):
-# the size of the default final grid
+# rows per block of a tube's products (_FormDomain._clearance): the size
+# of the default final grid
 _FORM_BLOCK = 1024
 
 
@@ -235,8 +235,8 @@ class _FormDomain(Domain):
             object.__setattr__(self, name, value)
 
     def _features(self, z_rows, sq):
-        """Features (F, rows) of a block of rows: |z_i|^2, from sq where it
-        is given, then Re and Im of z_i conj(z_j) for the form's pairs."""
+        """Features (F, rows) of the rows: |z_i|^2, from sq where it is
+        given, then Re and Im of z_i conj(z_j) for the form's pairs."""
         if sq is not None and self._pairs is None:
             return sq
         zt = np.ascontiguousarray(z_rows.T)
@@ -251,20 +251,19 @@ class _FormDomain(Domain):
         if z_rows.shape[1] != self._m:
             raise ConfigError(f"points of C^{z_rows.shape[1]} for a domain in C^{self._m}")
         s = np.empty(len(z_rows))
-        step = _FORM_BLOCK if self._work is not None else max(len(s), 1)
+        feats = self._features(z_rows, sq)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for a in range(0, len(s), step):
-                feats = self._features(z_rows[a:a + step],
-                                       None if sq is None else sq[:, a:a + step])
-                out = s[a:a + step]
-                if self._work is None:
-                    np.matmul(self._weights, feats, out=out[None, :])
-                else:  # the leading K * block entries of the work array
+            if self._work is None:
+                np.matmul(self._weights, feats, out=s[None, :])
+            else:  # K * block products at a time, in the work array
+                for a in range(0, len(s), _FORM_BLOCK):
+                    out = s[a:a + _FORM_BLOCK]
                     prod = self._work.reshape(-1)[:len(self._work) * len(out)]
-                    np.matmul(self._weights, feats, out=prod.reshape(-1, len(out)))
-                    prod.reshape(-1, len(out)).max(axis=0, out=out)
-                den = feats[self._den]
-                np.divide(out, den[0] if len(den) == 1 else den.sum(axis=0), out=out)
+                    prod = prod.reshape(-1, len(out))
+                    np.matmul(self._weights, feats[:, a:a + _FORM_BLOCK], out=prod)
+                    prod.max(axis=0, out=out)
+            den = feats[self._den]
+            np.divide(s, den[0] if len(den) == 1 else den.sum(axis=0), out=s)
             out = np.subtract(radius, dist(s, out=s), out=s)
         if not np.isfinite(out).all():
             out[~np.isfinite(out)] = -np.pi / 2
@@ -539,11 +538,14 @@ class Weight:
 
     def value_proj_many(self, z_rows: np.ndarray) -> np.ndarray:
         """phi at pi(z) for cone representatives z (rows)."""
-        raise NotImplementedError
+        raise self._no_chart("on P^n (omega mode, the direct and lifted routes)")
 
     def value_affine_many(self, u_rows: np.ndarray) -> np.ndarray:
         """phi at affine chart points u (rows in C^n)."""
-        raise NotImplementedError
+        raise self._no_chart("in the affine chart (sz mode, the jensen route)")
+
+    def _no_chart(self, where: str) -> ConfigError:
+        return ConfigError(f"a {self.to_json()['type']} weight has no value {where}")
 
     def to_json(self) -> dict:
         raise NotImplementedError

@@ -686,3 +686,55 @@ def test_constant_log_poly_weight_exit_1(files, kind, exponents, route, capsys):
     assert rc == 1
     assert "total degree at least 1" in capsys.readouterr().err
     assert not (files["tmp"] / "o.json").exists()
+
+
+_LOG_POLY = {"type": "log_poly",
+             "terms": [{"exponents": [1, 1], "coeff": [1.0, 0.0]}]}
+_AFFINE_LOG_POLY = {"type": "affine_log_poly",
+                    "terms": [{"exponents": [1], "coeff": [1.0, 0.0]},
+                              {"exponents": [0], "coeff": [2.0, 0.0]}]}
+
+
+def _eval_with(route):
+    return lambda f, w: ["functional", "eval", "--disc", f["disc"],
+                         "--weight", w, "--route", route]
+
+
+def _search_with(command, mode, domain):
+    def argv(f, w):
+        dom = write(f["tmp"] / "wdom.json", domain)
+        if command == "grid":
+            where = ["--points", write(f["tmp"] / "wpts.json",
+                                       {"points": [point_affine(0.3 + 0j)]})]
+        else:
+            where = ["--point", write(f["tmp"] / "wx.json", point_affine(0.3 + 0j))]
+        return [command, *where, "--domain", dom, "--weight", w, "--mode", mode,
+                "--starts", "1", "--budget", "2", "--nodes", "64"]
+    return argv
+
+
+_AFFINE_BALL = {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": 1.0}
+_FS_BALL = {"type": "fs_ball", "center": _ORIGIN, "radius": 0.5}
+
+
+@pytest.mark.parametrize("weight, argv, chart", [
+    (_LOG_POLY, _eval_with("jensen"), "affine chart"),
+    (_AFFINE_LOG_POLY, _eval_with("direct"), "P^n"),
+    (_AFFINE_LOG_POLY, _eval_with("lifted"), "P^n"),
+    (_LOG_POLY, _search_with("envelope", "sz", _AFFINE_BALL), "affine chart"),
+    (_AFFINE_LOG_POLY, _search_with("envelope", "omega", _FS_BALL), "P^n"),
+    (_LOG_POLY, _search_with("grid", "sz", _AFFINE_BALL), "affine chart"),
+], ids=["jensen-log_poly", "direct-affine_log_poly", "lifted-affine_log_poly",
+        "envelope-sz-log_poly", "envelope-omega-affine_log_poly",
+        "grid-sz-log_poly"])
+def test_weight_in_the_wrong_chart_exit_1(files, weight, argv, chart, capsys):
+    # a log_poly weight lives on P^n and an affine_log_poly weight in the
+    # affine chart; used in the other one, the run names both and exits 1
+    w = write(files["tmp"] / "wchart.json", weight)
+    out = files["tmp"] / "o.out"
+    rc = main(argv(files, w) + ["--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert weight["type"] in err and chart in err
+    assert not out.exists()

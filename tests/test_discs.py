@@ -8,7 +8,8 @@ from discenv import discs, kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                            CompositeDisc, _angle_counts, _area_radii,
                            _clustered_roots, _newton_polish,
-                           _polar_density_sums, _validation_radii,
+                           _polar_density_sums, _trig_columns, _trig_rows,
+                           _trig_table, _validation_radii, circle_powers,
                            boundary_lognorms, circle_mean,
                            disc_values, eval_disc, fs_pullback_density,
                            grid_values,
@@ -116,6 +117,44 @@ def test_circle_mean_nan_rejected():
     s[3] = np.nan
     with pytest.raises(NumericalError):
         circle_mean(s)
+
+
+def _circle_mean_reference(samples):
+    """circle_mean as it was written before it tested the mean alone: every
+    sample for NaN and +inf, then for -inf, then the mean."""
+    s = np.asarray(samples, dtype=float)
+    if np.any(np.isnan(s)) or np.any(np.isposinf(s)):
+        raise NumericalError("boundary samples contain NaN or +inf")
+    if np.any(np.isneginf(s)):
+        return float("-inf")
+    return float(s.mean())
+
+
+def _mixed(*values):
+    s = np.linspace(-1.0, 1.0, 32)
+    s[:len(values)] = values
+    return s
+
+
+@pytest.mark.parametrize("samples", [
+    np.linspace(-3.0, 2.0, 64), _mixed(-np.inf), _mixed(np.nan), _mixed(np.inf),
+    _mixed(np.inf, -np.inf), _mixed(-np.inf, np.nan), np.full(16, 1e308),
+    np.full(16, -1e308), np.tile([1e308, -1e308, 0, 0, 0, 0, 0, 0], 4)],
+    ids=["finite", "-inf", "nan", "+inf", "+-inf", "-inf-nan", "overflow+",
+         "overflow-", "overflow+-"])
+def test_circle_mean_matches_reference(samples):
+    # the same result or exception as the per-sample tests; a finite sum
+    # that overflows keeps its overflowed mean (+inf, -inf or NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = _circle_mean_reference(samples)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                circle_mean(samples)
+            return
+        got = circle_mean(samples)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +382,72 @@ def test_angle_counts_keep_every_angle_near_a_zero(monkeypatch):
     near = np.abs(quad.radii - 0.6) < 0.1
     assert near.any() and np.all(counts[near] == 512)
     assert counts[0] < 512
+
+
+def _cache_misses():
+    return {f.__name__: f.cache_info().misses for f in (
+        discs._trig_table, discs._power_table, discs._circle_nodes,
+        discs._radial_rule, discs._gram_map, discs._strip_constants)}
+
+
+def test_area_term_tables_built_once_per_node_set():
+    # a node set no other test uses, so that its first call builds
+    quad = AreaQuadrature(37, 96)
+    rng = np.random.default_rng(62)
+    d6, d3 = random_disc(rng, 3, 6), random_disc(rng, 3, 3)
+    first = riesz_area_term(d6, quad)
+    before = _cache_misses()
+    assert riesz_area_term(d6, quad) == first
+    assert _cache_misses() == before
+    # another degree up to 8 reads the same node-set tables; only the
+    # per-degree index maps and strip constants may be new
+    riesz_area_term(d3, quad)
+    after = _cache_misses()
+    for name in ("_trig_table", "_power_table", "_circle_nodes", "_radial_rule"):
+        assert after[name] == before[name], name
+    riesz_area_term(d3, quad)
+    assert _cache_misses() == after
+
+
+@pytest.mark.parametrize("n_theta", [512, 1024, 65])
+def test_trig_columns_match_per_run_build(n_theta):
+    # the cos and sin rows of every (n / k)-th angle, as each run built them
+    # before the table was cached: a complex slice, stacked and reshaped
+    for span in (15, 17):
+        table = _trig_table(n_theta, span)
+        assert not table.flags.writeable
+        assert _trig_table(n_theta, span) is table
+        ks = [n_theta >> j for j in range(n_theta.bit_length())
+              if (n_theta >> j) << j == n_theta and n_theta >> j >= 8]
+        for k in ks:
+            for top in (0, 1, 5, 11, span):
+                e = circle_powers(n_theta, span)[::n_theta // k, :top + 1].T
+                want = np.stack([e.real, e.imag], axis=1).reshape(-1, k)
+                got = _trig_columns(table[:2 * top + 2], k)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_r", [1, 33, 256])
+def test_trig_rows_match_complex_product(n_r):
+    # the real product against conj(a) viewed as real pairs has the values
+    # of the complex product conjugated afterwards; only the sign of an
+    # exact zero may differ, so the test is ==, not bytes
+    rng = np.random.default_rng(63)
+    for degree in range(9):
+        radial = power_table(_area_radii, n_r, 2 * degree)
+        for m in (1, 2, 3):
+            w = rng.standard_normal((degree + 1, m)) + \
+                1j * rng.standard_normal((degree + 1, m))
+            d1 = degree + 1
+            g = w @ w.conj().T
+            k, l = np.tril_indices(d1)
+            a = np.zeros((2 * d1 - 1, d1), dtype=np.complex128)
+            a[k + l, k - l] = np.where(k == l, 1.0, 2.0) * g[k, l]
+            want = np.conj(radial[:, :2 * d1 - 1] @ a).view(np.float64)
+            got = _trig_rows(w, radial)
+            assert got.shape == want.shape == (n_r, 2 * d1)
+            assert np.all(got == want)
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(0, 8), (-1, 8), (4, 0), (4, -2)])

@@ -436,6 +436,24 @@ def test_tube_clearance_work_array_bitwise():
         assert tube.clearance_many(z).tobytes() == kept.tobytes()
 
 
+def test_tube_clearance_rows_independent_of_the_call():
+    # features are built once per call and the products run in blocks, so
+    # rows 1000-1100 straddle a block edge of the 5120-row call and none of
+    # their own call; with sq the features read the given squares
+    rng = np.random.default_rng(22)
+    tube = Tube(_circle_samples(rng), 0.05)
+    zc = rng.standard_normal((2, 5120)) + 1j * rng.standard_normal((2, 5120))
+    z, sq = zc.T, zc.real ** 2 + zc.imag ** 2
+    part = slice(1000, 1100)
+    full = tube.clearance_many(z)
+    assert tube.clearance_many(z[part]).tobytes() == full[part].tobytes()
+    full_sq = tube.clearance_many(z, sq)
+    assert tube.clearance_many(z[part], sq[:, part]).tobytes() == \
+        full_sq[part].tobytes()
+    empty = tube.clearance_many(np.empty((0, 2), dtype=complex))
+    assert empty.shape == (0,)
+
+
 def test_affine_log_poly_weight_takes_mixed_degrees():
     # log|u - 1|: terms of degree 1 and 0
     w = Weight.from_json({"type": "affine_log_poly", "terms": [
