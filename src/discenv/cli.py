@@ -24,7 +24,7 @@ from . import envelope as env
 from . import hull as hull_mod
 from . import structure as struct_mod
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                    boundary_lognorms, random_disc)
+                    boundary_lognorms, grid_values, random_disc)
 from .errors import (BoundaryZeroError, ConfigError, DiscEnvError,
                      DomainError, InfeasibleDiscError, NumericalError,
                      OriginViolation)
@@ -39,9 +39,9 @@ SCHEMA_VERSION = "1"
 
 def _read(path: str, decode):
     """decode applied to the JSON of a file.  Every input file is read
-    here: an unreadable file, malformed JSON, and a KeyError, TypeError or
-    ValueError while decoding (a missing key, a null or a bare number where
-    a [re, im] pair belongs) are ConfigErrors that name the file."""
+    here: an unreadable file, malformed JSON, and any error while decoding
+    (a NaN, a missing key, a null or a bare number where a [re, im] pair
+    belongs) are ConfigErrors that name the file."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -52,6 +52,8 @@ def _read(path: str, decode):
         raise ConfigError(f"cannot read {path}: {e}") from e
     try:
         return decode(obj)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     except KeyError as e:
         raise ConfigError(f"{path}: missing key {e}") from e
     except (TypeError, ValueError) as e:
@@ -132,14 +134,14 @@ def cmd_functional(args) -> int:
     weight = _read(args.weight, Weight.from_json)
     domain = _read(args.domain, Domain.from_json) if args.domain else None
     grid, quad = _grids(args)
-    if domain is not None:
+    pts = grid_values(disc, grid) if domain is None else \
         admissible_values(disc, grid, domain)
     if args.route == "direct":
-        fv = omega_functional_direct(weight, disc, grid, quad)
+        fv = omega_functional_direct(weight, disc, pts, quad)
     elif args.route == "lifted":
-        fv = omega_functional_lifted(LiftedWeight(weight), disc, grid)
+        fv = omega_functional_lifted(LiftedWeight(weight), disc, pts)
     elif args.route == "jensen":
-        fv = sz_functional(weight, disc, grid, route="jensen")
+        fv = sz_functional(weight, disc, pts, route="jensen")
     else:
         raise ConfigError(f"unknown route {args.route!r}")
     _write_artifact(args.out, _config_dict(args), fv.to_json())
@@ -158,9 +160,11 @@ def cmd_identity_check(args) -> int:
     for i in range(args.count):
         degree = int(rng.integers(1, 7))
         disc = random_disc(rng, 3, degree)
-        res = identity_check_eqH(ZeroWeight(), disc, grid, quad)
-        res2 = identity_check_eqH(ZeroWeight(), disc, grid2, quad2)
-        riesz = riesz_residual(disc, res["area_term"], grid)
+        pts = grid_values(disc, grid)
+        res = identity_check_eqH(ZeroWeight(), disc, pts, quad)
+        res2 = identity_check_eqH(ZeroWeight(), disc,
+                                  grid_values(disc, grid2), quad2)
+        riesz = riesz_residual(disc, res["area_term"], pts)
         rows.append({"index": i, "degree": degree,
                      "eqH_residual": res["residual"],
                      "eqH_residual_doubled": res2["residual"],

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundaryZeroError, NumericalError, OriginViolation
+from .projective import vec_from_json
 
 DEFAULT_NODES = 1024
 DEFAULT_RADIAL = 256
@@ -101,8 +102,8 @@ class AnalyticDiscLift:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AnalyticDiscLift":
-        coeffs = np.array([[complex(c[0], c[1]) for c in row]
-                           for row in obj["coeffs"]], dtype=np.complex128)
+        coeffs = np.array([vec_from_json(row) for row in obj["coeffs"]],
+                          dtype=np.complex128)
         d = cls(coeffs)
         if d.m != obj.get("m", d.m) or d.degree != obj.get("degree", d.degree):
             raise ValueError("disc JSON header inconsistent with coefficients")
@@ -151,7 +152,7 @@ class CompositeDisc:
     @classmethod
     def from_json(cls, obj: dict) -> "CompositeDisc":
         return cls(AnalyticDiscLift.from_json(obj["base"]),
-                   np.array([complex(c[0], c[1]) for c in obj["exponent"]]))
+                   vec_from_json(obj["exponent"]))
 
 
 @dataclass(frozen=True)

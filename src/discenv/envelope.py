@@ -14,7 +14,8 @@ from .discs import (AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES,
                     circle_powers, power_table)
 from .errors import (BoundaryZeroError, ConfigError, DomainError,
                      InfeasibleDiscError, OriginViolation)
-from .functionals import _omega_lifted, _sz, admissible_values, encode_float
+from .functionals import (admissible_values, encode_float,
+                          omega_functional_lifted, sz_functional)
 from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
                          Tube, Weight, ZeroWeight, affine_lift, chart)
 from .structure import StructureDiscParams, make_structure_disc
@@ -367,8 +368,8 @@ def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
     try:
         pts = admissible_values(disc, grid, domain, eta)
         if mode == "omega":
-            return _omega_lifted(LiftedWeight(weight), disc, grid, pts).total, True
-        return _sz(weight, disc, grid, pts, "direct").total, True
+            return omega_functional_lifted(LiftedWeight(weight), disc, pts).total, True
+        return sz_functional(weight, disc, pts, "direct").total, True
     except (InfeasibleDiscError, OriginViolation, BoundaryZeroError):
         return math.inf, False
 

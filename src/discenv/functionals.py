@@ -1,5 +1,7 @@
 """The three disc functionals (Poisson, omega-Poisson, Siciak-Zahariuta)
 with independent evaluation routes and the identity checks between them.
+Every route reads pts, the disc's values at a BoundaryGrid's nodes, which
+its caller takes once from grid_values or admissible_values.
 """
 from __future__ import annotations
 
@@ -8,10 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                    boundary_lognorms, circle_mean, grid_values,
-                    neg_log_center_norm, node_values_fft, riesz_area_term,
-                    roots_in_unit_disc)
+                    circle_mean, grid_values, neg_log_center_norm,
+                    node_values_fft, riesz_area_term, roots_in_unit_disc)
 from .errors import InfeasibleDiscError, NumericalError, OriginViolation
 from .projective import Domain, LiftedWeight, Weight, ZeroWeight, chart
 
@@ -67,46 +69,34 @@ def admissible_values(disc: AnalyticDiscLift, grid: BoundaryGrid,
     return pts
 
 
-def poisson_functional(phi_tilde: LiftedWeight, disc,
-                       grid: BoundaryGrid | None = None) -> FunctionalValue:
+def poisson_functional(phi_tilde: LiftedWeight,
+                       pts: np.ndarray) -> FunctionalValue:
     """H(f) = mean over T of phi~(f)."""
-    grid = grid or BoundaryGrid()
-    pts = grid_values(disc, grid)
     b = circle_mean(phi_tilde.value_many(pts))
-    return FunctionalValue(b, b, 0.0, "poisson", {"nodes": grid.n})
+    return FunctionalValue(b, b, 0.0, "poisson", {"nodes": len(pts)})
 
 
-def omega_functional_direct(phi: Weight, disc,
-                            grid: BoundaryGrid | None = None,
+def omega_functional_direct(phi: Weight, disc, pts: np.ndarray,
                             quad: AreaQuadrature | None = None) -> FunctionalValue:
     """Interior term from the area quadrature of log|t| times the
     Fubini-Study pullback density, boundary term from phi on pi(f(T))."""
-    grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    pts = grid_values(disc, grid)
     interior = -riesz_area_term(disc, quad)
     if interior < -1e-10:
         raise NumericalError(f"negative interior term {interior:.3e}")
     boundary = circle_mean(phi.value_proj_many(pts))
     return FunctionalValue(_combine(boundary, interior), boundary, interior,
-                           "direct", {"nodes": grid.n, "n_r": quad.n_r,
+                           "direct", {"nodes": len(pts), "n_r": quad.n_r,
                                       "n_theta": quad.n_theta})
 
 
 def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
-                            grid: BoundaryGrid | None = None) -> FunctionalValue:
+                            pts: np.ndarray) -> FunctionalValue:
     """H_{omega,phi}(f) = H_{phi~}(f~) - log|f~(0)|."""
-    grid = grid or BoundaryGrid()
-    return _omega_lifted(phi_tilde, disc, grid, grid_values(disc, grid))
-
-
-def _omega_lifted(phi_tilde: LiftedWeight, disc, grid: BoundaryGrid,
-                  pts: np.ndarray) -> FunctionalValue:
-    """omega_functional_lifted from the disc's values pts on grid.nodes."""
     boundary = circle_mean(phi_tilde.value_many(pts))
     interior = neg_log_center_norm(disc)
     return FunctionalValue(_combine(boundary, interior), boundary, interior,
-                           "lifted", {"nodes": grid.n})
+                           "lifted", {"nodes": len(pts)})
 
 
 def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
@@ -134,8 +124,7 @@ def sz_interior_roots(disc) -> float:
     return interior
 
 
-def sz_functional(phi: Weight, disc: AnalyticDiscLift,
-                  grid: BoundaryGrid | None = None,
+def sz_functional(phi: Weight, disc: AnalyticDiscLift, pts: np.ndarray,
                   route: str = "jensen") -> FunctionalValue:
     """Siciak-Zahariuta functional in the affine chart z_0 != 0.
 
@@ -145,23 +134,14 @@ def sz_functional(phi: Weight, disc: AnalyticDiscLift,
     formula, exact for any f_0(0) != 0 (multiplicity counted).
     envelope.evaluate_witness takes this route.
     """
-    grid = grid or BoundaryGrid()
-    return _sz(phi, disc, grid, grid_values(disc, grid), route)
-
-
-def _sz(phi: Weight, disc: AnalyticDiscLift, grid: BoundaryGrid,
-        pts: np.ndarray, route: str) -> FunctionalValue:
-    """sz_functional from the disc's values pts on grid.nodes."""
-    mags0 = np.abs(pts[:, 0])
-    if np.any(mags0 == 0):
+    if np.any(pts[:, 0] == 0):
         raise InfeasibleDiscError("disc boundary meets the hyperplane at infinity")
     if isinstance(phi, ZeroWeight):
         boundary = 0.0  # the zero weight's mean: no chart is needed
     else:
         boundary = circle_mean(phi.value_affine_many(chart(pts)))
-    meta: dict = {"nodes": grid.n}
-    center_at_infinity = complex(disc.coeffs[0, 0]) == 0
-    if center_at_infinity:
+    meta: dict = {"nodes": len(pts)}
+    if disc.coeffs[0, 0] == 0:  # the centre is at infinity
         meta["center_on_hyperplane"] = True
         return FunctionalValue(math.inf, boundary, math.inf, route, meta)
     if route == "jensen":
@@ -175,24 +155,21 @@ def _sz(phi: Weight, disc: AnalyticDiscLift, grid: BoundaryGrid,
                            route, meta)
 
 
-def identity_check_eqH(phi: Weight, disc, grid: BoundaryGrid | None = None,
+def identity_check_eqH(phi: Weight, disc, pts: np.ndarray,
                        quad: AreaQuadrature | None = None) -> dict:
     """Residual |direct - lifted| of the lifting identity for one disc,
     and the disc's riesz_area_term on quad (the direct route's interior
     term with its sign flipped), for riesz_residual."""
-    grid = grid or BoundaryGrid()
     quad = quad or AreaQuadrature()
-    direct = omega_functional_direct(phi, disc, grid, quad)
-    lifted = omega_functional_lifted(LiftedWeight(phi), disc, grid)
+    direct = omega_functional_direct(phi, disc, pts, quad)
+    lifted = omega_functional_lifted(LiftedWeight(phi), disc, pts)
     return {"residual": abs(direct.total - lifted.total),
             "area_term": -direct.interior_term}
 
 
-def riesz_residual(disc, area_term: float,
-                   grid: BoundaryGrid | None = None) -> float:
+def riesz_residual(disc, area_term: float, pts: np.ndarray) -> float:
     """|area_term - (log|f(0)| - mean log|f|)| for one disc, area_term its
     riesz_area_term on some AreaQuadrature (identity_check_eqH returns
     it)."""
-    grid = grid or BoundaryGrid()
-    rhs = -neg_log_center_norm(disc) - circle_mean(boundary_lognorms(disc, grid))
+    rhs = -neg_log_center_norm(disc) - circle_mean(kernels.row_lognorms(pts))
     return abs(area_term - rhs)

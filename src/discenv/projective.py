@@ -4,7 +4,9 @@ logarithmically homogeneous counterparts on C^{n+1} \\ {0}.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,13 @@ def _c2j(z: complex):
 
 
 def _j2c(v) -> complex:
-    return complex(v[0], v[1])
+    """The complex number of a JSON [re, im] pair.  Every pair an input
+    file holds is decoded here; json.load accepts NaN and Infinity, so a
+    non-finite part is a ConfigError."""
+    z = complex(v[0], v[1])
+    if not cmath.isfinite(z):
+        raise ConfigError(f"non-finite number {v!r}")
+    return z
 
 
 def vec_to_json(v: np.ndarray):
@@ -497,6 +505,10 @@ class HomPolynomial:
         if len(widths) != 1:
             raise ConfigError(f"a polynomial needs terms whose exponent tuples "
                               f"share one length, not lengths {sorted(widths)}")
+        if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool)
+                   and p >= 0 for e in self.exponents for p in e):
+            raise ConfigError(f"polynomial exponents must be non-negative "
+                              f"integers, not {list(map(list, self.exponents))}")
 
     @property
     def width(self) -> int:
@@ -579,6 +591,10 @@ class ZeroWeight(Weight):
 @dataclass(frozen=True)
 class ConstantWeight(Weight):
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ConfigError(f"constant weight value {self.value!r} is not finite")
 
     def value_proj_many(self, z_rows):
         return np.full(z_rows.shape[0], self.value)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discs import AnalyticDiscLift, BoundaryGrid, circle_mean, grid_values
+from .discs import AnalyticDiscLift, BoundaryGrid, grid_values
 from .errors import DomainError, InfeasibleDiscError, OriginViolation
-from .functionals import admissible_values
+from .functionals import admissible_values, poisson_functional
 from .projective import Domain, LiftedWeight, fs_distances
 
 SHRINK_FLOOR = 1e-10
@@ -163,7 +163,7 @@ def epsilon_upper_bound(x, phi_tilde: LiftedWeight, domain: Domain,
             except (DomainError, ValueError, InfeasibleDiscError,
                     OriginViolation):
                 continue
-            value = circle_mean(phi_tilde.value_many(pts))
+            value = poisson_functional(phi_tilde, pts).total
             if value < best[0]:
                 best = (value, w, disc)
             if value <= phi_x + eps:

@@ -11,7 +11,8 @@ import pytest
 
 import discenv.kernels as kernels
 from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
-                           random_disc, riesz_area_term, roots_in_unit_disc)
+                           grid_values, random_disc, riesz_area_term,
+                           roots_in_unit_disc)
 from discenv.envelope import (CandidateLibrary, DiscFamilySpec,
                               OptimizerConfig, evaluate_witness, minimize)
 from discenv.errors import BoundaryZeroError
@@ -73,7 +74,7 @@ def test_criterion_1_identity_eqH(disc_population):
     grid = BoundaryGrid(2048)
     quad = AreaQuadrature(256, 512)
     t0 = time.monotonic()
-    worst = max(identity_check_eqH(ZeroWeight(), d, grid, quad)
+    worst = max(identity_check_eqH(ZeroWeight(), d, grid_values(d, grid), quad)
                 ["residual"] for d in disc_population)
     elapsed = time.monotonic() - t0
     _report(1, worst <= 1e-8 and elapsed <= 60.0,
@@ -84,9 +85,11 @@ def test_criterion_2_riesz_identity(disc_population):
     d_grid, d_quad = BoundaryGrid(), AreaQuadrature()
     x_grid = BoundaryGrid(2 * d_grid.n)
     x_quad = AreaQuadrature(2 * d_quad.n_r, 2 * d_quad.n_theta)
-    w1 = max(riesz_residual(d, riesz_area_term(d, d_quad), d_grid)
+    w1 = max(riesz_residual(d, riesz_area_term(d, d_quad),
+                            grid_values(d, d_grid))
              for d in disc_population)
-    w2 = max(riesz_residual(d, riesz_area_term(d, x_quad), x_grid)
+    w2 = max(riesz_residual(d, riesz_area_term(d, x_quad),
+                            grid_values(d, x_grid))
              for d in disc_population)
     _report(2, w1 <= 1e-6 and w2 <= 1e-8,
             f"default {w1:.2e}, doubled {w2:.2e}")
@@ -120,11 +123,14 @@ def test_criterion_4_lift_scaling():
     for _ in range(20):
         d = random_disc(rng, 3, int(rng.integers(0, 6)))
         lam = 10.0 ** rng.uniform(-2, 2) * np.exp(2j * np.pi * rng.uniform())
-        a = poisson_functional(phi, d).total
-        b = poisson_functional(phi, d.scaled(lam)).total
+        ds = d.scaled(lam)
+        grid = BoundaryGrid()
+        pts, pts_s = grid_values(d, grid), grid_values(ds, grid)
+        a = poisson_functional(phi, pts).total
+        b = poisson_functional(phi, pts_s).total
         w_shift = max(w_shift, abs(b - a - math.log(abs(lam))))
-        oa = omega_functional_lifted(phi, d).total
-        ob = omega_functional_lifted(phi, d.scaled(lam)).total
+        oa = omega_functional_lifted(phi, d, pts).total
+        ob = omega_functional_lifted(phi, ds, pts_s).total
         w_inv = max(w_inv, abs(oa - ob))
     _report(4, w_shift <= 1e-12 and w_inv <= 1e-12,
             f"shift err {w_shift:.2e}, invariance err {w_inv:.2e}")

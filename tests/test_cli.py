@@ -9,6 +9,7 @@ import pytest
 from discenv import discs, envelope, hull
 from discenv.cli import _write_artifact, main
 from discenv.errors import NumericalError
+from discenv.projective import AffineBall, FsBall, ProjPoint, ZeroWeight
 
 
 def write(path, obj):
@@ -738,3 +739,124 @@ def test_weight_in_the_wrong_chart_exit_1(files, weight, argv, chart, capsys):
     assert "config error:" in err and "Traceback" not in err
     assert weight["type"] in err and chart in err
     assert not out.exists()
+
+
+def _reading(command):
+    """argv of a command on valid input files, writing o.out; a later flag
+    replaces one of its inputs (argparse keeps the last)."""
+    def argv(f):
+        out = ["--out", str(f["tmp"] / "o.out")]
+        if command == "functional":
+            return ["functional", "eval", "--disc", f["disc"], "--weight",
+                    f["zero"], "--route", "lifted"] + out
+        if command == "envelope":
+            return _envelope_on(f, _FS_BALL)[:-2] + out
+        if command == "hull":
+            return _circle_hull(f, 0.3) + ["--lambda", "0.35"] + out
+        x = write(f["tmp"] / "sx.json",
+                  {"coords": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]})
+        w = write(f["tmp"] / "sw.json",
+                  {"coords": [[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]]})
+        dom = write(f["tmp"] / "hyp.json",
+                    {"type": "hyperplane_complement",
+                     "normal": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]})
+        return ["disc-structure", "make", "--x", x, "--w", w,
+                "--domain", dom] + out
+    return argv
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("command, flag, obj", [
+    ("functional", "--disc", lambda x: {
+        "m": 2, "degree": 1,
+        "coeffs": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [x, 0.0]]]}),
+    ("functional", "--weight", lambda x: {"type": "constant", "value": x}),
+    ("functional", "--weight", lambda x: {"type": "log_poly", "terms": [
+        {"exponents": [1, 0], "coeff": [1.0, x]}]}),
+    ("functional", "--domain", lambda x: {"type": "affine_ball",
+                                          "center": [[0.0, x]], "radius": 1.0}),
+    ("functional", "--domain", lambda x: {"type": "hyperplane_complement",
+                                          "normal": [[1.0, 0.0], [x, 0.0]]}),
+    ("functional", "--domain", lambda x: {"type": "tube", "delta": 0.1,
+                                          "samples": [[[1.0, 0.0], [x, 0.0]]]}),
+    ("envelope", "--point", lambda x: {"type": "proj",
+                                       "coords": [[1.0, 0.0], [x, 0.0]]}),
+    ("hull", "--set", lambda x: {"samples": [[[1.0, 0.0], [0.0, x]]]}),
+    ("disc-structure", "--x", lambda x: {
+        "coords": [[x, 0.0], [1.0, 0.0], [1.0, 0.0]]}),
+], ids=["disc-coeff", "constant-weight", "weight-coeff", "domain-centre",
+        "domain-normal", "tube-sample", "point", "set-sample", "structure-x"])
+def test_non_finite_input_exit_1(files, command, flag, obj, bad, capsys):
+    # json.load accepts NaN and Infinity: a file that holds one is a config
+    # error that names it, found as the file is decoded, before any run
+    path = write(files["tmp"] / "nonfinite.json", obj(bad))
+    rc = main(_reading(command)(files) + [flag, path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config error: {path}:" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (files["tmp"] / "o.out").exists()
+
+
+@pytest.mark.parametrize("exponents", [[0.5, 0.5], [-1, 2]],
+                         ids=["0.5,0.5", "-1,2"])
+def test_non_integer_exponents_exit_1(files, exponents, capsys):
+    # both have total degree 1, but neither is a polynomial
+    weight = write(files["tmp"] / "wexp.json", {"type": "log_poly", "terms": [
+        {"exponents": exponents, "coeff": [1.0, 0.0]}]})
+    out = files["tmp"] / "o.json"
+    rc = main(["functional", "eval", "--disc", files["disc"], "--weight",
+               weight, "--route", "lifted", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "non-negative integers" in err
+    assert not out.exists()
+
+
+def _witness_twice(mode):
+    """evaluate_witness on one admissible disc, twice; 0 as a CLI run."""
+    disc = discs.AnalyticDiscLift(np.array([[1.0, 0.0], [0.0, 0.2]]))
+    if mode == "omega":
+        domain = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5)
+    else:
+        domain = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    for _ in range(2):
+        value, feasible = envelope.evaluate_witness(
+            mode, disc, domain, ZeroWeight(), 1e-3, discs.BoundaryGrid(64))
+        assert feasible and math.isfinite(value)
+    return 0
+
+
+def _functional_in_ball(files, route):
+    dom = write(files["tmp"] / "fsb.json",
+                {"type": "fs_ball", "center": _ORIGIN, "radius": 1.0})
+    return main(["functional", "eval", "--disc", files["disc"], "--weight",
+                 files["zero"], "--domain", dom, "--route", route,
+                 "--out", str(files["tmp"] / "fv.json")])
+
+
+@pytest.mark.parametrize("run, nodes", [
+    (lambda f: main(_small_identity(f)), [128, 256]),
+    (lambda f: _functional_in_ball(f, "direct"), [1024]),
+    (lambda f: _functional_in_ball(f, "lifted"), [1024]),
+    (lambda f: _functional_in_ball(f, "jensen"), [1024]),
+    (lambda f: _witness_twice("omega"), [64, 64]),
+    (lambda f: _witness_twice("sz"), [64, 64]),
+], ids=["identity-check", "functional-direct", "functional-lifted",
+        "functional-jensen", "witness-omega", "witness-sz"])
+def test_one_boundary_evaluation_per_disc_and_grid(files, monkeypatch, run,
+                                                   nodes):
+    # every evaluation on a BoundaryGrid reads its power table once
+    # (min_norm_on_grid and the area term read theirs elsewhere):
+    # identity-check evaluates its disc once on each of its two grids,
+    # functional eval --domain once, evaluate_witness once per call
+    calls = []
+    powers = discs.BoundaryGrid.powers
+
+    def counted(grid, degree):
+        calls.append(grid.n)
+        return powers(grid, degree)
+
+    monkeypatch.setattr(discs.BoundaryGrid, "powers", counted)
+    assert run(files) == 0
+    assert sorted(calls) == nodes

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from discenv import kernels
-from discenv.discs import (AnalyticDiscLift, BoundaryGrid, polar_values,
-                           power_table)
+from discenv.discs import (AnalyticDiscLift, BoundaryGrid, grid_values,
+                           polar_values, power_table)
 from discenv.envelope import (_DRAW_BLOCK, _PROBE_ANGLES,
                               ORIGIN_FLOOR, PENALTY_RHO,
                               CandidateLibrary, DiscFamilySpec,
@@ -228,9 +228,11 @@ def test_evaluate_witness_equals_functional(mode):
     grid = BoundaryGrid(512)
     value, feasible = evaluate_witness(mode, disc, dom, weight, 1e-3, grid)
     if mode == "omega":
-        want = omega_functional_lifted(LiftedWeight(weight), disc, grid)
+        want = omega_functional_lifted(LiftedWeight(weight), disc,
+                                       grid_values(disc, grid))
     else:
-        want = sz_functional(weight, disc, grid, route="direct")
+        want = sz_functional(weight, disc, grid_values(disc, grid),
+                             route="direct")
     assert feasible
     assert value == want.total
 

@@ -22,33 +22,41 @@ def disc_1t():
     return AnalyticDiscLift(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
 
 
+def default_pts(disc):
+    """The disc's values at the default BoundaryGrid's nodes."""
+    return grid_values(disc, BoundaryGrid())
+
+
 def test_poisson_constant_disc():
     z = np.array([3.0, 4.0], dtype=complex)
     d = AnalyticDiscLift(z[None, :])
-    fv = poisson_functional(LiftedWeight(ZeroWeight()), d)
+    fv = poisson_functional(LiftedWeight(ZeroWeight()), default_pts(d))
     assert fv.total == pytest.approx(math.log(5.0), abs=1e-12)
 
 
 def test_poisson_disc_1t():
-    fv = poisson_functional(LiftedWeight(ZeroWeight()), disc_1t())
+    fv = poisson_functional(LiftedWeight(ZeroWeight()), default_pts(disc_1t()))
     assert fv.total == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
 
 def test_poisson_constant_weight_additivity():
     d = disc_1t()
-    f0 = poisson_functional(LiftedWeight(ZeroWeight()), d).total
-    fc = poisson_functional(LiftedWeight(ConstantWeight(2.5)), d).total
+    pts = default_pts(d)
+    f0 = poisson_functional(LiftedWeight(ZeroWeight()), pts).total
+    fc = poisson_functional(LiftedWeight(ConstantWeight(2.5)), pts).total
     assert fc == pytest.approx(f0 + 2.5, abs=1e-12)
 
 
 def test_omega_direct_examples():
     const = AnalyticDiscLift(np.array([[1.0, 1.0]], dtype=complex))
-    assert omega_functional_direct(ZeroWeight(), const).total == \
-        pytest.approx(0.0, abs=1e-12)
-    assert omega_functional_direct(ZeroWeight(), disc_1t()).total == \
-        pytest.approx(0.5 * math.log(2.0), abs=1e-9)
+
+    def total(d):
+        return omega_functional_direct(ZeroWeight(), d, default_pts(d)).total
+
+    assert total(const) == pytest.approx(0.0, abs=1e-12)
+    assert total(disc_1t()) == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
     d2 = AnalyticDiscLift(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex))
-    assert omega_functional_direct(ZeroWeight(), d2).total == \
+    assert total(d2) == \
         pytest.approx(math.log(math.sqrt(5.0)) - math.log(2.0), abs=1e-9)
 
 
@@ -56,16 +64,17 @@ def test_omega_interior_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(5):
         d = random_disc(rng, 3, 4)
-        fv = omega_functional_direct(ZeroWeight(), d)
+        fv = omega_functional_direct(ZeroWeight(), d, default_pts(d))
         assert fv.interior_term >= -1e-10
 
 
 def test_omega_lifted_examples():
     z = np.array([0.6, 0.8], dtype=complex)
     const = AnalyticDiscLift(z[None, :])
-    fv = omega_functional_lifted(LiftedWeight(ZeroWeight()), const)
+    phi = LiftedWeight(ZeroWeight())
+    fv = omega_functional_lifted(phi, const, default_pts(const))
     assert fv.total == pytest.approx(0.0, abs=1e-12)
-    fv1 = omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t())
+    fv1 = omega_functional_lifted(phi, disc_1t(), default_pts(disc_1t()))
     assert fv1.total == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
 
@@ -75,8 +84,9 @@ def test_omega_lifted_scaling_invariance():
     for _ in range(5):
         d = random_disc(rng, 3, 4)
         lam = 10.0 ** rng.uniform(-2, 2) * np.exp(2j * np.pi * rng.uniform())
-        a = omega_functional_lifted(phi, d).total
-        b = omega_functional_lifted(phi, d.scaled(lam)).total
+        ds = d.scaled(lam)
+        a = omega_functional_lifted(phi, d, default_pts(d)).total
+        b = omega_functional_lifted(phi, ds, default_pts(ds)).total
         assert abs(a - b) < 1e-12
 
 
@@ -86,8 +96,8 @@ def test_poisson_lift_scaling_shift():
     for _ in range(5):
         d = random_disc(rng, 3, 3)
         lam = 10.0 ** rng.uniform(-2, 2) * np.exp(2j * np.pi * rng.uniform())
-        a = poisson_functional(phi, d).total
-        b = poisson_functional(phi, d.scaled(lam)).total
+        a = poisson_functional(phi, default_pts(d)).total
+        b = poisson_functional(phi, default_pts(d.scaled(lam))).total
         assert b - a == pytest.approx(math.log(abs(lam)), abs=1e-12)
 
 
@@ -95,37 +105,42 @@ def test_rotation_invariance():
     rng = np.random.default_rng(3)
     d = random_disc(rng, 2, 5)
     rot = d.reparametrized(np.exp(0.77j))
-    a = omega_functional_direct(ZeroWeight(), d).total
-    b = omega_functional_direct(ZeroWeight(), rot).total
+    a = omega_functional_direct(ZeroWeight(), d, default_pts(d)).total
+    b = omega_functional_direct(ZeroWeight(), rot, default_pts(rot)).total
     assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_shrinking_radius_convergence():
     rng = np.random.default_rng(4)
     d = random_disc(rng, 2, 5)
-    full = omega_functional_direct(ZeroWeight(), d).total
+    full = omega_functional_direct(ZeroWeight(), d, default_pts(d)).total
     errs = []
     for r in (0.9, 0.99, 0.999):
-        fr = omega_functional_direct(ZeroWeight(), d.reparametrized(r)).total
+        dr = d.reparametrized(r)
+        fr = omega_functional_direct(ZeroWeight(), dr, default_pts(dr)).total
         errs.append(abs(fr - full))
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_identity_eqH_residuals():
     const = AnalyticDiscLift(np.array([[1.0, 2.0]], dtype=complex))
-    assert identity_check_eqH(ZeroWeight(), const)["residual"] < 1e-12
-    assert identity_check_eqH(ZeroWeight(), disc_1t())["residual"] < 1e-8
+    def residual(phi, d):
+        return identity_check_eqH(phi, d, default_pts(d))["residual"]
+
+    assert residual(ZeroWeight(), const) < 1e-12
+    assert residual(ZeroWeight(), disc_1t()) < 1e-8
     d3 = AnalyticDiscLift(
         np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=complex))
     poly = HomPolynomial(((2, 0, 0), (0, 2, 0), (0, 0, 2)), (1.0, 0.5, 0.25))
-    assert identity_check_eqH(LogPolyWeight(poly), d3)["residual"] < 1e-7
+    assert residual(LogPolyWeight(poly), d3) < 1e-7
 
 
 def test_riesz_residual_small():
     rng = np.random.default_rng(5)
     for _ in range(5):
         d = random_disc(rng, 3, 4)
-        assert riesz_residual(d, riesz_area_term(d, AreaQuadrature())) < 1e-6
+        assert riesz_residual(d, riesz_area_term(d, AreaQuadrature()),
+                              default_pts(d)) < 1e-6
 
 
 def test_infeasible_boundary_detected():
@@ -145,10 +160,10 @@ def test_lifted_route_domain_check():
     wide = FsBall(ProjPoint(np.array([1.0, 0.0])), 1.0)
     pts = admissible_values(disc_1t(), grid, wide)
     assert np.array_equal(pts, grid_values(disc_1t(), grid))
-    fv = omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t(), grid)
+    fv = omega_functional_lifted(LiftedWeight(ZeroWeight()), disc_1t(), pts)
     assert fv.total == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
     for route in (omega_functional_direct, sz_functional):
-        assert route(ZeroWeight(), disc_1t(), grid).meta["nodes"] == 64
+        assert route(ZeroWeight(), disc_1t(), pts).meta["nodes"] == 64
     assert fv.meta["nodes"] == 64
 
 
@@ -188,9 +203,9 @@ def _sz_disc(f0_coeffs, other=None):
 
 def test_sz_root_half():
     d = _sz_disc([-0.5, 1.0])
-    fv = sz_functional(ZeroWeight(), d, route="direct")
+    fv = sz_functional(ZeroWeight(), d, default_pts(d), route="direct")
     assert fv.interior_term == pytest.approx(math.log(2.0), abs=1e-10)
-    fj = sz_functional(ZeroWeight(), d, route="jensen")
+    fj = sz_functional(ZeroWeight(), d, default_pts(d), route="jensen")
     assert fj.interior_term == pytest.approx(math.log(2.0), abs=1e-10)
 
 
@@ -202,14 +217,14 @@ def test_sz_no_roots_inside():
 
 def test_sz_double_root():
     d = _sz_disc([0.25, -1.0, 1.0])
-    fv = sz_functional(ZeroWeight(), d, route="direct")
+    fv = sz_functional(ZeroWeight(), d, default_pts(d), route="direct")
     assert fv.interior_term == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
     assert fv.meta == {"nodes": 1024}
 
 
 def test_sz_center_at_infinity():
     d = _sz_disc([0.0, 1.0])
-    fv = sz_functional(ZeroWeight(), d, route="jensen")
+    fv = sz_functional(ZeroWeight(), d, default_pts(d), route="jensen")
     assert fv.total == math.inf
     assert fv.meta.get("center_on_hyperplane")
 
@@ -217,7 +232,7 @@ def test_sz_center_at_infinity():
 def test_sz_boundary_on_hyperplane_rejected():
     d = _sz_disc([-1.0, 1.0])  # f_0 vanishes at t = 1
     with pytest.raises(InfeasibleDiscError):
-        sz_functional(ZeroWeight(), d, route="jensen")
+        sz_functional(ZeroWeight(), d, default_pts(d), route="jensen")
 
 
 @pytest.mark.parametrize("zero", [1.0, -1.0, 1j, -1j])
@@ -234,7 +249,7 @@ def test_sz_functional_matches_chart_formula(weight):
     # the zero weight skipped the chart
     d = _sz_disc([1.0, 0.4 - 0.2j, 0.1j], [0.2, 0.3j, -0.1])
     grid = BoundaryGrid(512)
-    fv = sz_functional(weight, d, grid, route="jensen")
+    fv = sz_functional(weight, d, grid_values(d, grid), route="jensen")
     boundary = circle_mean(weight.value_affine_many(chart(grid_values(d, grid))))
     interior = sz_interior_jensen(d)
     assert fv.boundary_term == boundary
@@ -253,8 +268,9 @@ def test_sz_route_agreement_random():
             continue
         d = _sz_disc(f0)
         try:
-            a = sz_functional(ZeroWeight(), d, route="jensen").interior_term
-            b = sz_functional(ZeroWeight(), d, route="direct").interior_term
+            pts = default_pts(d)
+            a = sz_functional(ZeroWeight(), d, pts, route="jensen").interior_term
+            b = sz_functional(ZeroWeight(), d, pts, route="direct").interior_term
         except (InfeasibleDiscError, Exception) as e:
             if isinstance(e, InfeasibleDiscError):
                 continue

@@ -243,7 +243,8 @@ def test_normalize_center_matches_functional():
     d = AnalyticDiscLift(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
     comp = normalize_disc(d, 0.999, BoundaryGrid(4096))
     rep = center_report(comp)
-    ref = omega_functional_direct(ZeroWeight(), d).total
+    ref = omega_functional_direct(ZeroWeight(), d,
+                                  grid_values(d, BoundaryGrid())).total
     assert rep["neg_log_norm"] == pytest.approx(ref, abs=1e-6)
 
 
@@ -290,8 +291,9 @@ _THROUGH_ORIGIN = AnalyticDiscLift(np.array([[0.0, 0.0], [1.0, 0.5]],
 
 
 @pytest.mark.parametrize("call", [
-    lambda d: omega_functional_lifted(LiftedWeight(ZeroWeight()), d),
-    lambda d: riesz_residual(d, 0.0),
+    lambda d: omega_functional_lifted(LiftedWeight(ZeroWeight()), d,
+                                      grid_values(d, BoundaryGrid())),
+    lambda d: riesz_residual(d, 0.0, grid_values(d, BoundaryGrid())),
     lambda d: center_report(normalize_disc(d, 0.9)),
     lambda d: bprime_to_b(normalize_disc(d, 0.9), 1e-2),
 ], ids=["omega-lifted", "riesz-residual", "center-report", "bprime-to-b"])

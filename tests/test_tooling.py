@@ -51,10 +51,11 @@ def test_fingerprint_one_operation():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "fingerprint.py"),
-         "--seeds", "1", "--labels", "centre-0", "degree-1"],
+         "--seeds", "1", "--labels", "C1-out", "centre-0", "degree-1"],
         env=env, capture_output=True, text=True, check=True).stdout
     lines = [line.split() for line in out.splitlines()]
-    assert [line[:3] for line in lines] == [["hull", "1", "centre-0"],
+    assert [line[:3] for line in lines] == [["siciak", "1", "C1-out"],
+                                             ["hull", "1", "centre-0"],
                                              ["identity", "1", "degree-1"]]
     fingerprint = _load("benchmarks/fingerprint.py", "fingerprint")
     for workload, _seed, label, digest in lines:
