@@ -36,7 +36,11 @@ in the process against a later one; and the construction of a
 CandidateLibrary at 512 samples, which samples its domain: the sz unit
 balls of perfbench's siciak workload (C and C^2), and in omega mode FS
 balls of radius 0.5 and 0.01, a hyperplane complement and an
-intersection in P^1, each checked to sample inside its domain.
+intersection in P^1, each checked to sample inside its domain; and one
+sz minimize on the unit ball in C at perfbench's settings (20 x 100,
+256 search nodes, 1024 final nodes) at an interior point, which returns
+the constant disc without a search, and at an exterior one, which runs
+the search, each checked for its witness and trace.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -59,7 +63,7 @@ from discenv.discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
 from discenv.envelope import (_DRAW_BLOCK, CandidateLibrary, DiscFamilySpec,
                               OptimizerConfig, _clip_bound, _objective,
                               _search, build_objective_spec,
-                              evaluate_witness)
+                              evaluate_witness, minimize)
 from discenv.functionals import sz_interior_jensen, sz_interior_roots
 from discenv.projective import (AffineBall, FsBall, HyperplaneComplement,
                                 Intersection, ProjPoint, Tube, ZeroWeight,
@@ -123,6 +127,7 @@ def main() -> int:
     bench_witness(rng, min(args.repeats, 20))
     bench_search(rng, min(args.repeats, 10))
     bench_library(min(args.repeats, 20))
+    bench_minimize(min(args.repeats, 5))
     return 0
 
 
@@ -430,6 +435,27 @@ def bench_library(repeats: int) -> None:
                                      LIBRARY_SAMPLES), repeats)
         print(f"{label:<24} {t * 1e3:>10.3f}ms")
     print("every domain samples inside itself")
+
+
+def bench_minimize(repeats: int) -> None:
+    ball = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    opt = OptimizerConfig(starts=SZ_RESTARTS, budget=SEARCH_BUDGET, seed=7,
+                          search_nodes=SZ_NODES)
+    grid = BoundaryGrid(1024)
+    print(f"{'minimize sz, C':<24} {'time':>12}")
+    for label, u in (("interior", 0.3 - 0.2j), ("exterior", 1.5 + 0.5j)):
+        x = ProjPoint(affine_lift(np.array([u])))
+        args = ("sz", x, ball, ZeroWeight(), DiscFamilySpec(degree=6, m=2),
+                opt, grid)
+        est = minimize(*args)
+        if label == "interior":
+            assert est.upper == 0.0 and est.witness.degree == 0, "constant disc"
+            assert est.trace == [], "no search"
+        else:
+            assert len(est.trace) == SZ_RESTARTS, "one trace entry a restart"
+        t = bench(minimize, args, repeats)
+        print(f"{label:<24} {t * 1e3:>10.2f}ms")
+    print("the interior point returns the constant disc unsearched")
 
 
 def once(fn, *args) -> float:

@@ -387,13 +387,12 @@ def build_objective_spec(mode: str, x: ProjPoint, domain: Domain,
                           BoundaryGrid(opt.search_nodes))
 
 
-def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
-             family: DiscFamilySpec, opt: OptimizerConfig,
-             final_grid: BoundaryGrid | None = None,
-             library: "CandidateLibrary | None" = None,
-             warm_theta: np.ndarray | None = None) -> EnvelopeEstimate:
-    final_grid = final_grid or BoundaryGrid(DEFAULT_NODES)
-    spec = build_objective_spec(mode, x, domain, weight, family, opt)
+def _searched_witnesses(spec: _ObjectiveSpec, family: DiscFamilySpec,
+                        opt: OptimizerConfig, final_grid: BoundaryGrid,
+                        warm_theta: np.ndarray | None) -> tuple[list, list]:
+    """The (1+1)-ES from the constructed seeds, warm_theta first, topped up
+    with random starts to opt.starts: the feasible witnesses (value, index,
+    disc) and the trace, the best value after each restart."""
     seeds = _constructed_seeds(spec)
     if warm_theta is not None:
         seeds.insert(0, np.asarray(warm_theta, dtype=float))
@@ -416,13 +415,42 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     ends = np.concatenate([thetas, _clip_bound(spec, np.array(seeds))])
     for i, theta in enumerate(ends):
         disc = AnalyticDiscLift(_theta_to_coeffs(spec, theta))
-        value, feasible = evaluate_witness(mode, disc, domain, weight,
-                                           family.eta, final_grid)
+        value, feasible = evaluate_witness(spec.mode, disc, spec.domain,
+                                           spec.weight, family.eta, final_grid)
         if feasible:
             witnesses.append((value, i, disc))
         if i < len(thetas):
             best_so_far = min(best_so_far, value)
             trace.append(best_so_far if math.isfinite(best_so_far) else None)
+    return witnesses, trace
+
+
+def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
+             family: DiscFamilySpec, opt: OptimizerConfig,
+             final_grid: BoundaryGrid | None = None,
+             library: "CandidateLibrary | None" = None,
+             warm_theta: np.ndarray | None = None) -> EnvelopeEstimate:
+    """Upper bound on the envelope at x: the least value of the feasible
+    witnesses, over discs of the family centred at x; lower bound and gap
+    from the library, if one is given.
+
+    Under the zero weight every admissible disc has value at least 0 (in
+    omega mode log|f| is subharmonic; in sz mode the value is -sum log|a|
+    over the zeros a of f_0 in the disc).  So where the constant disc at x
+    is admissible (evaluate_witness at margin eta on final_grid) it is
+    returned alone, with upper 0.0, and no search runs: trace is empty.
+    Otherwise a (1+1)-ES runs from opt.starts starts, and trace holds the
+    best value after each restart.
+    """
+    final_grid = final_grid or BoundaryGrid(DEFAULT_NODES)
+    spec = build_objective_spec(mode, x, domain, weight, family, opt)
+    constant = AnalyticDiscLift(x.vec[None, :])
+    if isinstance(weight, ZeroWeight) and evaluate_witness(
+            mode, constant, domain, weight, family.eta, final_grid)[1]:
+        witnesses, trace = [(0.0, 0, constant)], []
+    else:
+        witnesses, trace = _searched_witnesses(spec, family, opt, final_grid,
+                                               warm_theta)
 
     settings = {
         "mode": mode, "degree": family.degree, "bound": family.bound,

@@ -55,18 +55,25 @@ def _combine(boundary: float, interior: float) -> float:
 
 def admissible_values(disc: AnalyticDiscLift, grid: BoundaryGrid,
                       domain: Domain, margin: float = 0.0) -> np.ndarray:
-    """The disc's grid_values, if every node clears the open domain by more
-    than margin (InfeasibleDiscError otherwise) and then min_norm_on_grid()
-    is at least delta_min (OriginViolation otherwise).  The library's one
-    admissibility test; it reads the nodes only (ROADMAP item 1)."""
+    """The disc's grid_values, if check_admissible passes on their least
+    clearance from the domain."""
     pts = grid_values(disc, grid)
-    worst = domain.clearance_many(pts).min()
+    check_admissible(disc, float(domain.clearance_many(pts).min()), margin)
+    return pts
+
+
+def check_admissible(disc: AnalyticDiscLift, worst: float,
+                     margin: float = 0.0) -> None:
+    """InfeasibleDiscError unless worst, the least clearance of the disc's
+    boundary nodes from the open domain, exceeds margin; then
+    OriginViolation if min_norm_on_grid() is below delta_min.  The
+    library's one admissibility test; it reads the nodes only (ROADMAP
+    item 1)."""
     if not worst > margin:
         raise InfeasibleDiscError(f"disc boundary does not clear the domain by "
                                   f"{margin:g} (worst clearance {worst:.3e})")
     if disc.min_norm_on_grid() < disc.delta_min:
         raise OriginViolation(f"disc comes within {disc.delta_min:g} of the origin")
-    return pts
 
 
 def poisson_functional(phi_tilde: LiftedWeight,

@@ -131,8 +131,9 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
 
     Success yields a HullCertificate for that tube; failure is only a
     report (the search is incomplete and proves nothing about x).  The
-    constant disc at x is tried first: where it is admissible its value,
-    0, is the least of any disc (log|f| is subharmonic), so no search runs.
+    disc is minimize's witness under the zero weight: where the constant
+    disc at x is admissible in the tube, minimize returns it with value 0
+    without a search.
     """
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
@@ -145,11 +146,8 @@ def hull_test(x: ProjPoint, K: CompactSetSpec, lam: float, eps: float,
     settings = {"final_nodes": final_grid.n, "starts": opt.starts,
                 "budget": opt.budget, "seed": opt.seed,
                 "degree": family.degree}
-    disc, value = AnalyticDiscLift(x.vec[None, :]), 0.0
-    if not evaluate_witness("omega", disc, tube, ZeroWeight(), family.eta,
-                            final_grid)[1]:
-        est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
-        disc, value = est.witness, est.upper
+    est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
+    disc, value = est.witness, est.upper
     if _certifies(value, lam, eps):
         return HullCertificate(x, lam, eps, delta, disc, value, settings)
     return {"certified": False, "best_value": value,
@@ -166,8 +164,10 @@ def lambda_schedule(x: ProjPoint, K: CompactSetSpec, deltas,
 
     All searches share one witness pool and every per-delta estimate is the
     minimum over pool members feasible in that tube, so the sequence is
-    nondecreasing by construction (smaller tubes admit fewer discs).  The
-    constant disc at x, minimize's first seed, joins it when feasible.
+    nondecreasing by construction (smaller tubes admit fewer discs).  Where
+    the constant disc at x is admissible in a tube, minimize returns it
+    alone, without a search, so that tube adds only the constant disc to
+    the pool; its value 0 is the least any disc has.
     """
     deltas = list(deltas)
     if not deltas:

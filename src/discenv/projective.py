@@ -20,8 +20,13 @@ def _c2j(z: complex):
 
 def _j2c(v) -> complex:
     """The complex number of a JSON [re, im] pair.  Every pair an input
-    file holds is decoded here; json.load accepts NaN and Infinity, so a
-    non-finite part is a ConfigError."""
+    file holds is decoded here.  A part that is not a JSON number is a
+    ConfigError (a bool is an int to Python, so [true, false] would read
+    as 1), and so is a non-finite part, since json.load accepts NaN and
+    Infinity."""
+    if len(v) != 2 or not all(isinstance(p, (int, float)) and
+                              not isinstance(p, bool) for p in v):
+        raise ConfigError(f"not an [re, im] pair of numbers: {v!r}")
     z = complex(v[0], v[1])
     if not cmath.isfinite(z):
         raise ConfigError(f"non-finite number {v!r}")

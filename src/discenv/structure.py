@@ -12,7 +12,8 @@ import numpy as np
 
 from .discs import AnalyticDiscLift, BoundaryGrid, grid_values
 from .errors import DomainError, InfeasibleDiscError, OriginViolation
-from .functionals import admissible_values, poisson_functional
+from .functionals import (admissible_values, check_admissible,
+                          poisson_functional)
 from .projective import Domain, LiftedWeight, fs_distances
 
 SHRINK_FLOOR = 1e-10
@@ -89,11 +90,13 @@ def structure_params(x, w, domain: Domain) -> StructureDiscParams:
 
 def verify_feasible(disc: AnalyticDiscLift, domain: Domain,
                     n_boundary: int = 256) -> dict:
-    """functionals.admissible_values at n_boundary nodes: origin_ok (norm at
-    least delta_min) is None where boundary_ok already fails."""
-    grid = BoundaryGrid(n_boundary)
+    """functionals.check_admissible on the least clearance of the disc's
+    values at n_boundary nodes, evaluated once: origin_ok (norm at least
+    delta_min) is None where boundary_ok already fails."""
+    pts = grid_values(disc, BoundaryGrid(n_boundary))
+    min_clearance = float(domain.clearance_many(pts).min())
     try:
-        admissible_values(disc, grid, domain)
+        check_admissible(disc, min_clearance)
         boundary_ok, origin_ok = True, True
     except InfeasibleDiscError:
         boundary_ok, origin_ok = False, None
@@ -101,7 +104,7 @@ def verify_feasible(disc: AnalyticDiscLift, domain: Domain,
         boundary_ok, origin_ok = True, False
     return {
         "boundary_ok": boundary_ok,
-        "min_clearance": float(domain.clearance_many(grid_values(disc, grid)).min()),
+        "min_clearance": min_clearance,
         "min_norm": disc.min_norm_on_grid(),
         "origin_ok": origin_ok,
         "feasible": bool(boundary_ok and origin_ok),

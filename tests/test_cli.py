@@ -798,6 +798,24 @@ def test_non_finite_input_exit_1(files, command, flag, obj, bad, capsys):
     assert not (files["tmp"] / "o.out").exists()
 
 
+@pytest.mark.parametrize("pair", [[True, False], [1.0, False], [1.0]],
+                         ids=["true-false", "false", "short"])
+@pytest.mark.parametrize("command, flag, obj", [
+    ("functional", "--domain", lambda p: {"type": "affine_ball",
+                                          "center": [p], "radius": 1.0}),
+    ("envelope", "--point", lambda p: {"type": "proj",
+                                       "coords": [[1.0, 0.0], p]}),
+], ids=["domain-centre", "point"])
+def test_non_number_pair_exit_1(files, command, flag, obj, pair, capsys):
+    # a bool is an int to Python: [true, false] is not the number 1
+    path = write(files["tmp"] / "nonnumber.json", obj(pair))
+    rc = main(_reading(command)(files) + [flag, path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config error: {path}:" in err and "Traceback" not in err
+    assert not (files["tmp"] / "o.out").exists()
+
+
 @pytest.mark.parametrize("exponents", [[0.5, 0.5], [-1, 2]],
                          ids=["0.5,0.5", "-1,2"])
 def test_non_integer_exponents_exit_1(files, exponents, capsys):
@@ -842,14 +860,16 @@ def _functional_in_ball(files, route):
     (lambda f: _functional_in_ball(f, "jensen"), [1024]),
     (lambda f: _witness_twice("omega"), [64, 64]),
     (lambda f: _witness_twice("sz"), [64, 64]),
+    (lambda f: main(_reading("disc-structure")(f)), [256]),
 ], ids=["identity-check", "functional-direct", "functional-lifted",
-        "functional-jensen", "witness-omega", "witness-sz"])
+        "functional-jensen", "witness-omega", "witness-sz", "structure-make"])
 def test_one_boundary_evaluation_per_disc_and_grid(files, monkeypatch, run,
                                                    nodes):
     # every evaluation on a BoundaryGrid reads its power table once
     # (min_norm_on_grid and the area term read theirs elsewhere):
     # identity-check evaluates its disc once on each of its two grids,
-    # functional eval --domain once, evaluate_witness once per call
+    # functional eval --domain once, evaluate_witness once per call,
+    # disc-structure make once
     calls = []
     powers = discs.BoundaryGrid.powers
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discenv import kernels
+from discenv import envelope, kernels
 from discenv.discs import (AnalyticDiscLift, BoundaryGrid, grid_values,
                            polar_values, power_table)
 from discenv.envelope import (_DRAW_BLOCK, _PROBE_ANGLES,
@@ -71,16 +71,20 @@ def test_witness_reevaluation_stable():
 
 
 def test_trace_monotone():
-    x = ProjPoint(np.array([1.0, 0.2]))
+    # outside the ball, so that the search runs and the trace has a value
+    # per restart
+    x = ProjPoint(np.array([1.0, 0.6]))
     dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5)
     fam = DiscFamilySpec(degree=3, m=2, center=x)
     est = minimize("omega", x, dom, ZeroWeight(), fam, SMALL)
+    assert len(est.trace) == SMALL.starts
     vals = [v for v in est.trace if v is not None]
-    assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+    assert vals and all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_determinism_json_level():
-    x = ProjPoint(np.array([1.0, 0.3]))
+    # outside the ball: a searched estimate
+    x = ProjPoint(np.array([1.0, 0.45]))
     dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4)
     fam = DiscFamilySpec(degree=4, m=2, center=x)
     runs = []
@@ -567,7 +571,7 @@ def test_search_matches_serial_reference(mode, x, dom, nodes, budget):
 def test_warm_minimize_builds_no_table():
     # every node set's tables (search nodes, interior probes, final grid,
     # validation grid) are built by the first minimize and only read by
-    # the second
+    # the second; the point lies outside the ball, so the search runs
     from discenv import discs
 
     def misses():
@@ -575,7 +579,7 @@ def test_warm_minimize_builds_no_table():
                    (discs._power_table, discs._circle_nodes,
                     discs.validation_grid))
 
-    x = ProjPoint(affine_lift(np.array([0.3 - 0.2j])))
+    x = ProjPoint(affine_lift(np.array([1.3 - 0.2j])))
     dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
     fam = DiscFamilySpec(degree=6, m=2, center=x)
     opt = OptimizerConfig(starts=4, budget=40, seed=5, search_nodes=256)
@@ -583,7 +587,53 @@ def test_warm_minimize_builds_no_table():
     before = misses()
     second = minimize("sz", x, dom, ZeroWeight(), fam, opt)
     assert misses() == before
-    assert first.feasible and second.upper == first.upper
+    assert first.trace and first.feasible and second.upper == first.upper
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("search ran")
+
+
+_CIRCLE_TUBE = Tube(tuple(
+    ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 64)])) for k in range(64)),
+    0.05)
+
+
+@pytest.mark.parametrize("mode, x, dom", [
+    ("sz", ProjPoint(affine_lift(np.array([0.3 - 0.2j]))),
+     AffineBall(np.zeros(1, dtype=complex), 1.0)),
+    ("sz", ProjPoint(affine_lift(np.array([0.3, -0.5j]))),
+     AffineBall(np.zeros(2, dtype=complex), 1.0)),
+    ("omega", ProjPoint(np.array([1.0, 0.2])),
+     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5)),
+    ("omega", _CIRCLE_TUBE.samples[5], _CIRCLE_TUBE),
+], ids=["affine-ball-C", "affine-ball-C2", "fs-ball", "tube-sample"])
+def test_admissible_constant_disc_returned_without_search(monkeypatch, mode,
+                                                          x, dom):
+    # under the zero weight no disc has a value below the constant disc's 0
+    monkeypatch.setattr(envelope, "_search", _no_search)
+    fam = DiscFamilySpec(degree=6, m=x.vec.size, center=x)
+    lib = CandidateLibrary(mode, dom, ZeroWeight(), seed=0)
+    est = minimize(mode, x, dom, ZeroWeight(), fam, SMALL, library=lib)
+    assert est.feasible and est.upper == 0.0 and est.trace == []
+    assert est.witness.degree == 0
+    assert np.array_equal(est.witness.coeffs, x.vec[None, :])
+    assert [(v, d is est.witness) for v, d in est.witnesses] == [(0.0, True)]
+    assert est.lower == lib.lower_bound(x)[0]
+    assert est.gap == 0.0 - est.lower
+    assert est.to_json()["settings"]["budget"] == SMALL.budget
+
+
+@pytest.mark.parametrize("u, weight", [
+    (1.5 + 0.5j, ZeroWeight()), (0.3 - 0.2j, ConstantWeight(0.3)),
+], ids=["exterior", "constant-weight"])
+def test_search_runs_unless_the_zero_weight_admits_the_constant(monkeypatch,
+                                                                u, weight):
+    x = ProjPoint(affine_lift(np.array([u])))
+    dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    monkeypatch.setattr(envelope, "_search", _no_search)
+    with pytest.raises(AssertionError, match="search ran"):
+        minimize("sz", x, dom, weight, DiscFamilySpec(degree=2, m=2), SMALL)
 
 
 def test_workers_other_than_one_rejected():

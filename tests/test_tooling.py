@@ -1,12 +1,20 @@
 """The benchmark tooling still fits the library: every layer the traced
 perfbench run wraps exists, the kernel benchmark script imports, and one
 operation of each perfbench workload (two of `identity`) passes its own
-check, and the fingerprint script hashes a search as this process does."""
+check, and the fingerprint script hashes a search as this process does.
+The perfbench siciak inputs at the default budget also end at witnesses
+that stay in the ball between the final nodes."""
+import dataclasses
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from discenv import envelope
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,3 +69,20 @@ def test_fingerprint_one_operation():
     for workload, _seed, label, digest in lines:
         assert list(fingerprint.fingerprints(workload, 1, {label})) == \
             [(label, digest)]
+
+
+@pytest.mark.parametrize("seed", [4, 8, 13, 15])
+def test_siciak_interior_witness_clears_between_nodes(seed, tmp_path):
+    # a 20 x 2000 search at these C1-in points ends at degree-6 witnesses
+    # of value 0.0 that clear the ball at the 1024 final nodes but leave it
+    # between them (least clearance at 2^18 nodes -0.063, -0.445, -0.125
+    # and -0.732); the constant disc has the same value and stays inside
+    workloads = _load("perfbench/workloads.py", "perfbench_workloads")
+    siciak = workloads.Siciak(seed, tmp_path)
+    i = next(op for op in siciak.round if op.label == "C1-in").inputs
+    est = envelope.minimize(
+        "sz", i["x"], i["ball"], siciak.weight, i["family"],
+        dataclasses.replace(i["opt"], budget=2000), siciak.final_grid)
+    fine = np.exp(2j * np.pi * np.arange(2 ** 18) / 2 ** 18)
+    clearance = i["ball"].clearance_many(est.witness(fine))
+    assert clearance.min() >= i["family"].eta
