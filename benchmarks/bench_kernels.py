@@ -15,11 +15,13 @@ path of a minimize on the unit ball: AffineBall.clearance_many at 5120
 rows (20 restarts x 256 search nodes) in C and C^2, called as the
 search calls it
 (coordinate-major rows with their squared moduli sq), checked against a
-per-row reference and byte for byte against the call without sq, and
-one lock-step _objective call over 20 restarts x 256 nodes; and the re-evaluation of one sz witness on the unit ball in C and
-C^2: evaluate_witness on the 1024-node final grid against an inline
-reference (Horner values, and Jensen's formula from np.roots), checked
-to agree to 1e-13, and the interior term from the zeros of f_0
+per-row reference and byte for byte against the call without sq; and
+one lock-step _objective call over 20 restarts x 256 nodes for each
+search of perfbench's siciak and hull workloads (sz on the unit ball,
+m = 2, 3, and omega on the 64-point circle Tube); and the re-evaluation
+of one sz witness on the unit ball in C and C^2: evaluate_witness on
+the 1024-node final grid against an inline reference (Horner values,
+and Jensen's formula from np.roots), checked to agree to 1e-13, and the interior term from the zeros of f_0
 (sz_interior_roots, the witness route) beside the 65536-node
 sz_interior_jensen (the independent route: f_0 at the nodes by one
 inverse FFT; no perfbench workload calls it), checked to agree; and the
@@ -124,6 +126,7 @@ def main() -> int:
     bench_tube(rng, args.repeats)
     bench_riesz(rng, min(args.repeats, 10))
     bench_sz(rng, args.repeats)
+    bench_objective(rng, args.repeats)
     bench_witness(rng, min(args.repeats, 20))
     bench_search(rng, min(args.repeats, 10))
     bench_library(min(args.repeats, 20))
@@ -233,15 +236,6 @@ def bench_sz(rng, repeats: int) -> None:
         assert np.allclose(got, affine_ball_reference(ball, z),
                            rtol=1e-13, atol=1e-13), "affine ball clearance"
         assert got.tobytes() == ball.clearance_many(z).tobytes(), "sq changes bits"
-
-        x = ProjPoint(affine_lift(np.full(m - 1, 0.3 - 0.2j)))
-        spec = build_objective_spec(
-            "sz", x, ball, ZeroWeight(), DiscFamilySpec(degree=6, m=m, center=x),
-            OptimizerConfig(search_nodes=SZ_NODES))
-        thetas = 0.3 * rng.standard_normal((SZ_RESTARTS, spec.dim))
-        t = bench(_objective, (spec, thetas), repeats)
-        print(f"{f'_objective {SZ_RESTARTS}x{SZ_NODES}, m={m}':<24} "
-              f"{t * 1e6:>10.1f}us")
     print("affine ball clearance agrees with the per-row reference")
 
 
@@ -394,6 +388,17 @@ def search_specs():
         "omega", x, tube, ZeroWeight(), DiscFamilySpec(degree=6, m=2, center=x),
         OptimizerConfig(search_nodes=SZ_NODES))))
     return out
+
+
+def bench_objective(rng, repeats: int) -> None:
+    print(f"{f'_objective {SZ_RESTARTS}x{SZ_NODES}':<24} {'time':>12} "
+          f"{'minflt':>9}")
+    for label, spec in search_specs():
+        thetas = 0.3 * rng.standard_normal((SZ_RESTARTS, spec.dim))
+        before = minor_faults()
+        t = bench(_objective, (spec, thetas), repeats)
+        faults = (minor_faults() - before) / (repeats + 1)
+        print(f"{label:<24} {t * 1e6:>10.1f}us {faults:>9.1f}")
 
 
 def bench_search(rng, repeats: int) -> None:

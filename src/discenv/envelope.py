@@ -10,14 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .discs import (AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES,
-                    circle_powers, power_table)
+from .discs import AnalyticDiscLift, BoundaryGrid, DEFAULT_NODES
 from .errors import (BoundaryZeroError, ConfigError, DomainError,
                      InfeasibleDiscError, OriginViolation)
 from .functionals import (admissible_values, encode_float,
                           omega_functional_lifted, sz_functional)
-from .projective import (AffineBall, Domain, FsBall, LiftedWeight, ProjPoint,
-                         Tube, Weight, ZeroWeight, affine_lift, chart)
+from .projective import (AffineBall, ConstantWeight, Domain, FsBall,
+                         LiftedWeight, ProjPoint, Tube, Weight, ZeroWeight,
+                         affine_lift, chart)
 from .structure import StructureDiscParams, make_structure_disc
 
 # exterior penalty weight and the search-time margin inflation; the final
@@ -25,9 +25,6 @@ from .structure import StructureDiscParams, make_structure_disc
 PENALTY_RHO = 1.0e4
 ETA_INFLATION = 1.5
 ORIGIN_FLOOR = 1e-4
-# interior probes of the origin floor: radii 0, 1/4, 1/2, 3/4 on 16 angles
-_PROBE_RADII = 4
-_PROBE_ANGLES = 16
 # steps of (1+1)-ES draws per restart and block (see _search)
 _DRAW_BLOCK = 16
 
@@ -170,15 +167,6 @@ def _clip_bound(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _probe_nodes(n_theta: int) -> np.ndarray:
-    """The probes r e^{i theta}, radius-major, from the angular table.  Their
-    cached powers take one product per call; the polar form, which scales
-    the m*R coefficient rows by r^k on every call, made _objective ~4%
-    slower."""
-    radii = np.arange(_PROBE_RADII) / _PROBE_RADII
-    return (radii[:, None] * circle_powers(n_theta, 1)[:, 1]).reshape(-1)
-
-
 def _coeff_rows(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """Parameters (R, dim) -> the discs' coefficients coordinate-major,
     (m*R, degree+1): row j*R + r is coordinate j of disc r, c0[j] and then
@@ -239,7 +227,9 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     at a node in sz mode, whose mean log|f_0|^2 is -inf.
 
     Each |f_j|^2 is taken once, as Re^2 + Im^2, for the functional, the
-    origin floor and the domain alike.
+    origin floor and the domain alike.  The origin floor reads the least
+    |f| on the nodes; a near zero of f at an interior point a needs no
+    floor, as the functional itself rises by about log(1/|a|) there.
     """
     r, n, m = thetas.shape[0], spec.nodes.size, spec.m
     coeffs = _coeff_rows(spec, thetas)
@@ -254,10 +244,7 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         value = _functional(spec, rows, sq, norm2, scratch)
         pen = _domain_penalty(spec, rows, sq)
-        probes = power_table(_probe_nodes, _PROBE_ANGLES, spec.degree)
-        inner = (coeffs @ probes.T).reshape(m, r, -1)
-        inner2 = (inner.real ** 2 + inner.imag ** 2).sum(axis=0)
-        min_ln = 0.5 * np.log(np.minimum(least, inner2.min(axis=1)))
+        min_ln = 0.5 * np.log(least)
         pen += 10.0 * np.square(np.maximum(0.0, math.log(ORIGIN_FLOOR) - min_ln))
         return np.where(np.isfinite(value), value + pen, math.inf)
 
@@ -434,20 +421,24 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     witnesses, over discs of the family centred at x; lower bound and gap
     from the library, if one is given.
 
-    Under the zero weight every admissible disc has value at least 0 (in
-    omega mode log|f| is subharmonic; in sz mode the value is -sum log|a|
-    over the zeros a of f_0 in the disc).  So where the constant disc at x
-    is admissible (evaluate_witness at margin eta on final_grid) it is
-    returned alone, with upper 0.0, and no search runs: trace is empty.
-    Otherwise a (1+1)-ES runs from opt.starts starts, and trace holds the
-    best value after each restart.
+    Under the zero weight, or a constant weight c, every admissible disc
+    has value at least c (c = 0 for the zero weight: in omega mode log|f|
+    is subharmonic; in sz mode the value is c - sum log|a| over the zeros
+    a of f_0 in the disc).  So where the constant disc at x is admissible
+    (evaluate_witness at margin eta on final_grid) it is returned alone,
+    with upper exactly c, and no search runs: trace is empty.  Otherwise a
+    (1+1)-ES runs from opt.starts starts, and trace holds the best value
+    after each restart.
     """
     final_grid = final_grid or BoundaryGrid(DEFAULT_NODES)
     spec = build_objective_spec(mode, x, domain, weight, family, opt)
     constant = AnalyticDiscLift(x.vec[None, :])
-    if isinstance(weight, ZeroWeight) and evaluate_witness(
+    # the weight's own value, not the re-evaluated mean, which may be an ulp off
+    least = (0.0 if isinstance(weight, ZeroWeight) else
+             float(weight.value) if isinstance(weight, ConstantWeight) else None)
+    if least is not None and evaluate_witness(
             mode, constant, domain, weight, family.eta, final_grid)[1]:
-        witnesses, trace = [(0.0, 0, constant)], []
+        witnesses, trace = [(least, 0, constant)], []
     else:
         witnesses, trace = _searched_witnesses(spec, family, opt, final_grid,
                                                warm_theta)

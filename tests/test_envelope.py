@@ -8,13 +8,11 @@ import pytest
 
 from discenv import envelope, kernels
 from discenv.discs import (AnalyticDiscLift, BoundaryGrid, grid_values,
-                           polar_values, power_table)
-from discenv.envelope import (_DRAW_BLOCK, _PROBE_ANGLES,
-                              ORIGIN_FLOOR, PENALTY_RHO,
+                           polar_values)
+from discenv.envelope import (_DRAW_BLOCK, ORIGIN_FLOOR, PENALTY_RHO,
                               CandidateLibrary, DiscFamilySpec,
                               EnvelopeEstimate, OptimizerConfig,
                               _clip_bound, _constructed_seeds, _objective,
-                              _probe_nodes,
                               _search, _theta_to_coeffs,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
@@ -325,18 +323,6 @@ def test_batched_objective_matches_single_rows(mode, x, dom):
     assert batched.tobytes() == single.tobytes()
 
 
-def _reference_probes():
-    """The interior probes of the origin floor: radii 0, 1/4, 1/2 and 3/4
-    on 16 equispaced angles, radius-major."""
-    ang = np.exp(2j * np.pi * np.arange(16) / 16)
-    return np.concatenate([r * ang for r in (0.0, 0.25, 0.5, 0.75)])
-
-
-def _probe_values(coeffs, degree):
-    """The interior probe values as _objective forms them, (m, R, 64)."""
-    return polar_values(coeffs, power_table(_probe_nodes, _PROBE_ANGLES, degree))
-
-
 def _horner_objective(spec, thetas):
     """_objective one disc at a time, from Horner values (kernels.eval_poly)
     and complex moduli."""
@@ -357,8 +343,7 @@ def _horner_objective(spec, thetas):
                          np.mean(spec.weight.value_affine_many(chart(pts))))
             clear = np.clip(spec.domain.clearance_many(pts), -10.0, None)
             pen = PENALTY_RHO * np.mean(np.maximum(0.0, spec.eta_search - clear) ** 2)
-            inner = kernels.eval_poly(coeffs, _reference_probes())
-            min_ln = min(lognorms.min(), np.log(np.linalg.norm(inner, axis=1)).min())
+            min_ln = lognorms.min()
         if min_ln < floor_ln:
             pen += 10.0 * (floor_ln - min_ln) ** 2
         out.append(value + pen if np.isfinite(value) else math.inf)
@@ -386,17 +371,22 @@ def test_objective_matches_horner_reference(mode, x, dom, weighted):
     thetas[2, 2:4] = -x.vec.imag
     if mode == "sz":
         thetas[2, 1] = thetas[2, 3] = 0.5
-    # row 4: f = c0 (1 - 2(1 - 2^-15) t), so |f| = 2^-15 |c0| at the probe
-    # t = 1/2 (exactly, on both routes) and the origin floor is active
-    c1 = -2.0 * (1.0 - 2.0 ** -15) * x.vec
+    # row 4: f = c0 (1 - a t), a = 2(1 - 2^-15), which nearly vanishes at
+    # the interior point t = 1/2; row 6: the constant disc f = c0
+    a = 2.0 * (1.0 - 2.0 ** -15)
     thetas[4] = 0.0
-    thetas[4, :2], thetas[4, 2:4] = c1.real, c1.imag
+    thetas[4, :2], thetas[4, 2:4] = (-a * x.vec).real, (-a * x.vec).imag
+    thetas = np.vstack([thetas, np.zeros(spec.dim)])
     got = _objective(spec, thetas)
     want = _horner_objective(spec, thetas)
     assert got[2] == math.inf and np.isfinite(np.delete(got, 2)).all()
-    # the origin floor adds 10 log(1e-4 2^15)^2 = 14.1; the rest is O(1)
-    assert got[4] > 10.0
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # both discs have the image [c0] and stay clear of the origin on the
+    # circle, so they differ by the Jensen term log a of the zero t = 1/a
+    # alone: the functional itself, not a penalty, repels interior zeros
+    assert abs(got[4] - got[6] - math.log(a)) <= 1e-12 * max(1.0, abs(got[4]))
+    np.testing.assert_allclose(got[:6], want[:6], rtol=1e-12, atol=0)
+    # the constant disc's value can be 0 up to rounding: no relative bound
+    assert abs(got[6] - want[6]) <= 1e-12 * max(1.0, abs(want[6]))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -407,16 +397,11 @@ def test_eval_rows_matches_horner(m):
                                 OptimizerConfig(search_nodes=256))
     rng = np.random.default_rng(17)
     coeffs = rng.standard_normal((5, 7, m)) + 1j * rng.standard_normal((5, 7, m))
-    for nodes, got in ((spec.nodes, polar_values(coeffs, spec.node_powers)),
-                       (_reference_probes(), _probe_values(coeffs, 6))):
-        want = np.stack([kernels.eval_poly(c, nodes) for c in coeffs])
-        got = got.reshape(m, 5, -1)
-        assert got.shape == (m, 5, len(nodes))
-        np.testing.assert_allclose(got.transpose(1, 2, 0), want, rtol=0, atol=1e-13)
+    want = np.stack([kernels.eval_poly(c, spec.nodes) for c in coeffs])
+    got = polar_values(coeffs, spec.node_powers).reshape(m, 5, -1)
+    assert got.shape == (m, 5, spec.nodes.size)
+    np.testing.assert_allclose(got.transpose(1, 2, 0), want, rtol=0, atol=1e-13)
     assert not spec.node_powers.flags.writeable
-    # the probes' table has the bits of the former table of their nodes
-    probes = power_table(_probe_nodes, _PROBE_ANGLES, 6)
-    assert probes.tobytes() == (_reference_probes()[:, None] ** np.arange(7)).tobytes()
 
 
 @pytest.mark.parametrize("nodes", [64, 256])
@@ -453,10 +438,7 @@ def _sz_objective_with_chart(spec, thetas):
         clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
             np.maximum(0.0, spec.eta_search - clear)), axis=1)
-        inner = _probe_values(coeffs, spec.degree)
-        inner2 = (inner.real ** 2 + inner.imag ** 2).sum(axis=0)
-        min_ln = 0.5 * np.log(np.minimum(sq.sum(axis=0).min(axis=1),
-                                         inner2.min(axis=1)))
+        min_ln = 0.5 * np.log(sq.sum(axis=0).min(axis=1))
         floor_ln = math.log(ORIGIN_FLOOR)
         for i in np.flatnonzero(min_ln < floor_ln):
             pen[i] += 10.0 * (floor_ln - float(min_ln[i])) ** 2
@@ -569,9 +551,9 @@ def test_search_matches_serial_reference(mode, x, dom, nodes, budget):
 
 
 def test_warm_minimize_builds_no_table():
-    # every node set's tables (search nodes, interior probes, final grid,
-    # validation grid) are built by the first minimize and only read by
-    # the second; the point lies outside the ball, so the search runs
+    # every node set's tables (search nodes, final grid, validation grid)
+    # are built by the first minimize and only read by the second; the
+    # point lies outside the ball, so the search runs
     from discenv import discs
 
     def misses():
@@ -599,34 +581,39 @@ _CIRCLE_TUBE = Tube(tuple(
     0.05)
 
 
-@pytest.mark.parametrize("mode, x, dom", [
+@pytest.mark.parametrize("mode, x, dom, weight, c", [
     ("sz", ProjPoint(affine_lift(np.array([0.3 - 0.2j]))),
-     AffineBall(np.zeros(1, dtype=complex), 1.0)),
+     AffineBall(np.zeros(1, dtype=complex), 1.0), ZeroWeight(), 0.0),
     ("sz", ProjPoint(affine_lift(np.array([0.3, -0.5j]))),
-     AffineBall(np.zeros(2, dtype=complex), 1.0)),
+     AffineBall(np.zeros(2, dtype=complex), 1.0), ZeroWeight(), 0.0),
     ("omega", ProjPoint(np.array([1.0, 0.2])),
-     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5)),
-    ("omega", _CIRCLE_TUBE.samples[5], _CIRCLE_TUBE),
-], ids=["affine-ball-C", "affine-ball-C2", "fs-ball", "tube-sample"])
+     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5), ZeroWeight(), 0.0),
+    ("omega", _CIRCLE_TUBE.samples[5], _CIRCLE_TUBE, ZeroWeight(), 0.0),
+    ("sz", ProjPoint(affine_lift(np.array([0.3 - 0.2j]))),
+     AffineBall(np.zeros(1, dtype=complex), 1.0), ConstantWeight(0.3), 0.3),
+    ("omega", ProjPoint(np.array([1.0, 0.2])),
+     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5), ConstantWeight(0.3), 0.3),
+], ids=["affine-ball-C", "affine-ball-C2", "fs-ball", "tube-sample",
+        "constant-weight-sz", "constant-weight-omega"])
 def test_admissible_constant_disc_returned_without_search(monkeypatch, mode,
-                                                          x, dom):
-    # under the zero weight no disc has a value below the constant disc's 0
+                                                          x, dom, weight, c):
+    # under a constant weight c (0 for the zero weight) no admissible disc
+    # has a value below the constant disc's c
     monkeypatch.setattr(envelope, "_search", _no_search)
     fam = DiscFamilySpec(degree=6, m=x.vec.size, center=x)
-    lib = CandidateLibrary(mode, dom, ZeroWeight(), seed=0)
-    est = minimize(mode, x, dom, ZeroWeight(), fam, SMALL, library=lib)
-    assert est.feasible and est.upper == 0.0 and est.trace == []
+    lib = CandidateLibrary(mode, dom, weight, seed=0)
+    est = minimize(mode, x, dom, weight, fam, SMALL, library=lib)
+    assert est.feasible and est.upper == c and est.trace == []
     assert est.witness.degree == 0
     assert np.array_equal(est.witness.coeffs, x.vec[None, :])
-    assert [(v, d is est.witness) for v, d in est.witnesses] == [(0.0, True)]
+    assert [(v, d is est.witness) for v, d in est.witnesses] == [(c, True)]
     assert est.lower == lib.lower_bound(x)[0]
-    assert est.gap == 0.0 - est.lower
+    assert est.gap == c - est.lower
     assert est.to_json()["settings"]["budget"] == SMALL.budget
 
 
-@pytest.mark.parametrize("u, weight", [
-    (1.5 + 0.5j, ZeroWeight()), (0.3 - 0.2j, ConstantWeight(0.3)),
-], ids=["exterior", "constant-weight"])
+@pytest.mark.parametrize("u, weight", [(1.5 + 0.5j, ZeroWeight())],
+                         ids=["exterior"])
 def test_search_runs_unless_the_zero_weight_admits_the_constant(monkeypatch,
                                                                 u, weight):
     x = ProjPoint(affine_lift(np.array([u])))

@@ -3,7 +3,8 @@ perfbench run wraps exists, the kernel benchmark script imports, and one
 operation of each perfbench workload (two of `identity`) passes its own
 check, and the fingerprint script hashes a search as this process does.
 The perfbench siciak inputs at the default budget also end at witnesses
-that stay in the ball between the final nodes."""
+that stay in the ball between the final nodes, and the searches of the
+siciak and hull rounds end clear of the origin inside the disc."""
 import dataclasses
 import importlib.util
 import os
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from discenv import envelope
+from discenv.discs import AnalyticDiscLift
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,3 +88,26 @@ def test_siciak_interior_witness_clears_between_nodes(seed, tmp_path):
     fine = np.exp(2j * np.pi * np.arange(2 ** 18) / 2 ** 18)
     clearance = i["ball"].clearance_many(est.witness(fine))
     assert clearance.min() >= i["family"].eta
+
+
+def test_searches_end_clear_of_the_origin_inside_the_disc(monkeypatch,
+                                                         tmp_path):
+    # the search's origin floor reads the boundary nodes alone; inside the
+    # disc the functional's Jensen term keeps the end points from the
+    # origin (least norm 0.059 over workload seeds 1-3 at 20 x 100)
+    workloads = _load("perfbench/workloads.py", "perfbench_workloads")
+    search, ends = envelope._search, []
+
+    def recorded(spec, theta0s, seed, budget):
+        thetas = search(spec, theta0s, seed, budget)
+        ends.extend(AnalyticDiscLift(envelope._theta_to_coeffs(spec, t))
+                    for t in thetas)
+        return thetas
+
+    monkeypatch.setattr(envelope, "_search", recorded)
+    for workload in (workloads.Siciak(1, tmp_path), workloads.Hull(1, tmp_path)):
+        for op in workload.round:
+            workload.run(op)
+    # the two exterior siciak points and the four hull points search
+    assert len(ends) == 6 * workloads.STARTS
+    assert min(d.min_norm_on_grid() for d in ends) >= envelope.ORIGIN_FLOOR
