@@ -38,7 +38,9 @@ in the process against a later one; and the construction of a
 CandidateLibrary at 512 samples, which samples its domain: the sz unit
 balls of perfbench's siciak workload (C and C^2), and in omega mode FS
 balls of radius 0.5 and 0.01, a hyperplane complement and an
-intersection in P^1, each checked to sample inside its domain; and one
+intersection in P^1, each checked to sample inside its domain, and its
+lower_bound at one exterior point of the domain (the library's cost per
+siciak operation); and one
 sz minimize on the unit ball in C at perfbench's settings (20 x 100,
 256 search nodes, 1024 final nodes) at an interior point, which returns
 the constant disc without a search, and at an exterior one, which runs
@@ -417,28 +419,38 @@ def bench_search(rng, repeats: int) -> None:
 
 
 def library_domains():
-    """(label, mode, domain) of the timed CandidateLibrary constructions."""
+    """(label, mode, domain, exterior point) of the timed CandidateLibrary
+    constructions and lower bounds."""
     p = ProjPoint(np.array([1.0, 0.3 + 0.1j]))
     hyp = HyperplaneComplement(np.array([1.0, 2.0j]))
+    far = ProjPoint(np.array([0.0, 1.0]))
+    on_hyp = ProjPoint(np.array([2.0j, 1.0]))
     return [
-        ("sz AffineBall, C", "sz", AffineBall(np.zeros(1, dtype=complex), 1.0)),
-        ("sz AffineBall, C^2", "sz", AffineBall(np.zeros(2, dtype=complex), 1.0)),
-        ("FsBall 0.5", "omega", FsBall(p, 0.5)),
-        ("FsBall 0.01", "omega", FsBall(p, 0.01)),
-        ("HyperplaneComplement", "omega", hyp),
-        ("Intersection", "omega", Intersection((FsBall(p, 0.6), hyp))),
+        ("sz AffineBall, C", "sz", AffineBall(np.zeros(1, dtype=complex), 1.0),
+         ProjPoint(affine_lift(np.array([1.5 + 0.5j])))),
+        ("sz AffineBall, C^2", "sz", AffineBall(np.zeros(2, dtype=complex), 1.0),
+         ProjPoint(affine_lift(np.array([1.5, 0.5j])))),
+        ("FsBall 0.5", "omega", FsBall(p, 0.5), far),
+        ("FsBall 0.01", "omega", FsBall(p, 0.01), far),
+        ("HyperplaneComplement", "omega", hyp, on_hyp),
+        ("Intersection", "omega", Intersection((FsBall(p, 0.6), hyp)), on_hyp),
     ]
 
 
 def bench_library(repeats: int) -> None:
-    print(f"{f'CandidateLibrary, {LIBRARY_SAMPLES}':<24} {'time':>12}")
-    for label, mode, domain in library_domains():
+    print(f"{f'CandidateLibrary, {LIBRARY_SAMPLES}':<24} {'construction':>12}"
+          f" {'lower_bound':>12}")
+    for label, mode, domain, x in library_domains():
         pts = domain.sample_points(np.random.default_rng(0), LIBRARY_SAMPLES)
         assert pts.shape[0] == LIBRARY_SAMPLES, "sample count"
         assert np.all(domain.clearance_many(pts) > 0), "samples inside"
+        assert domain.clearance(x.vec) <= 0, "exterior point"
         t = bench(CandidateLibrary, (mode, domain, ZeroWeight(), 0,
                                      LIBRARY_SAMPLES), repeats)
-        print(f"{label:<24} {t * 1e3:>10.3f}ms")
+        lib = CandidateLibrary(mode, domain, ZeroWeight(), 0, LIBRARY_SAMPLES)
+        assert lib.lower_bound(x)[1] is not None, "a lower bound"
+        t_lower = bench(lib.lower_bound, (x,), repeats)
+        print(f"{label:<24} {t * 1e3:>10.3f}ms {t_lower * 1e6:>10.1f}us")
     print("every domain samples inside itself")
 
 

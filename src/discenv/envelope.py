@@ -361,11 +361,15 @@ def evaluate_witness(mode: str, disc: AnalyticDiscLift, domain: Domain,
         return math.inf, False
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("omega", "sz"):
+        raise ConfigError(f"unknown envelope mode {mode!r}")
+
+
 def build_objective_spec(mode: str, x: ProjPoint, domain: Domain,
                          weight: Weight, family: DiscFamilySpec,
                          opt: OptimizerConfig) -> _ObjectiveSpec:
-    if mode not in ("omega", "sz"):
-        raise ConfigError(f"unknown envelope mode {mode!r}")
+    _check_mode(mode)
     c0 = np.array(x.vec)
     if mode == "sz" and abs(c0[0]) < 1e-14:
         raise DomainError("sz mode needs a center in the chart z_0 != 0")
@@ -468,76 +472,64 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
 # Candidate library for lower bounds
 
 
-@dataclass
-class _Candidate:
-    name: str
-    value_fn: object  # rows (2-D) of cone representatives -> values
-    shift: float  # <= 0: v + shift <= phi on the sampled W
+def _candidate_table(mode: str, rows: np.ndarray,
+                     constant: float) -> tuple[list, np.ndarray]:
+    """Names and values, shape (rows, K), of the library's candidates at
+    the cone representatives rows (N, m): the constant (only where it is
+    finite), then log|z_i|/|z| (omega), or log+|u| and log|u_i| in the
+    chart u = z'/z_0 (sz).  A point off the chart reads NaN or +-inf."""
+    cols = {}
+    if math.isfinite(constant):
+        cols["constant"] = np.full(len(rows), constant)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if mode == "omega":
+            log_norm = np.log(np.linalg.norm(rows, axis=1))
+            for i in range(rows.shape[1]):
+                cols[f"log_coord_{i}"] = np.log(np.abs(rows[:, i])) - log_norm
+        else:
+            u = chart(rows)
+            n = np.linalg.norm(u, axis=1)
+            cols["log_plus_norm"] = np.where(n > 1.0, np.log(np.maximum(n, 1e-300)), 0.0)
+            for i in range(u.shape[1]):
+                cols[f"log_affine_coord_{i}"] = np.log(np.abs(u[:, i]))
+    return list(cols), np.stack(list(cols.values()), axis=1)
 
 
 class CandidateLibrary:
-    """Named admissible candidates v with v <= phi on sampled W; each gives
-    the pointwise lower bound v(x) for the envelope."""
+    """Named admissible candidates v, each shifted down by its largest
+    finite excess over phi on n_samples points sampled in the domain; each
+    gives the pointwise lower bound v(x) + shift for the envelope.  A
+    candidate already below phi keeps shift 0: shifting it up would break
+    admissibility off the sample set."""
 
     def __init__(self, mode: str, domain: Domain, weight: Weight,
                  seed: int = 0, n_samples: int = 512):
+        _check_mode(mode)
         self.mode = mode
-        self.domain = domain
-        self.weight = weight
         rng = np.random.default_rng([seed, 0xCA])
-        self._samples = domain.sample_points(rng, n_samples)
+        samples = domain.sample_points(rng, n_samples)
         if mode == "omega":
-            self._phi_samples = weight.value_proj_many(self._samples)
+            phi = weight.value_proj_many(samples)
         else:
-            self._phi_samples = weight.value_affine_many(chart(self._samples))
-        self.candidates: list[_Candidate] = []
-        self._build_defaults()
-
-    def _build_defaults(self):
-        phi_min = float(np.min(self._phi_samples))
-        if math.isfinite(phi_min):
-            self.add("constant", lambda z: np.full(len(z), phi_min))
-        m = self._samples.shape[1]
-        if self.mode == "omega":
-            for i in range(m):
-                def v(z, i=i):
-                    with np.errstate(divide="ignore"):
-                        return np.log(np.abs(z[:, i])) - np.log(np.linalg.norm(z, axis=1))
-                self.add(f"log_coord_{i}", v)
-        else:
-            def logplus(z):
-                u = chart(z)
-                n = np.linalg.norm(u, axis=1)
-                return np.where(n > 1.0, np.log(np.maximum(n, 1e-300)), 0.0)
-
-            self.add("log_plus_norm", logplus)
-            for i in range(m - 1):
-                def v(z, i=i):
-                    u = chart(z)
-                    with np.errstate(divide="ignore"):
-                        return np.log(np.abs(u[:, i]))
-                self.add(f"log_affine_coord_{i}", v)
-
-    def add(self, name: str, value_fn):
-        """Add the candidate value_fn, shifted down by its largest excess
-        over phi on the samples.  A candidate already below phi keeps
-        shift 0: shifting it up would break admissibility off the sample
-        set."""
-        vals = np.asarray(value_fn(self._samples), dtype=float)
-        excess = vals - self._phi_samples
-        worst = float(np.max(excess[np.isfinite(excess)], initial=-math.inf))
-        self.candidates.append(
-            _Candidate(name, value_fn, -worst if worst > 0 else 0.0))
+            phi = weight.value_affine_many(chart(samples))
+        self.constant = float(np.min(phi))
+        self.names, vals = _candidate_table(mode, samples, self.constant)
+        excess = vals - phi[:, None]
+        worst = np.max(excess, axis=0, where=np.isfinite(excess),
+                       initial=-math.inf)
+        self.shifts = np.where(worst > 0, -worst, 0.0)
 
     def lower_bound(self, x: ProjPoint) -> tuple[float, str | None]:
-        best = -math.inf
-        best_name = None
-        z = x.vec.reshape(1, -1)
-        for c in self.candidates:
-            val = float(np.asarray(c.value_fn(z), dtype=float)[0]) + c.shift
-            if val > best:
-                best, best_name = val, c.name
-        return best, best_name
+        """The largest shifted candidate at x and its name (the first of
+        equals); (-inf, None) where none exceeds -inf."""
+        _names, vals = _candidate_table(self.mode, x.vec.reshape(1, -1),
+                                        self.constant)
+        vals = vals[0] + self.shifts
+        vals[np.isnan(vals)] = -math.inf
+        best = int(np.argmax(vals))
+        if vals[best] == -math.inf:
+            return -math.inf, None
+        return float(vals[best]), self.names[best]
 
 
 def envelope_grid(mode: str, points: list, domain: Domain, weight: Weight,

@@ -16,7 +16,8 @@ from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
 from .envelope import (DiscFamilySpec, OptimizerConfig, evaluate_witness,
                        minimize)
 from .errors import InfeasibleDiscError, NumericalError
-from .projective import ProjPoint, Tube, ZeroWeight, fs_distances
+from .projective import (ProjPoint, Tube, ZeroWeight, bool_from_json,
+                         fs_distances)
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +53,7 @@ class CompactSetSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "CompactSetSpec":
         return cls(tuple(ProjPoint.from_json(p) for p in obj["samples"]),
-                   bool(obj.get("connected", True)), obj.get("name", ""))
+                   bool_from_json(obj.get("connected", True)), obj.get("name", ""))
 
 
 @dataclass

@@ -33,6 +33,20 @@ def _j2c(v) -> complex:
     return z
 
 
+def float_from_json(v) -> float:
+    """A JSON number; a bool (an int to Python) or a string is a ConfigError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"not a number: {v!r}")
+    return float(v)
+
+
+def bool_from_json(v) -> bool:
+    """A JSON true or false; anything else ("no", 0) is a ConfigError."""
+    if not isinstance(v, bool):
+        raise ConfigError(f"not true or false: {v!r}")
+    return v
+
+
 def vec_to_json(v: np.ndarray):
     return [_c2j(z) for z in np.asarray(v).reshape(-1)]
 
@@ -120,6 +134,11 @@ def affine_lift(u) -> np.ndarray:
 # Cone domains
 
 
+# rounds of draws after which Domain.sample_points gives up on a domain: an
+# FS ball of radius 1e-3 in P^1 needs about 765 rounds of 512 draws
+_SAMPLE_ROUNDS = 2000
+
+
 @dataclass(frozen=True)
 class Domain:
     """Base: scalar-invariant subsets of C^{n+1} \\ {0} (complex cones).
@@ -149,10 +168,20 @@ class Domain:
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Unit cone representatives of points of the domain (for candidate
-        shifts); rows of shape (count, n+1): the rows of successive _draw
-        batches that clear the domain by more than _sample_margin."""
-        return _sample_inside(self, lambda: self._draw(rng, count), count,
-                              self._sample_margin)
+        shifts); rows of shape (count, n+1): the first count rows, in draw
+        order, of successive _draw batches that clear the domain by more
+        than _sample_margin.  Raises DomainError after _SAMPLE_ROUNDS
+        batches, so an empty or tiny domain cannot hang a run."""
+        kept, got = [], 0
+        for _ in range(_SAMPLE_ROUNDS):
+            z = self._draw(rng, count)
+            kept.append(z[self.clearance_many(z) > self._sample_margin][:count - got])
+            got += len(kept[-1])
+            if got >= count:
+                return np.concatenate(kept)
+        raise DomainError(f"found {got} of {count} sample points of "
+                          f"{type(self).__name__} in {_SAMPLE_ROUNDS} rounds "
+                          "of draws")
 
     def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """One batch of count unit rows, drawn in or near the domain; the
@@ -166,39 +195,19 @@ class Domain:
     def from_json(obj: dict) -> "Domain":
         kind = obj.get("type")
         if kind == "fs_ball":
-            return FsBall(ProjPoint.from_json(obj["center"]), float(obj["radius"]))
+            return FsBall(ProjPoint.from_json(obj["center"]),
+                          float_from_json(obj["radius"]))
         if kind == "tube":
             pts = [ProjPoint.from_json(p) for p in obj["samples"]]
-            return Tube(tuple(pts), float(obj["delta"]))
+            return Tube(tuple(pts), float_from_json(obj["delta"]))
         if kind == "hyperplane_complement":
             return HyperplaneComplement(vec_from_json(obj["normal"]))
         if kind == "affine_ball":
-            return AffineBall(vec_from_json(obj["center"]), float(obj["radius"]))
+            return AffineBall(vec_from_json(obj["center"]),
+                              float_from_json(obj["radius"]))
         if kind == "intersection":
             return Intersection(tuple(Domain.from_json(m) for m in obj["members"]))
         raise ConfigError(f"unknown domain type {kind!r}")
-
-
-# rounds of draws after which _sample_inside gives up on a domain: an FS
-# ball of radius 1e-3 in P^1 needs about 765 rounds of 512 draws
-_SAMPLE_ROUNDS = 2000
-
-
-def _sample_inside(domain: Domain, draw, count: int,
-                   margin: float = 0.0) -> np.ndarray:
-    """The first count rows, in draw order, of successive draw() batches
-    whose clearance in domain exceeds margin.  Raises DomainError after
-    _SAMPLE_ROUNDS batches, so an empty or tiny domain cannot hang a run."""
-    kept, got = [], 0
-    for _ in range(_SAMPLE_ROUNDS):
-        z = draw()
-        kept.append(z[domain.clearance_many(z) > margin][:count - got])
-        got += len(kept[-1])
-        if got >= count:
-            return np.concatenate(kept)
-    raise DomainError(f"found {got} of {count} sample points of "
-                      f"{type(domain).__name__} in {_SAMPLE_ROUNDS} rounds "
-                      "of draws")
 
 
 def _check_positive(what: str, value: float) -> None:
@@ -356,11 +365,8 @@ class Tube(_FsAngleDomain, _FormDomain):
             np.sqrt(np.clip(s, 0.0, 1.0, out=out), out=out), out=out))
 
     def _draw(self, rng, count):
-        idx = rng.integers(0, len(self.samples), count)
-        return self._mat[idx].copy()
-
-    def sample_points(self, rng, count):
-        return self._draw(rng, count)  # points of K: nothing is rejected
+        # anchors of K, which clear the tube by about delta
+        return self._mat[rng.integers(0, len(self.samples), count)]
 
     def to_json(self):
         return {"type": "tube", "samples": [p.to_json() for p in self.samples],
@@ -455,9 +461,6 @@ class AffineBall(_FormDomain):
               np.maximum(np.linalg.norm(u, axis=1), 1e-300))[:, None]
         return _unit_rows(np.concatenate([np.ones((count, 1)), u + self.center],
                                          axis=1))
-
-    def sample_points(self, rng, count):
-        return self._draw(rng, count)  # uniform in the ball: nothing is rejected
 
     def to_json(self):
         return {"type": "affine_ball", "center": vec_to_json(self.center),
@@ -573,7 +576,7 @@ class Weight:
         if kind == "zero":
             return ZeroWeight()
         if kind == "constant":
-            return ConstantWeight(float(obj["value"]))
+            return ConstantWeight(float_from_json(obj["value"]))
         if kind == "log_poly":
             return LogPolyWeight(HomPolynomial.from_json(obj))
         if kind == "affine_log_poly":

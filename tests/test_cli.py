@@ -488,12 +488,14 @@ def test_negative_tolerance_exit_1(files, capsys):
     assert not out.exists()
 
 
+_CIRCLE_SAMPLES = [[[1.0, 0.0], [math.cos(t), math.sin(t)]]
+                   for t in 2.0 * np.pi * np.arange(64) / 64]
+
+
 def _circle_hull(files, point):
     """hull test on the 64-point circle {[1 : e^{it}]} at [1 : point],
     delta 0.05, at a small budget."""
-    th = 2.0 * np.pi * np.arange(64) / 64
-    K = write(files["tmp"] / "K64.json",
-              {"samples": [[[1.0, 0.0], [math.cos(t), math.sin(t)]] for t in th]})
+    K = write(files["tmp"] / "K64.json", {"samples": _CIRCLE_SAMPLES})
     x = write(files["tmp"] / "hx.json",
               {"type": "proj", "coords": [[1.0, 0.0], [point, 0.0]]})
     return ["hull", "test", "--point", x, "--set", K, "--eps", "0.01",
@@ -809,6 +811,36 @@ def test_non_finite_input_exit_1(files, command, flag, obj, bad, capsys):
 def test_non_number_pair_exit_1(files, command, flag, obj, pair, capsys):
     # a bool is an int to Python: [true, false] is not the number 1
     path = write(files["tmp"] / "nonnumber.json", obj(pair))
+    rc = main(_reading(command)(files) + [flag, path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config error: {path}:" in err and "Traceback" not in err
+    assert not (files["tmp"] / "o.out").exists()
+
+
+@pytest.mark.parametrize("command, flag, obj, bad", [
+    ("functional", "--domain", lambda v: {"type": "fs_ball", "center": _ORIGIN,
+                                          "radius": v}, True),
+    ("functional", "--domain", lambda v: {"type": "affine_ball",
+                                          "center": [[0.0, 0.0]], "radius": v}, True),
+    ("functional", "--domain", lambda v: {"type": "affine_ball",
+                                          "center": [[0.0, 0.0]], "radius": v}, "0.5"),
+    ("functional", "--domain", lambda v: {"type": "tube", "delta": v,
+                                          "samples": [_ORIGIN]}, True),
+    ("functional", "--domain", lambda v: {"type": "tube", "delta": v,
+                                          "samples": [_ORIGIN]}, "0.5"),
+    ("functional", "--weight", lambda v: {"type": "constant", "value": v}, True),
+    ("functional", "--weight", lambda v: {"type": "constant", "value": v}, "0.5"),
+    ("hull", "--set", lambda v: {"samples": _CIRCLE_SAMPLES, "connected": v}, "no"),
+    ("hull", "--set", lambda v: {"samples": _CIRCLE_SAMPLES, "connected": v}, 1),
+], ids=["fs-ball-radius-true", "affine-ball-radius-true",
+        "affine-ball-radius-string", "tube-delta-true", "tube-delta-string",
+        "constant-weight-true", "constant-weight-string", "connected-string",
+        "connected-number"])
+def test_non_number_scalar_exit_1(files, command, flag, obj, bad, capsys):
+    # float(true) is 1.0, float("0.5") is 0.5 and bool("no") is True: a
+    # scalar of the wrong JSON type is a config error that names the file
+    path = write(files["tmp"] / "nonnumber.json", obj(bad))
     rc = main(_reading(command)(files) + [flag, path])
     assert rc == 1
     err = capsys.readouterr().err

@@ -20,6 +20,7 @@ from discenv.errors import ConfigError
 from discenv.functionals import omega_functional_lifted, sz_functional
 from discenv.projective import (AffineBall, AffineLogPolyWeight,
                                 ConstantWeight, Domain, FsBall, HomPolynomial,
+                                HyperplaneComplement, Intersection,
                                 LiftedWeight, LogPolyWeight, ProjPoint, Tube,
                                 ZeroWeight, affine_lift, chart, fs_distance)
 
@@ -104,43 +105,141 @@ def test_siciak_small_budget():
     assert est.lower_candidate == "log_plus_norm"
 
 
-def test_candidate_library_shifts_an_over_large_candidate():
+def _reference_library(mode, dom, weight, seed):
+    """The library one candidate at a time: each candidate's values at the
+    rows z (N, m), its shift (minus its largest finite excess over phi on
+    the 512 samples, 0.0 where that is not positive), and a lower bound
+    that keeps the first candidate strictly above the best so far."""
+    samples = dom.sample_points(np.random.default_rng([seed, 0xCA]), 512)
+    phi = (weight.value_proj_many(samples) if mode == "omega" else
+           weight.value_affine_many(chart(samples)))
+    fns = []
+    phi_min = float(np.min(phi))
+    if math.isfinite(phi_min):
+        fns.append(("constant", lambda z: np.full(len(z), phi_min)))
+    m = samples.shape[1]
+    if mode == "omega":
+        for i in range(m):
+            fns.append((f"log_coord_{i}", lambda z, i=i: np.log(
+                np.abs(z[:, i])) - np.log(np.linalg.norm(z, axis=1))))
+    else:
+        def logplus(z):
+            n = np.linalg.norm(chart(z), axis=1)
+            return np.where(n > 1.0, np.log(np.maximum(n, 1e-300)), 0.0)
+        fns.append(("log_plus_norm", logplus))
+        for i in range(m - 1):
+            fns.append((f"log_affine_coord_{i}",
+                        lambda z, i=i: np.log(np.abs(chart(z)[:, i]))))
+    cands = []
+    for name, fn in fns:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = fn(samples)
+        excess = vals - phi
+        worst = float(np.max(excess[np.isfinite(excess)], initial=-math.inf))
+        shift = -worst if worst > 0 else 0.0
+        # shifted, a candidate lies below phi on the samples (to the
+        # rounding of v + shift, an ulp above phi at the worst sample)
+        assert np.all(excess[np.isfinite(excess)] + shift <= 0.0)
+        cands.append((name, fn, shift))
+
+    def lower_bound(x):
+        best, best_name = -math.inf, None
+        for name, fn, shift in cands:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = float(fn(x.vec.reshape(1, -1))[0]) + shift
+            if val > best:
+                best, best_name = val, name
+        return best, best_name
+
+    return [c[0] for c in cands], [c[2] for c in cands], lower_bound
+
+
+def _log_poly(m):
+    return LogPolyWeight(HomPolynomial(((1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,)),
+                                       (1.0 + 0j, 0.5 - 0.2j)))
+
+
+def _affine_log_poly(n):
+    return AffineLogPolyWeight(HomPolynomial(((1,) + (0,) * (n - 1), (0,) * n),
+                                             (1.0 + 0j, 0.5 - 0.2j)))
+
+
+_P = ProjPoint(np.array([1.0, 0.3 + 0.1j]))
+_HYP = HyperplaneComplement(np.array([1.0, 2.0j]))
+_LIBRARY_DOMAINS = [
+    *[("sz", AffineBall(np.zeros(n, dtype=complex), r), f"ball-C{n}-R{r}")
+      for n in (1, 2, 3) for r in (0.5, 1.0, 2.0, 5.0)],
+    ("sz", AffineBall(np.array([0.3 - 0.1j, 0.2j]), 1.5), "ball-C2-centred"),
+    ("omega", FsBall(_P, 0.5), "fs-ball"),
+    ("omega", _HYP, "hyperplane-complement"),
+    ("omega", Tube(tuple(ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
+                         for k in range(64)), 0.05), "circle-tube"),
+    ("omega", Intersection((FsBall(_P, 0.6), _HYP)), "intersection"),
+]
+
+
+@pytest.mark.parametrize("mode, dom", [d[:2] for d in _LIBRARY_DOMAINS],
+                         ids=[d[2] for d in _LIBRARY_DOMAINS])
+def test_candidate_library_matches_one_candidate_at_a_time(mode, dom):
+    m = dom.center.size + 1 if mode == "sz" else 2
+    weights = [ZeroWeight(), ConstantWeight(-0.7),
+               _affine_log_poly(m - 1) if mode == "sz" else _log_poly(m)]
+    rng = np.random.default_rng(5)
+    points = [ProjPoint(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+              for _ in range(12)]
+    # off the sz chart: log|u_0| is inf, and log|u_1| NaN where m = 3
+    points.append(ProjPoint(np.eye(m)[1]))
+    for weight in weights:
+        for seed in range(3):
+            lib = CandidateLibrary(mode, dom, weight, seed=seed)
+            names, shifts, lower_bound = _reference_library(mode, dom, weight, seed)
+            assert lib.names == names and list(lib.shifts) == shifts
+            for x in points:
+                assert lib.lower_bound(x) == lower_bound(x)
+    if mode == "sz":
+        assert lib.lower_bound(points[-1]) == (math.inf, "log_affine_coord_0")
+
+
+def test_candidate_library_never_shifts_up():
+    # log|u_0| < 0 on the unit ball: its largest excess over phi = 0 is
+    # negative, and its shift stays 0.0 rather than lifting it onto phi
     dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
     lib = CandidateLibrary("sz", dom, ZeroWeight(), seed=0)
+    samples = dom.sample_points(np.random.default_rng([0, 0xCA]), 512)
+    assert np.max(np.log(np.abs(chart(samples)[:, 0]))) < 0
+    assert lib.shifts[lib.names.index("log_affine_coord_0")] == 0.0
 
-    def too_big(z_rows):
-        return np.full(np.atleast_2d(z_rows).shape[0], 5.0)
 
-    lib.add("too_big", too_big)  # 5 > phi = 0: shifted down onto phi
-    cand = lib.candidates[-1]
-    assert cand.shift == -5.0
-    assert np.all(too_big(lib._samples) + cand.shift <= lib._phi_samples)
-    x = ProjPoint(affine_lift(np.array([2.0 + 0j])))
-    val, name = lib.lower_bound(x)
-    assert name == "log_plus_norm"
-    assert val == pytest.approx(math.log(2.0), abs=1e-12)
+@pytest.mark.parametrize("mode", ["SZ", "Omega", ""])
+def test_unknown_mode_rejected(mode):
+    # mode names are case sensitive: "SZ" is not read as "sz"
+    dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    x = ProjPoint(affine_lift(np.array([0.5 + 0j])))
+    with pytest.raises(ConfigError, match="unknown envelope mode"):
+        CandidateLibrary(mode, dom, ZeroWeight())
+    with pytest.raises(ConfigError, match="unknown envelope mode"):
+        build_objective_spec(mode, x, dom, ZeroWeight(),
+                             DiscFamilySpec(degree=2), SMALL)
+
+
+class _StubLibrary:
+    def lower_bound(self, x):
+        return 5.0, "stub"
 
 
 def test_inconsistent_bounds_flagged():
-    # a candidate 0 on the ball (so add leaves it unshifted) and 5 at
-    # |u| > 1.5 claims a lower bound above the search's value at u = 2
+    # a lower bound of 5 lies above the search's value near log 2 at u = 2
     dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
     x = ProjPoint(affine_lift(np.array([2.0 + 0j])))
     fam = DiscFamilySpec(degree=2, m=2, center=x)
     opt = OptimizerConfig(starts=2, budget=50, seed=0, search_nodes=128)
-
-    def step(z_rows):
-        return np.where(np.abs(chart(z_rows)[:, 0]) > 1.5, 5.0, 0.0)
-
     settings = {}
-    for extra in (False, True):
-        lib = CandidateLibrary("sz", dom, ZeroWeight(), seed=0)
-        if extra:
-            lib.add("step", step)
-            assert lib.candidates[-1].shift == 0.0
+    for stub in (False, True):
+        lib = (_StubLibrary() if stub else
+               CandidateLibrary("sz", dom, ZeroWeight(), seed=0))
         est = minimize("sz", x, dom, ZeroWeight(), fam, opt, library=lib)
         assert est.feasible and est.upper < 5.0
-        settings[extra] = est.to_json()["settings"]
+        settings[stub] = est.to_json()["settings"]
     assert "inconsistent_bounds" not in settings[False]
     assert settings[True]["inconsistent_bounds"] is True
 
