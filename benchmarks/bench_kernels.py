@@ -42,9 +42,11 @@ intersection in P^1, each checked to sample inside its domain, and its
 lower_bound at one exterior point of the domain (the library's cost per
 siciak operation); and one
 sz minimize on the unit ball in C at perfbench's settings (20 x 100,
-256 search nodes, 1024 final nodes) at an interior point, which returns
-the constant disc without a search, and at an exterior one, which runs
-the search, each checked for its witness and trace.
+256 search nodes, 1024 final nodes) under the zero weight at an interior
+point, which returns the constant disc without a search, and at an
+exterior one, which returns the structure disc of the eta-shrunk ball
+without a search, and at that exterior point under log|u + 2|, which
+runs the search, each checked for its witness and trace.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -69,7 +71,8 @@ from discenv.envelope import (_DRAW_BLOCK, CandidateLibrary, DiscFamilySpec,
                               _search, build_objective_spec,
                               evaluate_witness, minimize)
 from discenv.functionals import sz_interior_jensen, sz_interior_roots
-from discenv.projective import (AffineBall, FsBall, HyperplaneComplement,
+from discenv.projective import (AffineBall, AffineLogPolyWeight, FsBall,
+                                HomPolynomial, HyperplaneComplement,
                                 Intersection, ProjPoint, Tube, ZeroWeight,
                                 affine_lift)
 
@@ -459,20 +462,30 @@ def bench_minimize(repeats: int) -> None:
     opt = OptimizerConfig(starts=SZ_RESTARTS, budget=SEARCH_BUDGET, seed=7,
                           search_nodes=SZ_NODES)
     grid = BoundaryGrid(1024)
+    eta = DiscFamilySpec().eta
+    # log|u + 2| has no known least value: the exterior point searches
+    log_poly = AffineLogPolyWeight(HomPolynomial(((1,), (0,)), (1.0, 2.0)))
     print(f"{'minimize sz, C':<24} {'time':>12}")
-    for label, u in (("interior", 0.3 - 0.2j), ("exterior", 1.5 + 0.5j)):
+    for label, u, weight in (("interior", 0.3 - 0.2j, ZeroWeight()),
+                             ("exterior", 1.5 + 0.5j, ZeroWeight()),
+                             ("exterior, log|u + 2|", 1.5 + 0.5j, log_poly)):
         x = ProjPoint(affine_lift(np.array([u])))
-        args = ("sz", x, ball, ZeroWeight(), DiscFamilySpec(degree=6, m=2),
-                opt, grid)
+        args = ("sz", x, ball, weight, DiscFamilySpec(degree=6, m=2), opt, grid)
         est = minimize(*args)
         if label == "interior":
             assert est.upper == 0.0 and est.witness.degree == 0, "constant disc"
             assert est.trace == [], "no search"
-        else:
+        elif weight is log_poly:
             assert len(est.trace) == SZ_RESTARTS, "one trace entry a restart"
+        else:
+            v = math.log(abs(u) / (1.0 - eta))  # V of the shrunk ball
+            assert est.witness.degree == 1, "structure disc"
+            assert est.trace == [], "no search"
+            assert v - 1e-12 <= est.upper <= v + 1e-9, "within 1e-9 of V"
         t = bench(minimize, args, repeats)
         print(f"{label:<24} {t * 1e3:>10.2f}ms")
-    print("the interior point returns the constant disc unsearched")
+    print("under the zero weight the interior point returns the constant disc "
+          "and the exterior one the structure disc, unsearched")
 
 
 def once(fn, *args) -> float:

@@ -27,6 +27,9 @@ ETA_INFLATION = 1.5
 ORIGIN_FLOOR = 1e-4
 # steps of (1+1)-ES draws per restart and block (see _search)
 _DRAW_BLOCK = 16
+# the unsearched ball witness clears the ball by this times eta, so that
+# rounding cannot bring it down to eta (see _unsearched_witnesses)
+OPTIMAL_MARGIN = 1.0 + 1e-7
 
 
 @dataclass(frozen=True)
@@ -299,37 +302,51 @@ def _search(spec: _ObjectiveSpec, theta0s, seed: int,
     return theta
 
 
+def _ball_structure_coeffs(mode: str, c0: np.ndarray, dom: Domain,
+                           margin: float) -> np.ndarray | None:
+    """Coefficients (2, m) of the structure disc through c0 whose boundary
+    is the sphere `margin` inside a ball, rescaled so that f(0) = c0 (row 0
+    is c0 itself); None where the domain is no such ball or c0 lies inside
+    the shrunk one.
+
+    The ball is round in an affine chart where c0 reads x and the centre
+    w: an AffineBall in sz mode has x = (1, u), w = (1, c) and chart radius
+    R - margin; an FsBall about p, in any mode, has x = c0/<p, c0>, w = p
+    and radius tan(rho - margin) in the chart z -> z/<p, z>.
+    """
+    if mode == "sz" and isinstance(dom, AffineBall):
+        x, w = affine_lift(chart(c0)), affine_lift(dom.center)
+        r = dom.radius - margin
+    elif isinstance(dom, FsBall) and abs(np.vdot(dom.center.vec, c0)) > 1e-12:
+        p = dom.center.vec
+        x, w, r = c0 / np.vdot(p, c0), p, math.tan(dom.radius - margin)
+    else:
+        return None
+    try:
+        params = StructureDiscParams(x, w, r)
+    except (DomainError, ValueError):  # x lies inside the shrunk ball
+        return None
+    c1 = make_structure_disc(params).coeffs[1]
+    return np.stack([c0, c1 * (np.vdot(x, c0) / np.vdot(x, x))])
+
+
 def _constructed_seeds(spec: _ObjectiveSpec) -> list:
     """Deterministic warm starts worked out from the domain, as parameter
     vectors: the constant disc first, then degree-1 discs through x.
 
-    A ball whose boundary is a sphere in some affine chart (an AffineBall in
-    sz mode, an FsBall about p in the chart z -> z/<p, z>, where the FS
-    radius rho is the radius tan rho) gets the structure disc through x whose
-    boundary is the sphere 2 eta inside; for an exterior AffineBall point
-    its value is V + log(R/(R - 2 eta)).  Points further inside than that
-    keep the constant disc alone.  A Tube gets, for each of up to 8
-    anchors k, the circle about x through k.
+    A ball (_ball_structure_coeffs) gets the structure disc through x whose
+    boundary is the sphere 2 eta inside it, clear of the search's penalty
+    band below 1.5 eta; for an exterior AffineBall point its value is
+    V + log(R/(R - 2 eta)).  Points further inside than that keep the
+    constant disc alone.  A Tube gets, for each of up to 8 anchors k, the
+    circle about x through k.
     """
     c0, dom = spec.c0, spec.domain
     eta = spec.eta_search / ETA_INFLATION
     seeds = [c0[None, :]]
-    ball = None
-    if spec.mode == "sz" and isinstance(dom, AffineBall):
-        ball = (affine_lift(chart(c0)), affine_lift(dom.center),
-                dom.radius - 2.0 * eta)
-    elif isinstance(dom, FsBall) and abs(np.vdot(dom.center.vec, c0)) > 1e-12:
-        p = dom.center.vec
-        ball = c0 / np.vdot(p, c0), p, math.tan(dom.radius - 2.0 * eta)
+    ball = _ball_structure_coeffs(spec.mode, c0, dom, 2.0 * eta)
     if ball is not None:
-        x, w, r = ball
-        try:
-            params = StructureDiscParams(x, w, r)
-        except (DomainError, ValueError):  # x lies inside the shrunk ball
-            pass
-        else:  # rescaled so that f(0) = c0
-            disc = make_structure_disc(params)
-            seeds.append(disc.coeffs * (np.vdot(x, c0) / np.vdot(x, x)))
+        seeds.append(ball)
     if isinstance(dom, Tube):
         idx = np.linspace(0, len(dom.samples) - 1, min(8, len(dom.samples)))
         for i in idx:
@@ -416,6 +433,42 @@ def _searched_witnesses(spec: _ObjectiveSpec, family: DiscFamilySpec,
     return witnesses, trace
 
 
+def _unsearched_witnesses(mode: str, x: ProjPoint, domain: Domain,
+                          weight: Weight, least: float,
+                          family: DiscFamilySpec,
+                          final_grid: BoundaryGrid) -> list:
+    """[(value, 0, disc)] for a disc that no admissible disc beats, under a
+    weight whose least value is `least`; [] where there is none to hand.
+
+    The constant disc at x, if admissible, has value exactly `least`.  Else
+    on an AffineBall in sz mode or an FsBall in omega mode: a disc whose
+    boundary clears the ball by eta lies in the shrunk ball W_eta, so its
+    value is at least least + V_{W_eta}(x), and the structure disc whose
+    boundary is the sphere eta' = OPTIMAL_MARGIN * eta inside has exactly
+    least + V_{W_eta'}(x).  The excess, log((R - eta)/(R - eta')) or
+    log(sin(rho - eta)/sin(rho - eta')), is about 1e-7 eta/(R - eta) or
+    1e-7 eta cot(rho - eta): below 1e-9 at eta = 1e-3 unless the ball is
+    thinner than about 0.1.  The disc is taken if it lies in the family
+    (its coefficient within the bound) and is admissible at the final
+    grid, with its re-evaluated value.
+    """
+    def admitted(disc):
+        return evaluate_witness(mode, disc, domain, weight, family.eta,
+                                final_grid)
+    constant = AnalyticDiscLift(x.vec[None, :])
+    if admitted(constant)[1]:
+        return [(least, 0, constant)]
+    if not isinstance(domain, FsBall if mode == "omega" else AffineBall):
+        return []
+    coeffs = _ball_structure_coeffs(mode, x.vec, domain,
+                                    OPTIMAL_MARGIN * family.eta)
+    if coeffs is None or np.linalg.norm(coeffs[1]) > family.bound:
+        return []
+    disc = AnalyticDiscLift(coeffs)
+    value, feasible = admitted(disc)
+    return [(value, 0, disc)] if feasible else []
+
+
 def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
              family: DiscFamilySpec, opt: OptimizerConfig,
              final_grid: BoundaryGrid | None = None,
@@ -430,20 +483,25 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     is subharmonic; in sz mode the value is c - sum log|a| over the zeros
     a of f_0 in the disc).  So where the constant disc at x is admissible
     (evaluate_witness at margin eta on final_grid) it is returned alone,
-    with upper exactly c, and no search runs: trace is empty.  Otherwise a
-    (1+1)-ES runs from opt.starts starts, and trace holds the best value
-    after each restart.
+    with upper exactly c, and no search runs: trace is empty.  Outside an
+    AffineBall in sz mode or an FsBall in omega mode no admissible disc has
+    a value below c + V(x), V the extremal function of the ball shrunk by
+    eta; the structure disc whose boundary is the sphere OPTIMAL_MARGIN *
+    eta inside the ball is within 1e-9 of that at eta = 1e-3 on a ball of
+    radius above about 0.1, and is returned alone in the same way, with its re-evaluated value
+    (_unsearched_witnesses).  Otherwise a (1+1)-ES runs from opt.starts
+    starts, and trace holds the best value after each restart.
     """
     final_grid = final_grid or BoundaryGrid(DEFAULT_NODES)
     spec = build_objective_spec(mode, x, domain, weight, family, opt)
-    constant = AnalyticDiscLift(x.vec[None, :])
     # the weight's own value, not the re-evaluated mean, which may be an ulp off
     least = (0.0 if isinstance(weight, ZeroWeight) else
              float(weight.value) if isinstance(weight, ConstantWeight) else None)
-    if least is not None and evaluate_witness(
-            mode, constant, domain, weight, family.eta, final_grid)[1]:
-        witnesses, trace = [(least, 0, constant)], []
-    else:
+    witnesses, trace = [], []
+    if least is not None:
+        witnesses = _unsearched_witnesses(mode, x, domain, weight, least,
+                                          family, final_grid)
+    if not witnesses:
         witnesses, trace = _searched_witnesses(spec, family, opt, final_grid,
                                                warm_theta)
 
@@ -497,10 +555,11 @@ def _candidate_table(mode: str, rows: np.ndarray,
 
 class CandidateLibrary:
     """Named admissible candidates v, each shifted down by its largest
-    finite excess over phi on n_samples points sampled in the domain; each
-    gives the pointwise lower bound v(x) + shift for the envelope.  A
-    candidate already below phi keeps shift 0: shifting it up would break
-    admissibility off the sample set."""
+    finite excess over phi on n_samples points sampled in the domain, and
+    further by the few ulps that make v + shift <= phi hold in floating
+    point at every sample; each gives the pointwise lower bound v(x) +
+    shift for the envelope.  A candidate already below phi keeps shift 0:
+    shifting it up would break admissibility off the sample set."""
 
     def __init__(self, mode: str, domain: Domain, weight: Weight,
                  seed: int = 0, n_samples: int = 512):
@@ -515,9 +574,15 @@ class CandidateLibrary:
         self.constant = float(np.min(phi))
         self.names, vals = _candidate_table(mode, samples, self.constant)
         excess = vals - phi[:, None]
-        worst = np.max(excess, axis=0, where=np.isfinite(excess),
-                       initial=-math.inf)
-        self.shifts = np.where(worst > 0, -worst, 0.0)
+        finite = np.isfinite(excess)
+        worst = np.max(excess, axis=0, where=finite, initial=-math.inf)
+        shifts = np.where(worst > 0, -worst, 0.0)
+        # -worst is rounded, so v + shift may land a few ulps above phi:
+        # lower such a shift an ulp at a time until it does not
+        while (over := np.any((vals + shifts > phi[:, None]) & finite,
+                              axis=0)).any():
+            shifts[over] = np.nextafter(shifts[over], -math.inf)
+        self.shifts = shifts
 
     def lower_bound(self, x: ProjPoint) -> tuple[float, str | None]:
         """The largest shifted candidate at x and its name (the first of

@@ -70,25 +70,26 @@ def test_witness_reevaluation_stable():
 
 
 def test_trace_monotone():
-    # outside the ball, so that the search runs and the trace has a value
-    # per restart
+    # outside the ball under a non-constant weight, so that the search runs
+    # and the trace has a value per restart
     x = ProjPoint(np.array([1.0, 0.6]))
     dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5)
     fam = DiscFamilySpec(degree=3, m=2, center=x)
-    est = minimize("omega", x, dom, ZeroWeight(), fam, SMALL)
+    est = minimize("omega", x, dom, _log_poly(2), fam, SMALL)
     assert len(est.trace) == SMALL.starts
     vals = [v for v in est.trace if v is not None]
     assert vals and all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_determinism_json_level():
-    # outside the ball: a searched estimate
+    # outside the ball under a non-constant weight: a searched estimate
     x = ProjPoint(np.array([1.0, 0.45]))
     dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4)
     fam = DiscFamilySpec(degree=4, m=2, center=x)
     runs = []
     for _ in range(2):
-        est = minimize("omega", x, dom, ZeroWeight(), fam, SMALL)
+        est = minimize("omega", x, dom, _log_poly(2), fam, SMALL)
+        assert est.trace
         runs.append(json.dumps(est.to_json(), sort_keys=True))
     assert runs[0] == runs[1]
 
@@ -135,11 +136,13 @@ def _reference_library(mode, dom, weight, seed):
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = fn(samples)
         excess = vals - phi
-        worst = float(np.max(excess[np.isfinite(excess)], initial=-math.inf))
+        fin = np.isfinite(excess)
+        worst = float(np.max(excess[fin], initial=-math.inf))
         shift = -worst if worst > 0 else 0.0
-        # shifted, a candidate lies below phi on the samples (to the
-        # rounding of v + shift, an ulp above phi at the worst sample)
-        assert np.all(excess[np.isfinite(excess)] + shift <= 0.0)
+        # the rounded -worst may leave v + shift a few ulps above phi
+        while np.any(vals[fin] + shift > phi[fin]):
+            shift = float(np.nextafter(shift, -math.inf))
+        assert np.all(excess[fin] + shift <= 0.0)
         cands.append((name, fn, shift))
 
     def lower_bound(x):
@@ -198,6 +201,30 @@ def test_candidate_library_matches_one_candidate_at_a_time(mode, dom):
                 assert lib.lower_bound(x) == lower_bound(x)
     if mode == "sz":
         assert lib.lower_bound(points[-1]) == (math.inf, "log_affine_coord_0")
+
+
+_ROUNDING_DOMAINS = [d for d in _LIBRARY_DOMAINS if d[2] in (
+    "ball-C1-R5.0", "ball-C2-R2.0", "ball-C2-R5.0", "ball-C3-R2.0",
+    "ball-C3-R5.0", "ball-C2-centred", "hyperplane-complement")]
+
+
+@pytest.mark.parametrize("mode, dom", [d[:2] for d in _ROUNDING_DOMAINS],
+                         ids=[d[2] for d in _ROUNDING_DOMAINS])
+def test_shifted_candidates_below_phi_to_the_bit(mode, dom):
+    # -max(v - phi) is rounded: on these domains v + shift read up to
+    # 4.4e-16 above phi at a sample before the shifts were stepped down
+    m = dom.center.size + 1 if mode == "sz" else 2
+    for weight in (ConstantWeight(-0.7),
+                   _affine_log_poly(m - 1) if mode == "sz" else _log_poly(m)):
+        for seed in range(3):
+            lib = CandidateLibrary(mode, dom, weight, seed=seed)
+            samples = dom.sample_points(np.random.default_rng([seed, 0xCA]), 512)
+            phi = (weight.value_proj_many(samples) if mode == "omega" else
+                   weight.value_affine_many(chart(samples)))
+            _names, vals = envelope._candidate_table(mode, samples, lib.constant)
+            with np.errstate(invalid="ignore"):
+                fin = np.isfinite(vals - phi[:, None])
+            assert np.all((vals + lib.shifts <= phi[:, None])[fin])
 
 
 def test_candidate_library_never_shifts_up():
@@ -565,27 +592,29 @@ def _independence_cases():
     circle = tuple(ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
                    for k in range(64))
     return [
-        # 3 or 6 restarts x 64 nodes: the clearance sees 192 or 384 rows
+        # 3 or 6 restarts x 64 nodes: the clearance sees 192 or 384 rows;
+        # outside the ball, the zero weight would take the structure disc
+        # unsearched
         (ProjPoint(np.array([1.0, 0.45])),
-         FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4), 64),
+         FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4), _log_poly(2), 64),
         # 3 or 6 restarts x 400 nodes: 1200 or 2400 rows, so the first
         # three restarts share a second block of 176 or of 1024 rows
-        (ProjPoint(np.array([1.0, 0.0])), Tube(circle, 0.1), 400),
+        (ProjPoint(np.array([1.0, 0.0])), Tube(circle, 0.1), ZeroWeight(), 400),
     ]
 
 
-@pytest.mark.parametrize("x,dom,nodes", _independence_cases(),
+@pytest.mark.parametrize("x,dom,weight,nodes", _independence_cases(),
                          ids=["fsball", "tube"])
-def test_restarts_independent_of_their_number(x, dom, nodes):
+def test_restarts_independent_of_their_number(x, dom, weight, nodes):
     fam = DiscFamilySpec(degree=3, m=2, center=x)
-    few = minimize("omega", x, dom, ZeroWeight(), fam,
+    few = minimize("omega", x, dom, weight, fam,
                    OptimizerConfig(starts=3, budget=150, seed=4, search_nodes=nodes))
-    more = minimize("omega", x, dom, ZeroWeight(), fam,
+    more = minimize("omega", x, dom, weight, fam,
                     OptimizerConfig(starts=6, budget=150, seed=4, search_nodes=nodes))
-    assert few.trace == more.trace[:3]
+    assert len(few.trace) == 3 and few.trace == more.trace[:3]
     # the trace keeps only the best value so far; the final search points
     # of each of the first three restarts match as well
-    spec = build_objective_spec("omega", x, dom, ZeroWeight(), fam,
+    spec = build_objective_spec("omega", x, dom, weight, fam,
                                 OptimizerConfig(search_nodes=nodes))
     theta0s = 0.3 * np.random.default_rng(5).standard_normal((6, spec.dim))
     ends = _search(spec, theta0s[:3], 4, 150)
@@ -652,7 +681,7 @@ def test_search_matches_serial_reference(mode, x, dom, nodes, budget):
 def test_warm_minimize_builds_no_table():
     # every node set's tables (search nodes, final grid, validation grid)
     # are built by the first minimize and only read by the second; the
-    # point lies outside the ball, so the search runs
+    # weight is not constant, so the search runs
     from discenv import discs
 
     def misses():
@@ -664,9 +693,9 @@ def test_warm_minimize_builds_no_table():
     dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
     fam = DiscFamilySpec(degree=6, m=2, center=x)
     opt = OptimizerConfig(starts=4, budget=40, seed=5, search_nodes=256)
-    first = minimize("sz", x, dom, ZeroWeight(), fam, opt)
+    first = minimize("sz", x, dom, _affine_log_poly(1), fam, opt)
     before = misses()
-    second = minimize("sz", x, dom, ZeroWeight(), fam, opt)
+    second = minimize("sz", x, dom, _affine_log_poly(1), fam, opt)
     assert misses() == before
     assert first.trace and first.feasible and second.upper == first.upper
 
@@ -680,46 +709,119 @@ _CIRCLE_TUBE = Tube(tuple(
     0.05)
 
 
-@pytest.mark.parametrize("mode, x, dom, weight, c", [
+@pytest.mark.parametrize("mode, x, dom, weight, c, v", [
     ("sz", ProjPoint(affine_lift(np.array([0.3 - 0.2j]))),
-     AffineBall(np.zeros(1, dtype=complex), 1.0), ZeroWeight(), 0.0),
+     AffineBall(np.zeros(1, dtype=complex), 1.0), ZeroWeight(), 0.0, 0.0),
     ("sz", ProjPoint(affine_lift(np.array([0.3, -0.5j]))),
-     AffineBall(np.zeros(2, dtype=complex), 1.0), ZeroWeight(), 0.0),
+     AffineBall(np.zeros(2, dtype=complex), 1.0), ZeroWeight(), 0.0, 0.0),
     ("omega", ProjPoint(np.array([1.0, 0.2])),
-     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5), ZeroWeight(), 0.0),
-    ("omega", _CIRCLE_TUBE.samples[5], _CIRCLE_TUBE, ZeroWeight(), 0.0),
+     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5), ZeroWeight(), 0.0, 0.0),
+    ("omega", _CIRCLE_TUBE.samples[5], _CIRCLE_TUBE, ZeroWeight(), 0.0, 0.0),
     ("sz", ProjPoint(affine_lift(np.array([0.3 - 0.2j]))),
-     AffineBall(np.zeros(1, dtype=complex), 1.0), ConstantWeight(0.3), 0.3),
+     AffineBall(np.zeros(1, dtype=complex), 1.0), ConstantWeight(0.3), 0.3, 0.0),
     ("omega", ProjPoint(np.array([1.0, 0.2])),
-     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5), ConstantWeight(0.3), 0.3),
+     FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5), ConstantWeight(0.3), 0.3, 0.0),
+    ("sz", ProjPoint(affine_lift(np.array([1.5 + 0.5j]))),
+     AffineBall(np.zeros(1, dtype=complex), 1.0), ZeroWeight(), 0.0,
+     math.log(abs(1.5 + 0.5j) / (1.0 - 1e-3))),
 ], ids=["affine-ball-C", "affine-ball-C2", "fs-ball", "tube-sample",
-        "constant-weight-sz", "constant-weight-omega"])
+        "constant-weight-sz", "constant-weight-omega", "exterior"])
 def test_admissible_constant_disc_returned_without_search(monkeypatch, mode,
-                                                          x, dom, weight, c):
+                                                          x, dom, weight, c, v):
     # under a constant weight c (0 for the zero weight) no admissible disc
-    # has a value below the constant disc's c
+    # has a value below c + V_{W_eta}(x): at the constant disc where it is
+    # admissible (V = 0), and outside a ball at the structure disc of the
+    # ball shrunk by (1 + 1e-7) eta, within 1e-9 of it
     monkeypatch.setattr(envelope, "_search", _no_search)
     fam = DiscFamilySpec(degree=6, m=x.vec.size, center=x)
     lib = CandidateLibrary(mode, dom, weight, seed=0)
     est = minimize(mode, x, dom, weight, fam, SMALL, library=lib)
-    assert est.feasible and est.upper == c and est.trace == []
-    assert est.witness.degree == 0
-    assert np.array_equal(est.witness.coeffs, x.vec[None, :])
-    assert [(v, d is est.witness) for v, d in est.witnesses] == [(c, True)]
+    assert est.feasible and est.trace == []
+    if v == 0.0:
+        assert est.upper == c and est.witness.degree == 0
+        assert np.array_equal(est.witness.coeffs, x.vec[None, :])
+    else:
+        assert c + v - 1e-12 <= est.upper <= c + v + 1e-9
+        assert est.witness.degree == 1
+        assert np.array_equal(est.witness.coeffs[0], x.vec)
+    assert [(u, d is est.witness) for u, d in est.witnesses] == [(est.upper, True)]
     assert est.lower == lib.lower_bound(x)[0]
-    assert est.gap == c - est.lower
+    assert est.gap == est.upper - est.lower
     assert est.to_json()["settings"]["budget"] == SMALL.budget
 
 
-@pytest.mark.parametrize("u, weight", [(1.5 + 0.5j, ZeroWeight())],
-                         ids=["exterior"])
-def test_search_runs_unless_the_zero_weight_admits_the_constant(monkeypatch,
-                                                                u, weight):
+@pytest.mark.parametrize("u", [1.5 + 0.5j, 0.3 - 0.2j],
+                         ids=["exterior", "interior"])
+def test_search_runs_under_a_non_constant_weight(monkeypatch, u):
+    # log|u + 0.5 - 0.2i| has no known least value, so neither the constant
+    # disc nor the ball's structure disc is known to be optimal
     x = ProjPoint(affine_lift(np.array([u])))
     dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
     monkeypatch.setattr(envelope, "_search", _no_search)
     with pytest.raises(AssertionError, match="search ran"):
-        minimize("sz", x, dom, weight, DiscFamilySpec(degree=2, m=2), SMALL)
+        minimize("sz", x, dom, _affine_log_poly(1),
+                 DiscFamilySpec(degree=2, m=2), SMALL)
+
+
+def _exterior_ball_cases():
+    """(mode, ball, points, V) for 110 points outside the balls W shrunk
+    by eta = 1e-3, five on each of 16 AffineBalls (R in {0.5, 1, 2, 5}, in
+    C and C^2, centre 0 and not) and 6 FsBalls (rho in {0.3, 0.5, 0.7}, in
+    P^1 and P^2), with V = V_{W_eta} there: log(|u - c|/(R - eta)) and
+    log(sin d/sin(rho - eta)) at FS distance d from the centre.  The first
+    point of each AffineBall lies in W, within eta of its sphere.  The FS
+    points stay 0.02 outside: the omega value is a 1024-node mean of
+    log|f|, which misses a zero of the disc near the circle (at d = rho -
+    eta/2 it reads 1.7e-4 below V)."""
+    rng = np.random.default_rng(28)
+    eta, cases = 1e-3, []
+
+    def unit(n):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return z / np.linalg.norm(z)
+
+    for n in (1, 2):
+        for r in (0.5, 1.0, 2.0, 5.0):
+            for c in (np.zeros(n, dtype=complex), 0.4 * unit(n)):
+                dists = np.array([r - 0.5 * eta, 1.2 * r, 1.7 * r, 2.5 * r, 4.0 * r])
+                us = [c + s * unit(n) for s in dists]
+                cases.append(pytest.param(
+                    "sz", AffineBall(c, r), [ProjPoint(affine_lift(u)) for u in us],
+                    np.log(dists / (r - eta)),
+                    id=f"affine-C{n}-R{r}-{'off-centre' if c.any() else 'centre-0'}"))
+    for m in (2, 3):
+        for rho in (0.3, 0.5, 0.7):
+            p = unit(m)
+            dists = np.array([rho + 0.02, rho + 0.1, 0.9, 1.2, 1.5])
+            points = []
+            for d in dists:
+                q = unit(m)
+                q = (q - np.vdot(p, q) * p) / np.linalg.norm(q - np.vdot(p, q) * p)
+                points.append(ProjPoint(np.exp(1j * d) * (math.cos(d) * p +
+                                                          math.sin(d) * q)))
+            cases.append(pytest.param(
+                "omega", FsBall(ProjPoint(p), rho), points,
+                np.log(np.sin(dists) / math.sin(rho - eta)), id=f"fs-P{m - 1}-rho{rho}"))
+    return cases
+
+
+@pytest.mark.parametrize("mode, ball, points, v", _exterior_ball_cases())
+def test_exterior_ball_points_take_the_shrunk_ball_structure_disc(
+        monkeypatch, mode, ball, points, v):
+    # no admissible disc has a value below c + V_{W_eta}(x) under a
+    # constant weight c; the unsearched structure disc is within 1e-9 of it
+    monkeypatch.setattr(envelope, "_search", _no_search)
+    m = points[0].vec.size
+    fam = DiscFamilySpec(degree=6, m=m)
+    for x, vx in zip(points, v):
+        for weight, c in ((ZeroWeight(), 0.0), (ConstantWeight(0.3), 0.3)):
+            est = minimize(mode, x, ball, weight, fam, SMALL)
+            assert est.trace == [] and est.witness.degree == 1
+            assert c + vx - 1e-12 <= est.upper <= c + vx + 1e-9
+    # a weight of no known least value still searches
+    weight = _affine_log_poly(m - 1) if mode == "sz" else _log_poly(m)
+    with pytest.raises(AssertionError, match="search ran"):
+        minimize(mode, points[1], ball, weight, fam, SMALL)
 
 
 def test_workers_other_than_one_rejected():

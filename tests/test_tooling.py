@@ -17,6 +17,7 @@ import pytest
 
 from discenv import envelope
 from discenv.discs import AnalyticDiscLift
+from discenv.projective import AffineLogPolyWeight, HomPolynomial
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,7 +95,7 @@ def test_searches_end_clear_of_the_origin_inside_the_disc(monkeypatch,
                                                          tmp_path):
     # the search's origin floor reads the boundary nodes alone; inside the
     # disc the functional's Jensen term keeps the end points from the
-    # origin (least norm 0.059 over workload seeds 1-3 at 20 x 100)
+    # origin (least norm 0.054 over workload seeds 1-3 at 20 x 100)
     workloads = _load("perfbench/workloads.py", "perfbench_workloads")
     search, ends = envelope._search, []
 
@@ -105,9 +106,19 @@ def test_searches_end_clear_of_the_origin_inside_the_disc(monkeypatch,
         return thetas
 
     monkeypatch.setattr(envelope, "_search", recorded)
-    for workload in (workloads.Siciak(1, tmp_path), workloads.Hull(1, tmp_path)):
-        for op in workload.round:
-            workload.run(op)
-    # the two exterior siciak points and the four hull points search
-    assert len(ends) == 6 * workloads.STARTS
+    # under the siciak workload's zero weight no point searches; under
+    # log|u_1 + 2|, which has no known least value, all four do
+    siciak = workloads.Siciak(1, tmp_path)
+    for op in siciak.round:
+        i = op.inputs
+        n = i["u"].size
+        weight = AffineLogPolyWeight(HomPolynomial(
+            ((1,) + (0,) * (n - 1), (0,) * n), (1.0 + 0j, 2.0 + 0j)))
+        envelope.minimize("sz", i["x"], i["ball"], weight, i["family"],
+                          i["opt"], siciak.final_grid)
+    hull = workloads.Hull(1, tmp_path)
+    for op in hull.round:
+        hull.run(op)
+    # the four siciak points and the four hull points search
+    assert len(ends) == 8 * workloads.STARTS
     assert min(d.min_norm_on_grid() for d in ends) >= envelope.ORIGIN_FLOOR
