@@ -441,16 +441,18 @@ def _unsearched_witnesses(mode: str, x: ProjPoint, domain: Domain,
     weight whose least value is `least`; [] where there is none to hand.
 
     The constant disc at x, if admissible, has value exactly `least`.  Else
-    on an AffineBall in sz mode or an FsBall in omega mode: a disc whose
-    boundary clears the ball by eta lies in the shrunk ball W_eta, so its
-    value is at least least + V_{W_eta}(x), and the structure disc whose
-    boundary is the sphere eta' = OPTIMAL_MARGIN * eta inside has exactly
-    least + V_{W_eta'}(x).  The excess, log((R - eta)/(R - eta')) or
-    log(sin(rho - eta)/sin(rho - eta')), is about 1e-7 eta/(R - eta) or
-    1e-7 eta cot(rho - eta): below 1e-9 at eta = 1e-3 unless the ball is
-    thinner than about 0.1.  The disc is taken if it lies in the family
-    (its coefficient within the bound) and is admissible at the final
-    grid, with its re-evaluated value.
+    on an AffineBall in sz mode: a disc whose boundary clears the ball by
+    eta lies in the shrunk ball W_eta, so its value is at least least +
+    V_{W_eta}(x), and the structure disc whose boundary is the sphere eta' =
+    OPTIMAL_MARGIN * eta inside has least + V_{W_eta'}(x), exact to
+    rounding since the sz value sums log|a| over the zeros a of f_0.  The
+    excess, log((R - eta)/(R - eta')), is about 1e-7 eta/(R - eta): below
+    1e-9 at eta = 1e-3 unless R is below about 0.1.  The disc is taken if
+    it lies in the family (its coefficient within the bound) and is
+    admissible at the final grid, with its re-evaluated value.  An FsBall
+    in omega mode has the same structure disc, but its omega value is a
+    boundary mean of log|f| that reads low where a zero of the disc nears
+    the circle, so it searches.
     """
     def admitted(disc):
         return evaluate_witness(mode, disc, domain, weight, family.eta,
@@ -458,7 +460,7 @@ def _unsearched_witnesses(mode: str, x: ProjPoint, domain: Domain,
     constant = AnalyticDiscLift(x.vec[None, :])
     if admitted(constant)[1]:
         return [(least, 0, constant)]
-    if not isinstance(domain, FsBall if mode == "omega" else AffineBall):
+    if not (mode == "sz" and isinstance(domain, AffineBall)):
         return []
     coeffs = _ball_structure_coeffs(mode, x.vec, domain,
                                     OPTIMAL_MARGIN * family.eta)
@@ -484,11 +486,11 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     a of f_0 in the disc).  So where the constant disc at x is admissible
     (evaluate_witness at margin eta on final_grid) it is returned alone,
     with upper exactly c, and no search runs: trace is empty.  Outside an
-    AffineBall in sz mode or an FsBall in omega mode no admissible disc has
-    a value below c + V(x), V the extremal function of the ball shrunk by
-    eta; the structure disc whose boundary is the sphere OPTIMAL_MARGIN *
-    eta inside the ball is within 1e-9 of that at eta = 1e-3 on a ball of
-    radius above about 0.1, and is returned alone in the same way, with its re-evaluated value
+    AffineBall in sz mode no admissible disc has a value below c + V(x), V
+    the extremal function of the ball shrunk by eta; the structure disc
+    whose boundary is the sphere OPTIMAL_MARGIN * eta inside the ball is
+    within 1e-9 of that at eta = 1e-3 on a ball of radius above about 0.1,
+    and is returned alone in the same way, with its re-evaluated value
     (_unsearched_witnesses).  Otherwise a (1+1)-ES runs from opt.starts
     starts, and trace holds the best value after each restart.
     """

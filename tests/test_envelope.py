@@ -70,25 +70,25 @@ def test_witness_reevaluation_stable():
 
 
 def test_trace_monotone():
-    # outside the ball under a non-constant weight, so that the search runs
-    # and the trace has a value per restart
+    # outside the ball, so that the search runs and the trace has a value
+    # per restart
     x = ProjPoint(np.array([1.0, 0.6]))
     dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.5)
     fam = DiscFamilySpec(degree=3, m=2, center=x)
-    est = minimize("omega", x, dom, _log_poly(2), fam, SMALL)
+    est = minimize("omega", x, dom, ZeroWeight(), fam, SMALL)
     assert len(est.trace) == SMALL.starts
     vals = [v for v in est.trace if v is not None]
     assert vals and all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_determinism_json_level():
-    # outside the ball under a non-constant weight: a searched estimate
+    # outside the ball: a searched estimate
     x = ProjPoint(np.array([1.0, 0.45]))
     dom = FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4)
     fam = DiscFamilySpec(degree=4, m=2, center=x)
     runs = []
     for _ in range(2):
-        est = minimize("omega", x, dom, _log_poly(2), fam, SMALL)
+        est = minimize("omega", x, dom, ZeroWeight(), fam, SMALL)
         assert est.trace
         runs.append(json.dumps(est.to_json(), sort_keys=True))
     assert runs[0] == runs[1]
@@ -592,29 +592,27 @@ def _independence_cases():
     circle = tuple(ProjPoint(np.array([1.0, np.exp(2j * np.pi * k / 64)]))
                    for k in range(64))
     return [
-        # 3 or 6 restarts x 64 nodes: the clearance sees 192 or 384 rows;
-        # outside the ball, the zero weight would take the structure disc
-        # unsearched
+        # 3 or 6 restarts x 64 nodes: the clearance sees 192 or 384 rows
         (ProjPoint(np.array([1.0, 0.45])),
-         FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4), _log_poly(2), 64),
+         FsBall(ProjPoint(np.array([1.0, 0.0])), 0.4), 64),
         # 3 or 6 restarts x 400 nodes: 1200 or 2400 rows, so the first
         # three restarts share a second block of 176 or of 1024 rows
-        (ProjPoint(np.array([1.0, 0.0])), Tube(circle, 0.1), ZeroWeight(), 400),
+        (ProjPoint(np.array([1.0, 0.0])), Tube(circle, 0.1), 400),
     ]
 
 
-@pytest.mark.parametrize("x,dom,weight,nodes", _independence_cases(),
+@pytest.mark.parametrize("x,dom,nodes", _independence_cases(),
                          ids=["fsball", "tube"])
-def test_restarts_independent_of_their_number(x, dom, weight, nodes):
+def test_restarts_independent_of_their_number(x, dom, nodes):
     fam = DiscFamilySpec(degree=3, m=2, center=x)
-    few = minimize("omega", x, dom, weight, fam,
+    few = minimize("omega", x, dom, ZeroWeight(), fam,
                    OptimizerConfig(starts=3, budget=150, seed=4, search_nodes=nodes))
-    more = minimize("omega", x, dom, weight, fam,
+    more = minimize("omega", x, dom, ZeroWeight(), fam,
                     OptimizerConfig(starts=6, budget=150, seed=4, search_nodes=nodes))
     assert len(few.trace) == 3 and few.trace == more.trace[:3]
     # the trace keeps only the best value so far; the final search points
     # of each of the first three restarts match as well
-    spec = build_objective_spec("omega", x, dom, weight, fam,
+    spec = build_objective_spec("omega", x, dom, ZeroWeight(), fam,
                                 OptimizerConfig(search_nodes=nodes))
     theta0s = 0.3 * np.random.default_rng(5).standard_normal((6, spec.dim))
     ends = _search(spec, theta0s[:3], 4, 150)
@@ -764,50 +762,33 @@ def test_search_runs_under_a_non_constant_weight(monkeypatch, u):
 
 
 def _exterior_ball_cases():
-    """(mode, ball, points, V) for 110 points outside the balls W shrunk
-    by eta = 1e-3, five on each of 16 AffineBalls (R in {0.5, 1, 2, 5}, in
-    C and C^2, centre 0 and not) and 6 FsBalls (rho in {0.3, 0.5, 0.7}, in
-    P^1 and P^2), with V = V_{W_eta} there: log(|u - c|/(R - eta)) and
-    log(sin d/sin(rho - eta)) at FS distance d from the centre.  The first
-    point of each AffineBall lies in W, within eta of its sphere.  The FS
-    points stay 0.02 outside: the omega value is a 1024-node mean of
-    log|f|, which misses a zero of the disc near the circle (at d = rho -
-    eta/2 it reads 1.7e-4 below V)."""
+    """(ball, points, V) for 80 points outside the balls W shrunk by eta =
+    1e-3, five on each of 16 AffineBalls (R in {0.5, 1, 2, 5}, in C and
+    C^2, centre 0 and not), with V = V_{W_eta} = log(|u - c|/(R - eta))
+    there.  The first point of each ball lies in W, within eta of its
+    sphere."""
     rng = np.random.default_rng(28)
     eta, cases = 1e-3, []
-
-    def unit(n):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return z / np.linalg.norm(z)
-
     for n in (1, 2):
         for r in (0.5, 1.0, 2.0, 5.0):
-            for c in (np.zeros(n, dtype=complex), 0.4 * unit(n)):
+            for c in (np.zeros(n, dtype=complex), 0.4 * _unit(rng, n)):
                 dists = np.array([r - 0.5 * eta, 1.2 * r, 1.7 * r, 2.5 * r, 4.0 * r])
-                us = [c + s * unit(n) for s in dists]
+                us = [c + s * _unit(rng, n) for s in dists]
                 cases.append(pytest.param(
-                    "sz", AffineBall(c, r), [ProjPoint(affine_lift(u)) for u in us],
+                    AffineBall(c, r), [ProjPoint(affine_lift(u)) for u in us],
                     np.log(dists / (r - eta)),
                     id=f"affine-C{n}-R{r}-{'off-centre' if c.any() else 'centre-0'}"))
-    for m in (2, 3):
-        for rho in (0.3, 0.5, 0.7):
-            p = unit(m)
-            dists = np.array([rho + 0.02, rho + 0.1, 0.9, 1.2, 1.5])
-            points = []
-            for d in dists:
-                q = unit(m)
-                q = (q - np.vdot(p, q) * p) / np.linalg.norm(q - np.vdot(p, q) * p)
-                points.append(ProjPoint(np.exp(1j * d) * (math.cos(d) * p +
-                                                          math.sin(d) * q)))
-            cases.append(pytest.param(
-                "omega", FsBall(ProjPoint(p), rho), points,
-                np.log(np.sin(dists) / math.sin(rho - eta)), id=f"fs-P{m - 1}-rho{rho}"))
     return cases
 
 
-@pytest.mark.parametrize("mode, ball, points, v", _exterior_ball_cases())
+def _unit(rng, n):
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("ball, points, v", _exterior_ball_cases())
 def test_exterior_ball_points_take_the_shrunk_ball_structure_disc(
-        monkeypatch, mode, ball, points, v):
+        monkeypatch, ball, points, v):
     # no admissible disc has a value below c + V_{W_eta}(x) under a
     # constant weight c; the unsearched structure disc is within 1e-9 of it
     monkeypatch.setattr(envelope, "_search", _no_search)
@@ -815,13 +796,33 @@ def test_exterior_ball_points_take_the_shrunk_ball_structure_disc(
     fam = DiscFamilySpec(degree=6, m=m)
     for x, vx in zip(points, v):
         for weight, c in ((ZeroWeight(), 0.0), (ConstantWeight(0.3), 0.3)):
-            est = minimize(mode, x, ball, weight, fam, SMALL)
+            est = minimize("sz", x, ball, weight, fam, SMALL)
             assert est.trace == [] and est.witness.degree == 1
             assert c + vx - 1e-12 <= est.upper <= c + vx + 1e-9
     # a weight of no known least value still searches
-    weight = _affine_log_poly(m - 1) if mode == "sz" else _log_poly(m)
     with pytest.raises(AssertionError, match="search ran"):
-        minimize(mode, points[1], ball, weight, fam, SMALL)
+        minimize("sz", points[1], ball, _affine_log_poly(m - 1), fam, SMALL)
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["P1", "P2"])
+def test_exterior_fs_ball_points_search(monkeypatch, m):
+    # the omega value of the shrunk FsBall's structure disc is a boundary
+    # mean of log|f|, which reads low where a zero of the disc nears the
+    # circle (1.7e-4 below V_{W_eta} at d = rho - eta/2), so FsBall points
+    # outside the shrunk ball search, from inside W within eta of its
+    # sphere to far outside it
+    monkeypatch.setattr(envelope, "_search", _no_search)
+    rng = np.random.default_rng(28)
+    p, rho = _unit(rng, m), 0.3
+    ball = FsBall(ProjPoint(p), rho)
+    for d in (rho - 0.5e-3, rho + 0.02, 1.2):
+        q = _unit(rng, m)
+        q = (q - np.vdot(p, q) * p) / np.linalg.norm(q - np.vdot(p, q) * p)
+        x = ProjPoint(math.cos(d) * p + math.sin(d) * q)
+        for weight in (ZeroWeight(), ConstantWeight(0.3)):
+            with pytest.raises(AssertionError, match="search ran"):
+                minimize("omega", x, ball, weight, DiscFamilySpec(degree=6, m=m),
+                         SMALL)
 
 
 def test_workers_other_than_one_rejected():
