@@ -23,7 +23,8 @@ import numpy as np
 from . import envelope as env
 from . import hull as hull_mod
 from . import structure as struct_mod
-from .discs import (AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
+from .discs import (DEFAULT_ANGULAR, DEFAULT_NODES, DEFAULT_RADIAL,
+                    AnalyticDiscLift, AreaQuadrature, BoundaryGrid,
                     boundary_lognorms, grid_values, random_disc)
 from .errors import (BoundaryZeroError, ConfigError, DiscEnvError,
                      DomainError, InfeasibleDiscError, NumericalError,
@@ -32,7 +33,7 @@ from .functionals import (admissible_values, identity_check_eqH,
                           omega_functional_direct, omega_functional_lifted,
                           riesz_residual, sz_functional)
 from .projective import (Domain, LiftedWeight, ProjPoint, Weight,
-                         ZeroWeight, affine_lift, vec_from_json)
+                         ZeroWeight, affine_lift, vec_from_json, vec_to_json)
 
 SCHEMA_VERSION = "1"
 
@@ -300,8 +301,7 @@ def cmd_structure_epsilon(args) -> int:
         "success": res["success"],
         "value": res["value"] if math.isfinite(res["value"]) else None,
         "phi_x": res["phi_x"],
-        "w": [[float(c.real), float(c.imag)] for c in res["w"]]
-             if res["w"] is not None else None,
+        "w": vec_to_json(res["w"]) if res["w"] is not None else None,
         "disc": res["disc"].to_json() if res["disc"] is not None else None,
         "radius": res["radius"],
     }
@@ -332,18 +332,19 @@ def _finite_floats(text: str) -> list:
     return [_finite_float(d) for d in text.split(",")]
 
 
-def _add_common(p, nodes=1024):
+def _add_common(p, nodes=DEFAULT_NODES):
     p.add_argument("--nodes", type=int, default=nodes)
     p.add_argument("--out", required=True)
 
 
 def _add_opt(p):
-    p.add_argument("--degree", type=_positive_int, default=6)
-    p.add_argument("--starts", type=_positive_int, default=20)
-    p.add_argument("--budget", type=_positive_int, default=2000)
-    p.add_argument("--bound", type=_finite_float, default=10.0)
-    p.add_argument("--eta", type=_finite_float, default=1e-3)
-    p.add_argument("--seed", type=int, default=7)
+    fam, opt = env.DiscFamilySpec(), env.OptimizerConfig()
+    p.add_argument("--degree", type=_positive_int, default=fam.degree)
+    p.add_argument("--starts", type=_positive_int, default=opt.starts)
+    p.add_argument("--budget", type=_positive_int, default=opt.budget)
+    p.add_argument("--bound", type=_finite_float, default=fam.bound)
+    p.add_argument("--eta", type=_finite_float, default=fam.eta)
+    p.add_argument("--seed", type=int, default=opt.seed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,16 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--domain", default=None)
     pe.add_argument("--route", choices=["direct", "lifted", "jensen"],
                     required=True)
-    pe.add_argument("--radial", type=int, default=256)
-    pe.add_argument("--angular", type=int, default=512)
+    pe.add_argument("--radial", type=int, default=DEFAULT_RADIAL)
+    pe.add_argument("--angular", type=int, default=DEFAULT_ANGULAR)
     _add_common(pe)
     pe.set_defaults(func=cmd_functional)
 
     p = sub.add_parser("identity-check")
     p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--tolerance", type=_finite_float, default=1e-8)
-    p.add_argument("--radial", type=int, default=256)
-    p.add_argument("--angular", type=int, default=512)
+    p.add_argument("--radial", type=int, default=DEFAULT_RADIAL)
+    p.add_argument("--angular", type=int, default=DEFAULT_ANGULAR)
     p.add_argument("--seed", type=int, default=7)
     _add_common(p)
     p.set_defaults(func=cmd_identity_check)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BoundaryZeroError, NumericalError, OriginViolation
-from .projective import vec_from_json
+from .projective import vec_from_json, vec_to_json
 
 DEFAULT_NODES = 1024
 DEFAULT_RADIAL = 256
@@ -96,8 +96,7 @@ class AnalyticDiscLift:
         return {
             "m": self.m,
             "degree": self.degree,
-            "coeffs": [[[float(c.real), float(c.imag)] for c in row]
-                       for row in self.coeffs],
+            "coeffs": [vec_to_json(row) for row in self.coeffs],
         }
 
     @classmethod
@@ -146,7 +145,7 @@ class CompositeDisc:
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),
-            "exponent": [[float(c.real), float(c.imag)] for c in self.exponent],
+            "exponent": vec_to_json(self.exponent),
         }
 
     @classmethod
@@ -707,11 +706,10 @@ def roots_in_unit_disc(p, boundary_margin: float = 1e-9):
 
 def winding_number(p) -> int:
     """Winding of t -> p(t) over the unit circle (argument principle), from
-    the phase steps between 4096 equispaced nodes."""
+    the phase steps between the 4096 nodes of BoundaryGrid(4096), whose
+    values one inverse FFT gives (node_values_fft)."""
     a = np.asarray(p, dtype=np.complex128).reshape(-1)
-    t = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    vals = kernels.eval_poly(a[:, None], t)[:, 0]
-    ph = np.angle(vals)
+    ph = np.angle(node_values_fft(a, 4096))
     d = np.diff(np.concatenate([ph, ph[:1]]))
     d = (d + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(d.sum() / (2.0 * np.pi)))

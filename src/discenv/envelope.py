@@ -497,8 +497,7 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     final_grid = final_grid or BoundaryGrid(DEFAULT_NODES)
     spec = build_objective_spec(mode, x, domain, weight, family, opt)
     # the weight's own value, not the re-evaluated mean, which may be an ulp off
-    least = (0.0 if isinstance(weight, ZeroWeight) else
-             float(weight.value) if isinstance(weight, ConstantWeight) else None)
+    least = float(weight.value) if isinstance(weight, ConstantWeight) else None
     witnesses, trace = [], []
     if least is not None:
         witnesses = _unsearched_witnesses(mode, x, domain, weight, least,

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discs import (AnalyticDiscLift, BoundaryGrid, CompositeDisc,
-                    boundary_lognorms, circle_mean, grid_values,
+from .discs import (DEFAULT_NODES, AnalyticDiscLift, BoundaryGrid,
+                    CompositeDisc, boundary_lognorms, circle_mean, grid_values,
                     holomorphic_completion_coeffs, neg_log_center_norm)
 from .envelope import (DiscFamilySpec, OptimizerConfig, evaluate_witness,
                        minimize)
@@ -76,7 +76,8 @@ class HullCertificate:
         (boundary_in_tube, origin floor included), the center, the drift
         of the value (at most 1e-8) and the value itself, which must lie
         below lambda + eps (below_threshold)."""
-        grid = BoundaryGrid(2 * int(self.settings.get("final_nodes", 1024)))
+        nodes = int(self.settings.get("final_nodes", DEFAULT_NODES))
+        grid = BoundaryGrid(2 * nodes)
         revalue, admissible = evaluate_witness(
             "omega", self.witness, K.tube(self.delta), ZeroWeight(), 0.0, grid)
         center_ok = ProjPoint(self.witness.center).isclose(self.x, 1e-9)

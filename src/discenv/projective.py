@@ -231,8 +231,8 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
-# rows per block of a tube's products (_FormDomain._clearance): the size
-# of the default final grid
+# rows per block of a form domain's products (_FormDomain._clearance): the
+# size of the default final grid
 _FORM_BLOCK = 1024
 
 
@@ -241,17 +241,18 @@ class _FormDomain(Domain):
     B(z) for Hermitian forms A_k and B(z) = sum |z_i|^2 over the first
     coordinates.  The A_k are rows of real weights on a row's features
     (|z_i|^2, then Re and Im of z_i conj(z_j) for the form's pairs i < j),
-    so those of a block of rows are one real product.  A row with B(z) = 0
-    (the zero row, or z_0 = 0 for an affine ball) is in no domain: its
-    clearance, as every one that is not finite, is -pi/2."""
+    so those of a block of rows are one real product, taken in a (K, block)
+    work array that the domain owns: it is not safe for concurrent calls.
+    A row with B(z) = 0 (the zero row, or z_0 = 0 for an affine ball) is in
+    no domain: its clearance, as every one that is not finite, is -pi/2."""
 
     def _set_forms(self, m: int, weights, pairs=None, den=None) -> None:
         """Forms on C^m: weights (K, F) on the features, and B(z) the sum
         of |z_i|^2 over i < den, by default |z|^2."""
         weights.setflags(write=False)
-        # K > 1 forms (a tube's) reuse one product buffer, which a fresh one
-        # per call would map and unmap: such a domain is not thread-safe
-        work = np.empty((len(weights), _FORM_BLOCK)) if len(weights) > 1 else None
+        # the K forms reuse one product buffer, which a fresh one per call
+        # would map and unmap: such a domain is not thread-safe
+        work = np.empty((len(weights), _FORM_BLOCK))
         for name, value in (("_m", m), ("_weights", weights), ("_pairs", pairs),
                             ("_den", slice(0, den or m)), ("_work", work)):
             object.__setattr__(self, name, value)
@@ -259,12 +260,8 @@ class _FormDomain(Domain):
     def _features(self, z_rows, sq):
         """Features (F, rows) of the rows: |z_i|^2, from sq where it is
         given, then Re and Im of z_i conj(z_j) for the form's pairs."""
-        if sq is not None and self._pairs is None:
-            return sq
         zt = np.ascontiguousarray(z_rows.T)
         sq = zt.real ** 2 + zt.imag ** 2 if sq is None else sq
-        if self._pairs is None:
-            return sq
         cross = zt[self._pairs[0]] * zt[self._pairs[1]].conj()
         return np.concatenate([sq, cross.real, cross.imag])
 
@@ -275,15 +272,13 @@ class _FormDomain(Domain):
         s = np.empty(len(z_rows))
         feats = self._features(z_rows, sq)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self._work is None:
-                np.matmul(self._weights, feats, out=s[None, :])
-            else:  # K * block products at a time, in the work array
-                for a in range(0, len(s), _FORM_BLOCK):
-                    out = s[a:a + _FORM_BLOCK]
-                    prod = self._work.reshape(-1)[:len(self._work) * len(out)]
-                    prod = prod.reshape(-1, len(out))
-                    np.matmul(self._weights, feats[:, a:a + _FORM_BLOCK], out=prod)
-                    prod.max(axis=0, out=out)
+            # K * block products at a time, in the work array
+            for a in range(0, len(s), _FORM_BLOCK):
+                out = s[a:a + _FORM_BLOCK]
+                prod = self._work.reshape(-1)[:len(self._work) * len(out)]
+                prod = prod.reshape(-1, len(out))
+                np.matmul(self._weights, feats[:, a:a + _FORM_BLOCK], out=prod)
+                prod.max(axis=0, out=out)
             den = feats[self._den]
             np.divide(s, den[0] if len(den) == 1 else den.sum(axis=0), out=s)
             out = np.subtract(radius, dist(s, out=s), out=s)
@@ -410,7 +405,8 @@ class HyperplaneComplement(Domain):
 @dataclass(frozen=True)
 class AffineBall(_FormDomain):
     """Cone over the affine ball |u - center| < radius in the chart z_0 != 0
-    (used by the Siciak-Zahariuta affine mode)."""
+    (used by the Siciak-Zahariuta affine mode).  Like a Tube, it owns a
+    work array and is not safe for concurrent calls."""
 
     center: np.ndarray
     radius: float
@@ -421,7 +417,6 @@ class AffineBall(_FormDomain):
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         # the centred ball's form, |z_*|^2 over |z_0|^2, of (z_0, z_* - c z_0)
-        object.__setattr__(self, "_shift", c[:, None] if c.any() else None)
         self._set_forms(c.size + 1, np.append(0.0, np.ones(c.size))[None], den=1)
 
     def clearance_many(self, z_rows, sq=None):
@@ -429,11 +424,10 @@ class AffineBall(_FormDomain):
         return self._clearance(z_rows, sq, self.radius, np.sqrt)
 
     def _features(self, z_rows, sq):
-        """Squares of (z_0, z_* - c z_0), its differences in complex arithmetic."""
-        if self._shift is None:
-            return super()._features(z_rows, sq)
+        """Squares of (z_0, z_* - c z_0), its differences in complex
+        arithmetic; sq is not read."""
         d = np.array(z_rows.T, order="C")  # a copy, written in place
-        d[1:] -= d[:1] * self._shift
+        d[1:] -= d[:1] * self.center[:, None]
         return d.real ** 2 + d.imag ** 2
 
     def dist_lb(self, w):
@@ -585,18 +579,6 @@ class Weight:
 
 
 @dataclass(frozen=True)
-class ZeroWeight(Weight):
-    def value_proj_many(self, z_rows):
-        return np.zeros(z_rows.shape[0])
-
-    def value_affine_many(self, u_rows):
-        return np.zeros(u_rows.shape[0])
-
-    def to_json(self):
-        return {"type": "zero"}
-
-
-@dataclass(frozen=True)
 class ConstantWeight(Weight):
     value: float
 
@@ -612,6 +594,17 @@ class ConstantWeight(Weight):
 
     def to_json(self):
         return {"type": "constant", "value": self.value}
+
+
+@dataclass(frozen=True)
+class ZeroWeight(ConstantWeight):
+    """The constant weight 0, written {"type": "zero"}; it equals no
+    ConstantWeight(0.0), whose JSON differs."""
+
+    value: float = field(default=0.0, init=False)
+
+    def to_json(self):
+        return {"type": "zero"}
 
 
 @dataclass(frozen=True)

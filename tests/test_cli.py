@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from discenv import discs, envelope, hull
-from discenv.cli import _write_artifact, main
+from discenv.cli import _write_artifact, build_parser, main
 from discenv.errors import NumericalError
 from discenv.projective import AffineBall, FsBall, ProjPoint, ZeroWeight
 
@@ -305,6 +305,23 @@ def test_later_calls_build_no_parser(files, monkeypatch):
     assert built == []
 
 
+def test_parser_defaults_are_the_library_defaults():
+    fam, opt = envelope.DiscFamilySpec(), envelope.OptimizerConfig()
+    parse = build_parser().parse_args
+    args = parse(["envelope", "--point", "x", "--domain", "d", "--weight",
+                  "w", "--mode", "sz", "--out", "o"])
+    assert args.nodes == discs.DEFAULT_NODES
+    assert (args.degree, args.bound, args.eta) == (fam.degree, fam.bound, fam.eta)
+    assert (args.starts, args.budget, args.seed) == (opt.starts, opt.budget, opt.seed)
+    for argv in (["identity-check", "--out", "o"],
+                 ["functional", "eval", "--disc", "d", "--weight", "w",
+                  "--route", "direct", "--out", "o"]):
+        args = parse(argv)
+        assert args.nodes == discs.DEFAULT_NODES
+        assert (args.radial, args.angular) == (discs.DEFAULT_RADIAL,
+                                               discs.DEFAULT_ANGULAR)
+
+
 def test_hull_test_cli(files):
     # 64 samples keep the sampled tube gap (~pi/128) well under delta
     th = 2.0 * np.pi * np.arange(64) / 64
@@ -500,6 +517,29 @@ def _circle_hull(files, point):
               {"type": "proj", "coords": [[1.0, 0.0], [point, 0.0]]})
     return ["hull", "test", "--point", x, "--set", K, "--eps", "0.01",
             "--delta", "0.05", "--starts", "2", "--budget", "20"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_hull_schedule_cli(files, capsys):
+    # the circle's centre, where the search finds a disc in both tubes
+    K = write(files["tmp"] / "K64.json", {"samples": _CIRCLE_SAMPLES})
+    x = write(files["tmp"] / "hx.json",
+              {"type": "proj", "coords": [[1.0, 0.0], [0.0, 0.0]]})
+    out = files["tmp"] / "schedule.json"
+    rc = main(["hull", "schedule", "--point", x, "--set", K, "--deltas",
+               "0.1,0.05", "--starts", "2", "--budget", "20", "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().out.strip() == str(out)
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    result = doc["result"]
+    assert result["deltas"] == [0.1, 0.05]
+    est = result["estimates"]
+    assert all(v is not None for v in est) and est == sorted(est)
+    assert result["final"] == est[-1]
+    for w in result["witnesses"]:
+        assert w is None or discs.AnalyticDiscLift.from_json(w).to_json() == w
 
 
 def test_hull_test_below_zero_threshold_exit_2(files):

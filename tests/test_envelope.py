@@ -804,6 +804,22 @@ def test_exterior_ball_points_take_the_shrunk_ball_structure_disc(
         minimize("sz", points[1], ball, _affine_log_poly(m - 1), fam, SMALL)
 
 
+def test_ball_structure_disc_past_the_bound_searches():
+    # at u = 1.5 the shrunk unit ball's structure disc has a coefficient of
+    # norm about 1.0004, outside a family of bound 0.5, so minimize does not
+    # return it and runs the search
+    x = ProjPoint(affine_lift(np.array([1.5 + 0j])))
+    ball = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    fam = DiscFamilySpec(degree=6, m=2, bound=0.5)
+    coeffs = envelope._ball_structure_coeffs(
+        "sz", x.vec, ball, envelope.OPTIMAL_MARGIN * fam.eta)
+    assert np.linalg.norm(coeffs[1]) == pytest.approx(1.0004, abs=1e-4)
+    est = minimize("sz", x, ball, ZeroWeight(), fam, SMALL)
+    assert len(est.trace) == SMALL.starts
+    for _value, disc in est.witnesses:
+        assert np.linalg.norm(disc.coeffs[1:], axis=1).max() <= fam.bound * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("m", [2, 3], ids=["P1", "P2"])
 def test_exterior_fs_ball_points_search(monkeypatch, m):
     # the omega value of the shrunk FsBall's structure disc is a boundary

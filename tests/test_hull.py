@@ -61,6 +61,16 @@ def test_compact_set_dedups():
     assert len(K.samples) == 1
 
 
+def test_compact_set_json_roundtrip():
+    K = CompactSetSpec(circle_set(8).samples, connected=False, name="octagon")
+    K2 = CompactSetSpec.from_json(K.to_json())
+    assert (K2.connected, K2.name) == (False, "octagon")
+    # a point read back is normalized again, which may move an ulp
+    assert len(K2.samples) == len(K.samples) == 8
+    assert all(np.allclose(p.vec, q.vec, rtol=0, atol=1e-15)
+               for p, q in zip(K.samples, K2.samples))
+
+
 def test_hull_point_on_K_constant_disc():
     K = circle_set()
     x = K.samples[0]

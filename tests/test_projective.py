@@ -301,35 +301,49 @@ def _affine_ball_reference(ball, z):
 @pytest.mark.parametrize("n", [1, 2])
 def test_affine_ball_clearance_matches_row_reference(n):
     rng = np.random.default_rng(40 + n)
-    ball = AffineBall(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-                      1.7)
+    shift = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    z = 2.0 * cplx(200, n + 1)
-    # rows 1e-6 inside and outside the sphere, in random projective scale
-    dirs = cplx(40, n)
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    rel = np.where(np.arange(40) % 2 == 0, 1.0 - 1e-6, 1.0 + 1e-6)
-    u = ball.center + ball.radius * rel[:, None] * dirs
-    near = np.concatenate([np.ones((40, 1)), u], axis=1) * cplx(40, 1)
-    rows = np.concatenate([z, near])
-    got = ball.clearance_many(rows)
-    ref = _affine_ball_reference(ball, rows)
-    # the distances to the centre agree to rounding
-    np.testing.assert_allclose(ball.radius - got, ball.radius - ref,
-                               rtol=1e-13, atol=0)
-    assert np.all(np.sign(got[200:]) == np.where(rel < 1, 1.0, -1.0))
-    # a point and its scaled copies are one point of P^n
-    assert ball.clearance_many(rows * 4.0).tobytes() == got.tobytes()
-    assert ball.clearance_many(rows * 2.0 ** -40).tobytes() == got.tobytes()
-    np.testing.assert_allclose(ball.clearance_many(rows * (3e5 - 7e4j)), got,
-                               rtol=1e-13, atol=1e-13)
-    # z_0 = 0, and the zero row
-    off = np.zeros((2, n + 1), dtype=complex)
-    off[0, 1:] = cplx(n)
-    assert ball.clearance_many(off).tolist() == [-math.pi / 2, -math.pi / 2]
+    for centre in (shift, np.zeros(n, dtype=complex)):
+        ball = AffineBall(centre, 1.7)
+        # more rows than one block of the products
+        far = _FORM_BLOCK + 100
+        z = 2.0 * cplx(far, n + 1)
+        # rows 1e-6 inside and outside the sphere, in random projective scale
+        dirs = cplx(40, n)
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        rel = np.where(np.arange(40) % 2 == 0, 1.0 - 1e-6, 1.0 + 1e-6)
+        u = ball.center + ball.radius * rel[:, None] * dirs
+        near = np.concatenate([np.ones((40, 1)), u], axis=1) * cplx(40, 1)
+        rows = np.concatenate([z, near])
+        got = ball.clearance_many(rows)
+        ref = _affine_ball_reference(ball, rows)
+        # the distances to the centre agree to rounding
+        np.testing.assert_allclose(ball.radius - got, ball.radius - ref,
+                                   rtol=1e-13, atol=0)
+        assert np.all(np.sign(got[far:]) == np.where(rel < 1, 1.0, -1.0))
+        # given squared moduli, the search's coordinate-major rows, and rows
+        # 1000-1100, which straddle a block edge of this call, give the
+        # same bits
+        zc = np.ascontiguousarray(rows.T)
+        sq = zc.real ** 2 + zc.imag ** 2
+        assert ball.clearance_many(rows, sq).tobytes() == got.tobytes()
+        assert ball.clearance_many(zc.T, sq).tobytes() == got.tobytes()
+        part = slice(1000, 1100)
+        assert ball.clearance_many(rows[part]).tobytes() == got[part].tobytes()
+        assert ball.clearance_many(rows[part], sq[:, part]).tobytes() == \
+            got[part].tobytes()
+        # a point and its scaled copies are one point of P^n
+        assert ball.clearance_many(rows * 4.0).tobytes() == got.tobytes()
+        assert ball.clearance_many(rows * 2.0 ** -40).tobytes() == got.tobytes()
+        np.testing.assert_allclose(ball.clearance_many(rows * (3e5 - 7e4j)),
+                                   got, rtol=1e-13, atol=1e-13)
+        # z_0 = 0, and the zero row
+        off = np.zeros((2, n + 1), dtype=complex)
+        off[0, 1:] = cplx(n)
+        assert ball.clearance_many(off).tolist() == [-math.pi / 2, -math.pi / 2]
 
 
 def test_chart_roundtrip():
@@ -345,6 +359,19 @@ def test_weight_json_roundtrip():
         w2 = Weight.from_json(w.to_json())
         z = np.array([[1.0, 0.5j], [0.2, 1.0]], dtype=complex)
         assert np.allclose(w.value_proj_many(z), w2.value_proj_many(z))
+
+
+def test_zero_weight_is_the_constant_weight_0():
+    w = ZeroWeight()
+    assert isinstance(w, ConstantWeight) and w.value == 0.0
+    assert w.to_json() == {"type": "zero"} and Weight.from_json(w.to_json()) == w
+    with pytest.raises(TypeError):
+        ZeroWeight(0.3)
+    # the two write different JSON, so they are not equal
+    assert w != ConstantWeight(0.0)
+    z = np.array([[1.0, 0.5j], [0.2, 1.0], [0.0, 1.0]], dtype=complex)
+    assert w.value_proj_many(z).tobytes() == np.zeros(3).tobytes()
+    assert w.value_affine_many(z[:, 1:]).tobytes() == np.zeros(3).tobytes()
 
 
 def test_log_poly_weight_value():
