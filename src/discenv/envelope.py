@@ -98,7 +98,7 @@ class EnvelopeEstimate:
 
 @dataclass(frozen=True)
 class _ObjectiveSpec:
-    """Everything the search needs besides its starting points."""
+    """The problem minimize solves, read by both its routes."""
 
     mode: str
     c0: np.ndarray
@@ -106,7 +106,7 @@ class _ObjectiveSpec:
     domain: Domain
     weight: Weight
     bound: float
-    eta_search: float
+    eta: float
     grid: BoundaryGrid
     _work: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -215,7 +215,7 @@ def _domain_penalty(spec: _ObjectiveSpec, rows: np.ndarray,
     to the bit; the clearance is a fresh array, and the penalty runs in
     it."""
     m, r, n = sq.shape
-    eta = spec.eta_search
+    eta = ETA_INFLATION * spec.eta
     pen = spec.domain.clearance_many(rows, sq.reshape(m, r * n))
     pen = pen.reshape(r, n)
     np.clip(np.subtract(eta, pen, out=pen), 0.0, eta + 10.0, out=pen)
@@ -342,9 +342,8 @@ def _constructed_seeds(spec: _ObjectiveSpec) -> list:
     circle about x through k.
     """
     c0, dom = spec.c0, spec.domain
-    eta = spec.eta_search / ETA_INFLATION
     seeds = [c0[None, :]]
-    ball = _ball_structure_coeffs(spec.mode, c0, dom, 2.0 * eta)
+    ball = _ball_structure_coeffs(spec.mode, c0, dom, 2.0 * spec.eta)
     if ball is not None:
         seeds.append(ball)
     if isinstance(dom, Tube):
@@ -391,22 +390,22 @@ def build_objective_spec(mode: str, x: ProjPoint, domain: Domain,
     if mode == "sz" and abs(c0[0]) < 1e-14:
         raise DomainError("sz mode needs a center in the chart z_0 != 0")
     return _ObjectiveSpec(mode, c0, family.degree, domain, weight,
-                          family.bound, ETA_INFLATION * family.eta,
+                          family.bound, family.eta,
                           BoundaryGrid(opt.search_nodes))
 
 
-def _searched_witnesses(spec: _ObjectiveSpec, family: DiscFamilySpec,
-                        opt: OptimizerConfig, final_grid: BoundaryGrid,
+def _searched_witnesses(spec: _ObjectiveSpec, opt: OptimizerConfig,
+                        final_grid: BoundaryGrid,
                         warm_theta: np.ndarray | None) -> tuple[list, list]:
     """The (1+1)-ES from the constructed seeds, warm_theta first, topped up
-    with random starts to opt.starts: the feasible witnesses (value, index,
-    disc) and the trace, the best value after each restart."""
+    with random starts to opt.starts: the feasible witnesses (value, disc),
+    in restart order, and the trace, the best value after each restart."""
     seeds = _constructed_seeds(spec)
     if warm_theta is not None:
         seeds.insert(0, np.asarray(warm_theta, dtype=float))
     theta0s = seeds[:opt.starts]
     rng_master = np.random.default_rng([opt.seed, 0xE1])
-    top = math.log10(max(min(family.bound, 2.0), 0.011))
+    top = math.log10(max(min(spec.bound, 2.0), 0.011))
     for _ in range(opt.starts - len(theta0s)):
         mags = 10.0 ** rng_master.uniform(-2.0, top, (spec.degree, 1))
         c = mags * (rng_master.standard_normal((spec.degree, spec.m)) +
@@ -424,51 +423,55 @@ def _searched_witnesses(spec: _ObjectiveSpec, family: DiscFamilySpec,
     for i, theta in enumerate(ends):
         disc = AnalyticDiscLift(_theta_to_coeffs(spec, theta))
         value, feasible = evaluate_witness(spec.mode, disc, spec.domain,
-                                           spec.weight, family.eta, final_grid)
+                                           spec.weight, spec.eta, final_grid)
         if feasible:
-            witnesses.append((value, i, disc))
+            witnesses.append((value, disc))
         if i < len(thetas):
             best_so_far = min(best_so_far, value)
             trace.append(best_so_far if math.isfinite(best_so_far) else None)
     return witnesses, trace
 
 
-def _unsearched_witnesses(mode: str, x: ProjPoint, domain: Domain,
-                          weight: Weight, least: float,
-                          family: DiscFamilySpec,
+def _unsearched_witnesses(spec: _ObjectiveSpec,
                           final_grid: BoundaryGrid) -> list:
-    """[(value, 0, disc)] for a disc that no admissible disc beats, under a
-    weight whose least value is `least`; [] where there is none to hand.
+    """[(value, disc)] for a disc that no admissible disc beats, under a
+    constant weight c; [] under another weight or where there is none.
 
-    The constant disc at x, if admissible, has value exactly `least`.  Else
-    on an AffineBall in sz mode: a disc whose boundary clears the ball by
-    eta lies in the shrunk ball W_eta, so its value is at least least +
-    V_{W_eta}(x), and the structure disc whose boundary is the sphere eta' =
-    OPTIMAL_MARGIN * eta inside has least + V_{W_eta'}(x), exact to
-    rounding since the sz value sums log|a| over the zeros a of f_0.  The
-    excess, log((R - eta)/(R - eta')), is about 1e-7 eta/(R - eta): below
-    1e-9 at eta = 1e-3 unless R is below about 0.1.  The disc is taken if
-    it lies in the family (its coefficient within the bound) and is
-    admissible at the final grid, with its re-evaluated value.  An FsBall
-    in omega mode has the same structure disc, but its omega value is a
-    boundary mean of log|f| that reads low where a zero of the disc nears
-    the circle, so it searches.
+    Every admissible disc has value at least c: in omega mode log|f| is
+    subharmonic, and in sz mode the value is c - sum log|a| over the zeros
+    a of f_0 in the disc.  So the constant disc at x, if admissible, is
+    optimal, with value exactly c (the weight's value, not the mean, which
+    may be an ulp off).  Else on an AffineBall in sz mode: a disc whose
+    boundary clears the ball by eta lies in the shrunk ball W_eta, so its
+    value is at least c + V_{W_eta}(x), and the structure disc whose
+    boundary is the sphere eta' = OPTIMAL_MARGIN * eta inside has c +
+    V_{W_eta'}(x), exact to rounding since the sz value sums log|a| over
+    the zeros of f_0.  The excess, log((R - eta)/(R - eta')), is about
+    1e-7 eta/(R - eta): below 1e-9 at eta = 1e-3 unless R is below about
+    0.1.  The disc is taken if it lies in the family (its coefficient
+    within the bound) and is admissible at the final grid, with its
+    re-evaluated value.  An FsBall in omega mode has the same structure
+    disc, but its omega value is a boundary mean of log|f| that reads low
+    where a zero of the disc nears the circle, so it searches.
     """
-    def admitted(disc):
-        return evaluate_witness(mode, disc, domain, weight, family.eta,
-                                final_grid)
-    constant = AnalyticDiscLift(x.vec[None, :])
-    if admitted(constant)[1]:
-        return [(least, 0, constant)]
-    if not (mode == "sz" and isinstance(domain, AffineBall)):
+    if not isinstance(spec.weight, ConstantWeight):
         return []
-    coeffs = _ball_structure_coeffs(mode, x.vec, domain,
-                                    OPTIMAL_MARGIN * family.eta)
-    if coeffs is None or np.linalg.norm(coeffs[1]) > family.bound:
+
+    def admitted(disc):
+        return evaluate_witness(spec.mode, disc, spec.domain, spec.weight,
+                                spec.eta, final_grid)
+    constant = AnalyticDiscLift(spec.c0[None, :])
+    if admitted(constant)[1]:
+        return [(float(spec.weight.value), constant)]
+    if not (spec.mode == "sz" and isinstance(spec.domain, AffineBall)):
+        return []
+    coeffs = _ball_structure_coeffs(spec.mode, spec.c0, spec.domain,
+                                    OPTIMAL_MARGIN * spec.eta)
+    if coeffs is None or np.linalg.norm(coeffs[1]) > spec.bound:
         return []
     disc = AnalyticDiscLift(coeffs)
     value, feasible = admitted(disc)
-    return [(value, 0, disc)] if feasible else []
+    return [(value, disc)] if feasible else []
 
 
 def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
@@ -480,30 +483,19 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     witnesses, over discs of the family centred at x; lower bound and gap
     from the library, if one is given.
 
-    Under the zero weight, or a constant weight c, every admissible disc
-    has value at least c (c = 0 for the zero weight: in omega mode log|f|
-    is subharmonic; in sz mode the value is c - sum log|a| over the zeros
-    a of f_0 in the disc).  So where the constant disc at x is admissible
-    (evaluate_witness at margin eta on final_grid) it is returned alone,
-    with upper exactly c, and no search runs: trace is empty.  Outside an
-    AffineBall in sz mode no admissible disc has a value below c + V(x), V
-    the extremal function of the ball shrunk by eta; the structure disc
-    whose boundary is the sphere OPTIMAL_MARGIN * eta inside the ball is
-    within 1e-9 of that at eta = 1e-3 on a ball of radius above about 0.1,
-    and is returned alone in the same way, with its re-evaluated value
-    (_unsearched_witnesses).  Otherwise a (1+1)-ES runs from opt.starts
-    starts, and trace holds the best value after each restart.
+    Under a constant weight c, the disc of _unsearched_witnesses, if any,
+    is returned alone and no search runs (trace is empty): the constant
+    disc at x, with upper exactly c, or outside an AffineBall in sz mode
+    the structure disc within 1e-9 of the envelope.  Otherwise a (1+1)-ES
+    runs from opt.starts starts, and trace holds the best value after each
+    restart.  witnesses are the feasible (value, disc) pairs; ties go to
+    the earliest restart.
     """
     final_grid = final_grid or BoundaryGrid(DEFAULT_NODES)
     spec = build_objective_spec(mode, x, domain, weight, family, opt)
-    # the weight's own value, not the re-evaluated mean, which may be an ulp off
-    least = float(weight.value) if isinstance(weight, ConstantWeight) else None
-    witnesses, trace = [], []
-    if least is not None:
-        witnesses = _unsearched_witnesses(mode, x, domain, weight, least,
-                                          family, final_grid)
+    witnesses, trace = _unsearched_witnesses(spec, final_grid), []
     if not witnesses:
-        witnesses, trace = _searched_witnesses(spec, family, opt, final_grid,
+        witnesses, trace = _searched_witnesses(spec, opt, final_grid,
                                                warm_theta)
 
     settings = {
@@ -515,16 +507,13 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     lower = lower_id = None
     if library is not None:
         lower, lower_id = library.lower_bound(x)
-    if not witnesses:
-        return EnvelopeEstimate(None, None, lower, lower_id, None, trace,
-                                settings, False)
-    value, _restart, disc = min(witnesses, key=lambda t: (t[0], t[1]))
-    gap = None if lower is None or not math.isfinite(lower) else value - lower
-    if lower is not None and math.isfinite(lower) and lower > value + 1e-6:
+    value, disc = min(witnesses, key=lambda w: w[0], default=(None, None))
+    bounded = disc is not None and lower is not None and math.isfinite(lower)
+    gap = value - lower if bounded else None
+    if bounded and lower > value + 1e-6:
         settings["inconsistent_bounds"] = True
     return EnvelopeEstimate(value, disc, lower, lower_id, gap, trace,
-                            settings, True,
-                            witnesses=[(v, d) for v, _r, d in witnesses])
+                            settings, disc is not None, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,17 @@ class ProjPoint:
 
     @classmethod
     def from_json(cls, obj) -> "ProjPoint":
-        return cls(vec_from_json(obj))
+        """The point of a JSON vector, kept to the bit where it is canonical
+        to rounding (leading coordinate real and positive, and moved by a
+        few ulps at most by canonicalizing), as to_json writes it."""
+        v = vec_from_json(obj)
+        p = cls(v)
+        lead = v[np.argmax(np.abs(p.vec) > 1e-12 * np.abs(p.vec).max())]
+        if lead.imag == 0 < lead.real and \
+                np.abs(p.vec - v).max() <= 4 * np.finfo(float).eps:
+            v.setflags(write=False)
+            object.__setattr__(p, "vec", v)
+        return p
 
 
 def canonical_representative(z) -> np.ndarray:

@@ -206,6 +206,8 @@ def test_envelope_point_dimension_mismatch_exit_1(files, capsys):
      "--out", "o.json"],
     ["functional", "eval", "--disc", "d.json", "--weight", "w.json",
      "--route", "lifted", "--seed", "3", "--out", "o.json"],
+    ["functional", "eval", "--disc", "d.json", "--weight", "w.json",
+     "--route", "sz", "--out", "o.json"],
     ["envelope", "--point", "p.json", "--domain", "b.json", "--weight",
      "w.json", "--mode", "sz", "--radial", "64", "--out", "o.json"],
     ["disc-structure", "make", "--x", "x.json", "--w", "w.json",
@@ -213,7 +215,8 @@ def test_envelope_point_dimension_mismatch_exit_1(files, capsys):
     ["identity-check"],
     ["nope"],
 ], ids=["unknown-option", "normalize-seed", "functional-seed",
-        "envelope-radial", "make-angular", "missing-out", "unknown-command"])
+        "functional-route-sz", "envelope-radial", "make-angular",
+        "missing-out", "unknown-command"])
 def test_usage_error_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -628,18 +631,28 @@ def test_unsampleable_domain_exit_2(files, capsys):
     assert not (files["tmp"] / "env.json").exists()
 
 
-@pytest.mark.parametrize("flag, obj", [
-    ("--point", {"type": "proj", "coords": [1, 0]}),
-    ("--domain", {"type": "fs_ball", "center": _ORIGIN, "radius": None}),
-], ids=["bare-number-coords", "null-radius"])
-def test_malformed_input_exit_1(files, flag, obj, capsys):
-    bad = write(files["tmp"] / "malformed.json", obj)
+_NO_FILE = object()  # the input path names no file
+
+
+@pytest.mark.parametrize("flag, obj, msg", [
+    ("--point", {"type": "proj", "coords": [1, 0]}, "malformed input"),
+    ("--domain", {"type": "fs_ball", "center": _ORIGIN, "radius": None},
+     "not a number"),
+    ("--point", _NO_FILE, "cannot read"),
+    ("--point", {"type": "proj"}, "missing key 'coords'"),
+    ("--point", [[1.0, 0.0], [0.0, 0.0]], "must be a JSON object"),
+], ids=["bare-number-coords", "null-radius", "unreadable-file", "missing-key",
+        "point-not-object"])
+def test_malformed_input_exit_1(files, flag, obj, msg, capsys):
+    bad = files["tmp"] / "malformed.json"
+    if obj is not _NO_FILE:
+        write(bad, obj)
     argv = _envelope_on(files, {"type": "fs_ball", "center": _ORIGIN,
                                 "radius": 0.5})
-    rc = main(argv + [flag, bad])
+    rc = main(argv + [flag, str(bad)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "config error:" in err and "malformed.json" in err
+    assert "config error:" in err and "malformed.json" in err and msg in err
     assert not (files["tmp"] / "env.json").exists()
 
 

@@ -9,8 +9,8 @@ import pytest
 from discenv import envelope, kernels
 from discenv.discs import (AnalyticDiscLift, BoundaryGrid, grid_values,
                            polar_values)
-from discenv.envelope import (_DRAW_BLOCK, ORIGIN_FLOOR, PENALTY_RHO,
-                              CandidateLibrary, DiscFamilySpec,
+from discenv.envelope import (_DRAW_BLOCK, ETA_INFLATION, ORIGIN_FLOOR,
+                              PENALTY_RHO, CandidateLibrary, DiscFamilySpec,
                               EnvelopeEstimate, OptimizerConfig,
                               _clip_bound, _constructed_seeds, _objective,
                               _search, _theta_to_coeffs,
@@ -468,7 +468,8 @@ def _horner_objective(spec, thetas):
                          math.log(abs(spec.c0[0])) +
                          np.mean(spec.weight.value_affine_many(chart(pts))))
             clear = np.clip(spec.domain.clearance_many(pts), -10.0, None)
-            pen = PENALTY_RHO * np.mean(np.maximum(0.0, spec.eta_search - clear) ** 2)
+            pen = PENALTY_RHO * np.mean(
+                np.maximum(0.0, ETA_INFLATION * spec.eta - clear) ** 2)
             min_ln = lognorms.min()
         if min_ln < floor_ln:
             pen += 10.0 * (floor_ln - min_ln) ** 2
@@ -563,7 +564,7 @@ def _sz_objective_with_chart(spec, thetas):
         value[np.any(sq[0] == 0, axis=1)] = math.inf
         clear = np.clip(spec.domain.clearance_many(rows), -10.0, None).reshape(r, n)
         pen = PENALTY_RHO * np.mean(np.square(
-            np.maximum(0.0, spec.eta_search - clear)), axis=1)
+            np.maximum(0.0, ETA_INFLATION * spec.eta - clear)), axis=1)
         min_ln = 0.5 * np.log(sq.sum(axis=0).min(axis=1))
         floor_ln = math.log(ORIGIN_FLOOR)
         for i in np.flatnonzero(min_ln < floor_ln):

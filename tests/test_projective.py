@@ -1,4 +1,5 @@
 """Projective points, FS geometry, cone domains, weights, and lifts."""
+import json
 import math
 import time
 
@@ -38,6 +39,28 @@ def test_project_lift_roundtrip():
         p = project(z)
         assert np.allclose(project(lift(p)).vec, p.vec)
         assert np.linalg.norm(lift(p)) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_point_json_roundtrip_is_bitwise(m):
+    # 1000 random points of P^2 and P^3 read back from their JSON text to
+    # the bit: canonicalizing the decoded vector again would move an ulp
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        p = project(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        q = ProjPoint.from_json(json.loads(json.dumps(p.to_json())))
+        assert q.vec.tobytes() == p.vec.tobytes()
+        assert not q.vec.flags.writeable
+
+
+def test_point_from_json_canonicalizes_other_vectors():
+    # a vector that is not canonical to rounding is canonicalized as
+    # project does it
+    for obj in ([[0, 2], [0, 0]], [[-1, 0], [0, 0]], [[0, 1], [1, 0]],
+                [[0.6, 0], [0.8 + 1e-13, 0]]):
+        p = ProjPoint.from_json(obj)
+        assert p.vec.tobytes() == \
+            project([complex(*c) for c in obj]).vec.tobytes()
 
 
 def test_zero_vector_rejected():
@@ -206,17 +229,26 @@ def test_domain_scalar_invariance():
 
 
 def test_domain_dist_lb_conservative():
-    # dist_lb(w) must lower-bound the distance to sampled complement points
+    # dist_lb(w) must lower-bound the distance to sampled complement
+    # points, and is 0.0 at a point outside the domain
     rng = np.random.default_rng(6)
+    outside = {}
     for dom in _domains():
         for _ in range(30):
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             if not dom.contains(w):
+                assert dom.dist_lb(w) == 0.0, type(dom).__name__
+                outside[type(dom).__name__] = True
                 continue
             lb = dom.dist_lb(w)
             probes = w[None, :] + (lb * 0.999) * _unit_rows(rng, 40, 2)
             inside = dom.clearance_many(probes) > 0
             assert np.all(inside), type(dom).__name__
+    # every domain but the hyperplane complement (outside only on the
+    # hyperplane itself) met a random point outside
+    assert sorted(outside) == ["AffineBall", "FsBall", "Intersection", "Tube"]
+    # off the chart z_0 != 0 the affine ball's complement is at distance 0
+    assert _domains()[3].dist_lb(np.array([0.0, 1.0])) == 0.0
 
 
 def _unit_rows(rng, n, m):
