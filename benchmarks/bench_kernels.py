@@ -46,7 +46,10 @@ sz minimize on the unit ball in C at perfbench's settings (20 x 100,
 point, which returns the constant disc without a search, and at an
 exterior one, which returns the structure disc of the eta-shrunk ball
 without a search, and at that exterior point under log|u + 2|, which
-runs the search, each checked for its witness and trace.
+runs the search, each checked for its witness and trace; and the origin
+floor AnalyticDiscLift.min_norm_on_grid on the 64 x 64 validation grid
+(m = 2, 3; degree 1 and 6) against the Horner minimum over
+validation_grid(), checked to agree to 1e-13.
 
 Run: python benchmarks/bench_kernels.py [--nodes 4096] [--degree 8] [--m 3]
 """
@@ -136,6 +139,7 @@ def main() -> int:
     bench_search(rng, min(args.repeats, 10))
     bench_library(min(args.repeats, 20))
     bench_minimize(min(args.repeats, 5))
+    bench_min_norm(rng, args.repeats)
     return 0
 
 
@@ -486,6 +490,28 @@ def bench_minimize(repeats: int) -> None:
         print(f"{label:<24} {t * 1e3:>10.2f}ms")
     print("under the zero weight the interior point returns the constant disc "
           "and the exterior one the structure disc, unsearched")
+
+
+def horner_min_norm(disc) -> float:
+    """The least norm over validation_grid() by Horner values."""
+    return float(np.linalg.norm(kernels.eval_poly(disc.coeffs, validation_grid()),
+                                axis=1).min())
+
+
+def bench_min_norm(rng, repeats: int) -> None:
+    print(f"{'min_norm_on_grid 64x64':<24} {'tables':>12} {'horner':>12} "
+          f"{'speedup':>9}")
+    for m in (2, 3):
+        for degree in (1, 6):
+            disc = AnalyticDiscLift(rng.standard_normal((degree + 1, m)) +
+                                    1j * rng.standard_normal((degree + 1, m)))
+            got, want = disc.min_norm_on_grid(), horner_min_norm(disc)
+            assert abs(got - want) <= 1e-13 * want, "min_norm_on_grid"
+            tt = bench(disc.min_norm_on_grid, (), repeats)
+            th = bench(horner_min_norm, (disc,), repeats)
+            print(f"{f'm={m}, degree {degree}':<24} {tt * 1e6:>10.1f}us "
+                  f"{th * 1e6:>10.1f}us {th / tt:>8.2f}x")
+    print("min_norm_on_grid agrees with the Horner minimum")
 
 
 def once(fn, *args) -> float:

@@ -85,12 +85,23 @@ class AnalyticDiscLift:
 
     def min_norm_on_grid(self, n_r: int = _VALIDATION_RADIAL,
                          n_theta: int = _VALIDATION_ANGULAR) -> float:
-        """Least norm of the disc over validation_grid(n_r, n_theta), from
-        its polar_values; one sqrt is taken, of the least squared norm."""
+        """Least norm of the disc over validation_grid(n_r, n_theta); one
+        sqrt is taken, of the least squared norm."""
         d = self.degree
-        f = polar_values(self.coeffs, circle_powers(n_theta, d),
-                         power_table(_validation_radii, n_r, d))
-        return float(np.sqrt(kernels.sq_norms(f).min()))
+        # f_j = (r^k c_jk) @ E^T with E = e^{ik theta}: one product for all
+        # coordinates, its rows power-major as the tables are
+        radial = power_table(_validation_radii, n_r, d).T
+        c = (radial[:, None, :] * self.coeffs[:, :, None]).reshape(d + 1, -1)
+        f = (c.T @ circle_powers(n_theta, d).T).reshape(self.m, -1)
+        # |f|^2 one coordinate at a time, from Re^2 + Im^2 squared in place:
+        # temporaries of all m coordinates' size, once freed, let glibc trim
+        # the heap at m = 3, and every call faulted their pages in again
+        sq = f.view(np.float64)
+        np.square(sq, out=sq)
+        norm2 = sq[0, 0::2] + sq[0, 1::2]
+        for q in sq[1:]:
+            norm2 += q[0::2] + q[1::2]
+        return float(np.sqrt(norm2.min()))
 
     def to_json(self) -> dict:
         return {
@@ -241,8 +252,8 @@ _TABLE_COLUMNS = 8
 
 @lru_cache(maxsize=32)
 def _power_table(points, n: int, width: int) -> np.ndarray:
-    # stored power-major, row k = x^k, so that polar_values reads the
-    # transposes of its tables contiguously
+    # stored power-major, row k = x^k, so that the disc products read the
+    # transposes of the tables contiguously
     return _read_only(points(n)[None, :] ** np.arange(width)[:, None])
 
 
@@ -287,23 +298,6 @@ def validation_grid(n_r: int = _VALIDATION_RADIAL,
     major; read-only, built once per size."""
     return _read_only((_validation_radii(n_r)[:, None] *
                        _circle_nodes(n_theta)[None, :]).reshape(-1))
-
-
-def polar_values(coeffs: np.ndarray, angular: np.ndarray,
-                 radial: np.ndarray | None = None) -> np.ndarray:
-    """Values of discs, coeffs (..., d+1, m), at the nodes r_i e^{i theta_l},
-    coordinate-major: (m, ..., n_r, n_theta), or (m, ..., n_theta) with no
-    radial table r_i^k.  angular is e^{ik theta_l}; the tables' first d+1
-    columns are used.  f_j = (r^k * c_j) @ E^T is one product for all."""
-    *batch, d1, m = coeffs.shape
-    rows, shape = m * math.prod(batch), (m, *batch)
-    c = coeffs.transpose(-1, *range(len(batch) + 1)).reshape(rows, d1)
-    if radial is not None:
-        # the products power-major, (d+1, rows, n_r), as the tables are
-        c = (radial[:, :d1].T[:, None, :] * c.T[:, :, None]).reshape(
-            d1, rows * len(radial)).T
-        shape += (len(radial),)
-    return (c @ angular[:, :d1].T).reshape(shape + (len(angular),))
 
 
 def node_values_fft(coeffs: np.ndarray, n: int) -> np.ndarray:

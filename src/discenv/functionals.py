@@ -106,13 +106,13 @@ def omega_functional_lifted(phi_tilde: LiftedWeight, disc,
                            "lifted", {"nodes": len(pts)})
 
 
-def sz_interior_jensen(disc, n_nodes: int = SZ_JENSEN_NODES) -> float:
-    """-log|f_0(0)| + mean over T of log|f_0|, f_0 at the n_nodes nodes by
-    one inverse FFT."""
+def sz_interior_jensen(disc) -> float:
+    """-log|f_0(0)| + mean over T of log|f_0|, f_0 at the SZ_JENSEN_NODES
+    nodes by one inverse FFT."""
     center = complex(disc.coeffs[0, 0])
     if center == 0:
         return math.inf
-    mags = np.abs(node_values_fft(disc.coeffs[:, 0], n_nodes))
+    mags = np.abs(node_values_fft(disc.coeffs[:, 0], SZ_JENSEN_NODES))
     if np.any(mags == 0):
         raise InfeasibleDiscError("f_0 vanishes on the unit circle")
     # log in place: at 65536 nodes the page faults of a fresh array can

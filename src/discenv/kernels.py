@@ -23,30 +23,6 @@ def eval_poly(coeffs, t):
 _horner = eval_poly
 
 
-def abs2(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """|z|^2 of complex z as Re^2 + Im^2, written into out, so that a
-    caller's work arrays can be reused; scratch is a flat float array of at
-    least 2 z.size entries.  z's last axis must be contiguous (z.view
-    raises otherwise): its interleaved real and imaginary parts are squared
-    in one contiguous pass, faster than two strided ones."""
-    sq = np.square(z.view(np.float64),
-                   out=scratch[:2 * z.size].reshape(z.shape[:-1] + (-1,)))
-    return np.add(sq[..., 0::2], sq[..., 1::2], out=out)
-
-
-def sq_norms(vals: np.ndarray) -> np.ndarray:
-    """|f|^2 of the values vals (m, ...) of a vector function, shape
-    vals.shape[1:]: the |f_j|^2 summed one coordinate at a time, as the
-    sum over axis 0 adds them, in work arrays of four coordinates' size
-    (the squares of all m coordinates at once would take 2m)."""
-    shape = vals.shape[1:]
-    scratch, part = np.empty(2 * vals[0].size), np.empty(shape)
-    out = abs2(vals[0], np.empty(shape), scratch)
-    for v in vals[1:]:
-        out += abs2(v, part, scratch)
-    return out
-
-
 def row_lognorms(rows: np.ndarray) -> np.ndarray:
     """log of the Euclidean norm of each row of rows (N, m), shape (N,)."""
     return 0.5 * np.log(np.einsum("ij,ij->i", rows, rows.conj()).real)

@@ -233,6 +233,12 @@ def _check_log_degree(poly: "HomPolynomial") -> None:
                           f"least 1, not {poly.degree}")
 
 
+def _check_width(z_rows: np.ndarray, m: int) -> None:
+    """Rows of a domain in C^m must lie in C^m."""
+    if z_rows.shape[1] != m:
+        raise ConfigError(f"points of C^{z_rows.shape[1]} for a domain in C^{m}")
+
+
 def _gaussian_rows(rng, count: int, m: int) -> np.ndarray:
     return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
 
@@ -277,8 +283,7 @@ class _FormDomain(Domain):
 
     def _clearance(self, z_rows, sq, radius, dist):
         """radius - dist(s, out) per row; rows must lie in C^m."""
-        if z_rows.shape[1] != self._m:
-            raise ConfigError(f"points of C^{z_rows.shape[1]} for a domain in C^{self._m}")
+        _check_width(z_rows, self._m)
         s = np.empty(len(z_rows))
         feats = self._features(z_rows, sq)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -290,7 +295,7 @@ class _FormDomain(Domain):
                 np.matmul(self._weights, feats[:, a:a + _FORM_BLOCK], out=prod)
                 prod.max(axis=0, out=out)
             den = feats[self._den]
-            np.divide(s, den[0] if len(den) == 1 else den.sum(axis=0), out=s)
+            np.divide(s, den.sum(axis=0), out=s)
             out = np.subtract(radius, dist(s, out=s), out=s)
         if not np.isfinite(out).all():
             out[~np.isfinite(out)] = -np.pi / 2
@@ -323,6 +328,7 @@ class FsBall(_FsAngleDomain):
         """radius - FS distance to the centre per row, exact at both ends
         (fs_distances); the zero row, which is no point of P^n, gets -pi/2
         (fs_distances reads it as the centre itself)."""
+        _check_width(z_rows, self.center.vec.size)
         out = self.radius - fs_distances(z_rows, self.center.vec)
         out[~z_rows.any(axis=1)] = -np.pi / 2
         return out
@@ -394,6 +400,7 @@ class HyperplaneComplement(Domain):
         object.__setattr__(self, "normal", a)
 
     def clearance_many(self, z_rows, sq=None):
+        _check_width(z_rows, self.normal.size)
         nrm = np.linalg.norm(z_rows, axis=1)
         sin_ang = np.abs(z_rows @ self.normal.conj()) / np.where(nrm == 0, 1.0, nrm)
         # FS distance to the hyperplane, to relative rounding next to it
@@ -424,6 +431,8 @@ class AffineBall(_FormDomain):
     def __post_init__(self):
         _check_positive("affine ball radius", self.radius)
         c = np.asarray(self.center, dtype=np.complex128).reshape(-1)
+        if c.size == 0:
+            raise ConfigError("an affine ball needs a centre in C^n, n >= 1")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         # the centred ball's form, |z_*|^2 over |z_0|^2, of (z_0, z_* - c z_0)

@@ -188,16 +188,31 @@ def test_grid_bad_points_exit_1(files, points, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_envelope_point_dimension_mismatch_exit_1(files, capsys):
-    # a point of P^2 against a ball in C^1
-    p = write(files["tmp"] / "p2.json",
-              {"type": "affine", "coords": [[0.2, 0.0], [0.1, 0.0]]})
-    rc = main(["envelope", "--point", p, "--domain", files["ball"],
-               "--weight", files["zero"], "--mode", "sz", "--degree", "2",
+_P2_ORIGIN = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("mode, coords, domain, dims", [
+    # a point of P^2 against a ball in C^1, and points of P^1 against
+    # domains in P^2
+    ("sz", [[0.2, 0.0], [0.1, 0.0]], None, "C^3 for a domain in C^2"),
+    ("omega", [[0.2, 0.0]], {"type": "fs_ball", "center": _P2_ORIGIN,
+                             "radius": 0.5}, "C^2 for a domain in C^3"),
+    ("omega", [[0.2, 0.0]], {"type": "hyperplane_complement",
+                             "normal": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+     "C^2 for a domain in C^3"),
+    ("omega", [[0.2, 0.0]], {"type": "tube", "samples": [_P2_ORIGIN],
+                             "delta": 0.5}, "C^2 for a domain in C^3"),
+], ids=["affine_ball", "fs_ball", "hyperplane_complement", "tube"])
+def test_envelope_point_dimension_mismatch_exit_1(files, capsys, mode, coords,
+                                                  domain, dims):
+    p = write(files["tmp"] / "p.json", {"type": "affine", "coords": coords})
+    dom = files["ball"] if domain is None else write(files["tmp"] / "d3.json", domain)
+    rc = main(["envelope", "--point", p, "--domain", dom,
+               "--weight", files["zero"], "--mode", mode, "--degree", "2",
                "--starts", "2", "--budget", "20",
                "--out", str(files["tmp"] / "e.json")])
     assert rc == 1
-    assert "config error:" in capsys.readouterr().err
+    assert f"config error: points of {dims}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -580,12 +595,12 @@ def test_out_of_range_search_setting_exit_1(files, point, extra, capsys):
     assert not out.exists()
 
 
-def _envelope_on(files, domain):
+def _envelope_on(files, domain, mode="omega"):
     dom = write(files["tmp"] / "edom.json", domain)
     x = write(files["tmp"] / "ex.json",
               {"type": "proj", "coords": [[1.0, 0.0], [0.0, 0.0]]})
     return ["envelope", "--point", x, "--domain", dom, "--weight",
-            files["zero"], "--mode", "omega", "--starts", "1", "--budget", "2",
+            files["zero"], "--mode", mode, "--starts", "1", "--budget", "2",
             "--nodes", "64", "--out", str(files["tmp"] / "env.json")]
 
 
@@ -608,12 +623,14 @@ def _tiny_tube_hull(files):
     lambda f: _envelope_on(f, {"type": "intersection", "members": []}),
     lambda f: _envelope_on(f, {"type": "affine_ball", "center": [[0.0, 0.0]],
                                "radius": -1.0}),
+    lambda f: _envelope_on(f, {"type": "affine_ball", "center": [],
+                               "radius": 1.0}, mode="sz"),
     lambda f: _envelope_on(f, {"type": "tube", "samples": [_ORIGIN],
                                "delta": -0.1}),
     _tiny_tube_hull,
 ], ids=["fs-radius-zero", "fs-radius-negative", "zero-normal",
-        "empty-intersection", "affine-radius-negative", "tube-delta-negative",
-        "hull-tube-delta-tiny"])
+        "empty-intersection", "affine-radius-negative", "affine-ball-C0",
+        "tube-delta-negative", "hull-tube-delta-tiny"])
 def test_degenerate_domain_exit_1(files, argv, capsys):
     rc = main(argv(files))
     assert rc == 1

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from discenv import envelope, kernels
-from discenv.discs import (AnalyticDiscLift, BoundaryGrid, grid_values,
-                           polar_values)
+from discenv.discs import (DEFAULT_NODES, AnalyticDiscLift, BoundaryGrid,
+                           grid_values)
 from discenv.envelope import (_DRAW_BLOCK, ETA_INFLATION, ORIGIN_FLOOR,
                               PENALTY_RHO, CandidateLibrary, DiscFamilySpec,
                               EnvelopeEstimate, OptimizerConfig,
-                              _clip_bound, _constructed_seeds, _objective,
-                              _search, _theta_to_coeffs,
+                              _clip_bound, _coeff_rows, _constructed_seeds,
+                              _objective, _search, _theta_to_coeffs,
                               build_objective_spec, envelope_grid,
                               evaluate_witness, minimize)
 from discenv.errors import ConfigError
@@ -22,7 +22,8 @@ from discenv.projective import (AffineBall, AffineLogPolyWeight,
                                 ConstantWeight, Domain, FsBall, HomPolynomial,
                                 HyperplaneComplement, Intersection,
                                 LiftedWeight, LogPolyWeight, ProjPoint, Tube,
-                                ZeroWeight, affine_lift, chart, fs_distance)
+                                Weight, ZeroWeight, affine_lift, chart,
+                                fs_distance)
 
 SMALL = OptimizerConfig(starts=6, budget=300, seed=3, search_nodes=128)
 
@@ -516,21 +517,6 @@ def test_objective_matches_horner_reference(mode, x, dom, weighted):
     assert abs(got[6] - want[6]) <= 1e-12 * max(1.0, abs(want[6]))
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_eval_rows_matches_horner(m):
-    x = ProjPoint(affine_lift(np.full(m - 1, 0.2 - 0.1j)))
-    spec = build_objective_spec("sz", x, AffineBall(np.zeros(m - 1, dtype=complex), 1.0),
-                                ZeroWeight(), DiscFamilySpec(degree=6, m=m, center=x),
-                                OptimizerConfig(search_nodes=256))
-    rng = np.random.default_rng(17)
-    coeffs = rng.standard_normal((5, 7, m)) + 1j * rng.standard_normal((5, 7, m))
-    want = np.stack([kernels.eval_poly(c, spec.nodes) for c in coeffs])
-    got = polar_values(coeffs, spec.node_powers).reshape(m, 5, -1)
-    assert got.shape == (m, 5, spec.nodes.size)
-    np.testing.assert_allclose(got.transpose(1, 2, 0), want, rtol=0, atol=1e-13)
-    assert not spec.node_powers.flags.writeable
-
-
 @pytest.mark.parametrize("nodes", [64, 256])
 def test_node_powers_match_vandermonde_expression(nodes):
     # the search nodes and their powers, as _ObjectiveSpec built them
@@ -546,13 +532,13 @@ def test_node_powers_match_vandermonde_expression(nodes):
         assert spec.nodes.tobytes() == want_nodes.tobytes()
         assert spec.node_powers.shape == want.shape
         assert spec.node_powers.tobytes() == want.tobytes()
+        assert not spec.node_powers.flags.writeable
 
 
 def _sz_objective_with_chart(spec, thetas):
     """The sz-mode objective as computed with the chart for every weight."""
     r, n, m = thetas.shape[0], spec.nodes.size, spec.m
-    coeffs = _theta_to_coeffs(spec, thetas)
-    vals = polar_values(coeffs, spec.node_powers)
+    vals = (_coeff_rows(spec, thetas) @ spec.node_powers.T).reshape(m, r, n)
     sq = vals.real ** 2 + vals.imag ** 2
     rows = vals.reshape(m, r * n).T
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -901,6 +887,40 @@ def test_witness_through_the_origin_rejected():
     _value, feasible = evaluate_witness("omega", disc, tube, ZeroWeight(),
                                         1e-3, BoundaryGrid(1024))
     assert not feasible
+
+
+# An omega witness found by minimize at 20 x 600 (seed 3) under log|z_0| on
+# the unit ball at x = [1:0], where V = phi(x) = 0.  Its f_0 has a zero at
+# |a| = 1.000247, just outside the circle, and an N-node boundary mean of
+# log|f_0| reads low by about a^-N / N.  Stored as coefficients, so that no
+# search runs.
+_NEAR_CIRCLE_ZERO = json.loads(
+    (Path(__file__).parent / "data" / "near_circle_zero_witness.json").read_text())
+
+
+def _near_circle_zero_value(n_nodes):
+    """(value, feasible, phi(x)) of the stored witness on n_nodes nodes."""
+    case = _NEAR_CIRCLE_ZERO
+    weight = Weight.from_json(case["weight"])
+    value, feasible = evaluate_witness(
+        "omega", AnalyticDiscLift.from_json(case["witness"]),
+        Domain.from_json(case["domain"]), weight, DiscFamilySpec().eta,
+        BoundaryGrid(n_nodes))
+    x = ProjPoint.from_json(case["point"])
+    return value, feasible, float(weight.value_proj_many(x.vec[None])[0])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_near_circle_zero_witness_not_below_phi():
+    # the 1024-node mean reads -1.463e-3, below the envelope
+    value, feasible, phi = _near_circle_zero_value(DEFAULT_NODES)
+    assert feasible and value >= phi - 1e-12
+
+
+def test_near_circle_zero_witness_on_a_fine_grid():
+    # at 2^16 nodes a^-N / N is below 1e-12: the disc attains phi(x)
+    value, feasible, phi = _near_circle_zero_value(2 ** 16)
+    assert feasible and abs(value - phi) <= 1e-11
 
 
 def _seed_discs(mode, x, dom, degree=6):

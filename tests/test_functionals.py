@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from discenv import kernels
+from discenv import functionals, kernels
 from discenv.discs import AnalyticDiscLift, AreaQuadrature, BoundaryGrid, \
     circle_mean, grid_values, random_disc, riesz_area_term
 from discenv.errors import InfeasibleDiscError, NumericalError, OriginViolation
@@ -280,8 +280,9 @@ def test_sz_route_agreement_random():
 
 
 @pytest.mark.parametrize("n", [65536, 4096, 1000])
-def test_sz_interior_jensen_product_matches_horner(n):
+def test_sz_interior_jensen_product_matches_horner(n, monkeypatch):
     # the n-node mean by Horner on freshly built nodes
+    monkeypatch.setattr(functionals, "SZ_JENSEN_NODES", n)
     def horner(disc):
         t = np.exp(2j * np.pi * np.arange(n) / n)
         vals = kernels.eval_poly(np.ascontiguousarray(disc.coeffs[:, :1]), t)[:, 0]
@@ -290,10 +291,10 @@ def test_sz_interior_jensen_product_matches_horner(n):
     rng = np.random.default_rng(23)
     for _ in range(4):
         d = random_disc(rng, 3, 6)
-        assert sz_interior_jensen(d, n) == pytest.approx(horner(d), rel=0, abs=1e-13)
+        assert sz_interior_jensen(d) == pytest.approx(horner(d), rel=0, abs=1e-13)
 
 
-def test_sz_interior_jensen_exact_discrete_identity():
+def test_sz_interior_jensen_exact_discrete_identity(monkeypatch):
     # f_0 = c prod (t - z_k) and prod_j (z - t_j) = z^N - 1 over the N-th
     # roots of unity t_j, so the N-node mean is exactly
     # sum_k [(1/N) log|z_k^N - 1| - log|z_k|]
@@ -314,7 +315,8 @@ def test_sz_interior_jensen_exact_discrete_identity():
         if np.any(np.abs(np.abs(zeros) - 1.0) < 1e-3):
             continue
         for n in (65536, 4096):
-            assert sz_interior_jensen(d, n) == pytest.approx(
+            monkeypatch.setattr(functionals, "SZ_JENSEN_NODES", n)
+            assert sz_interior_jensen(d) == pytest.approx(
                 discrete(d.coeffs[:, 0], n), rel=0, abs=1e-12)
         checked += 1
 

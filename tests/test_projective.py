@@ -581,6 +581,8 @@ _C_JSON = [[1.0, 0.0], [0.0, 0.0]]
      {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": math.inf}),
     (lambda: AffineBall(np.zeros(1), math.nan),
      {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": math.nan}),
+    (lambda: AffineBall(np.zeros(0), 1.0),
+     {"type": "affine_ball", "center": [], "radius": 1.0}),
     (lambda: Tube((_C,), 0.0),
      {"type": "tube", "samples": [_C_JSON], "delta": 0.0}),
     (lambda: Tube((_C,), -0.1),
@@ -594,8 +596,9 @@ _C_JSON = [[1.0, 0.0], [0.0, 0.0]]
 ], ids=["fs-radius-zero", "fs-radius-negative", "fs-radius-inf",
         "fs-radius-nan", "zero-normal", "nan-normal", "empty-intersection",
         "affine-radius-zero", "affine-radius-negative", "affine-radius-inf",
-        "affine-radius-nan", "tube-delta-zero", "tube-delta-negative",
-        "tube-delta-inf", "tube-delta-nan", "tube-delta-tiny"])
+        "affine-radius-nan", "affine-ball-C0", "tube-delta-zero",
+        "tube-delta-negative", "tube-delta-inf", "tube-delta-nan",
+        "tube-delta-tiny"])
 def test_degenerate_domain_rejected(make, obj):
     with pytest.raises(ConfigError):
         make()
