@@ -1,9 +1,11 @@
 """Timings of the three hot kernels (polynomial evaluation, log-norm,
 Fubini-Study pullback density), of Tube.clearance_many at the
 sizes of a hull_test on the 64-point circle (one lock-step objective call
-over 20 restarts x 256 search nodes, and one 1024-node final grid), with
+over 20 restarts x 256 search nodes, and one 1024-node final grid) on
+complex128 rows and on the complex64 rows the search gives it, with
 the minor page faults per call, checked against a pairwise atan2
-FS-distance reference, and timings of riesz_area_term on the default and
+FS-distance reference, and single against double to 64 u / sin 2d at
+FS distance d (u = 2^-24), and timings of riesz_area_term on the default and
 doubled area quadratures (degree 6, m = 3): its first call on a fresh
 node set, which builds the cached cos/sin table, power tables and strip
 constants, beside a later call that reads them, against the pointwise
@@ -18,7 +20,8 @@ search calls it
 per-row reference and byte for byte against the call without sq; and
 one lock-step _objective call over 20 restarts x 256 nodes for each
 search of perfbench's siciak and hull workloads (sz on the unit ball,
-m = 2, 3, and omega on the 64-point circle Tube); and the re-evaluation
+m = 2, 3, and omega on the 64-point circle Tube), which runs in single
+precision; and the re-evaluation
 of one sz witness on the unit ball in C and C^2: evaluate_witness on
 the 1024-node final grid against an inline reference (Horner values,
 and Jensen's formula from np.roots), checked to agree to 1e-13, and the interior term from the zeros of f_0
@@ -159,22 +162,31 @@ def minor_faults() -> int:
 
 
 def bench_tube(rng, repeats: int) -> None:
-    print(f"{'Tube.clearance_many':<24} {'time':>12} {'minflt':>9}")
+    print(f"{'Tube.clearance_many':<24} {'complex128':>12} {'complex64':>12} "
+          f"{'minflt':>9}")
     for rows, k in TUBE_SIZES:
         th = 2.0 * np.pi * np.arange(k) / k
         tube = Tube(tuple(ProjPoint(np.array([1.0, np.exp(1j * t)])) for t in th),
                     0.05)
         z = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+        z32 = z.astype(np.complex64)
         before = minor_faults()
         t = bench(tube.clearance_many, (z,), repeats)
-        faults = (minor_faults() - before) / (repeats + 1)
-        print(f"{f'{rows} x {k}, m=2':<24} {t * 1e6:>10.1f}us {faults:>9.1f}")
+        t32 = bench(tube.clearance_many, (z32,), repeats)
+        faults = (minor_faults() - before) / (2 * repeats + 2)
+        print(f"{f'{rows} x {k}, m=2':<24} {t * 1e6:>10.1f}us "
+              f"{t32 * 1e6:>10.1f}us {faults:>9.1f}")
+        double = tube.clearance_many(z)
         if rows == 1024:
             samples = np.stack([p.vec for p in tube.samples])
-            assert np.allclose(tube.clearance_many(z),
-                               tube_reference(z, samples, tube.delta),
+            assert np.allclose(double, tube_reference(z, samples, tube.delta),
                                rtol=0, atol=1e-12), "tube clearance"
-    print("tube clearance agrees with the pairwise reference")
+        # arccos sqrt s passes the error of s on over sin 2d
+        err = np.abs(tube.clearance_many(z32) - double)
+        assert np.all(err <= 64 * 2.0 ** -24 / np.sin(2 * (tube.delta - double))), \
+            "single-precision tube clearance"
+    print("tube clearance agrees with the pairwise reference, and single "
+          "with double precision")
 
 
 def sums_and_counts(disc, quad):

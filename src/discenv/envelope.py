@@ -4,6 +4,7 @@ from a library of known admissible candidate functions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,10 +65,12 @@ class OptimizerConfig:
         if self.workers != 1:
             raise ConfigError(f"workers must be 1, got {self.workers}: the "
                               "restarts run in lock step in one process")
-        for name in ("starts", "budget"):
+        # a search grid needs 4 nodes, and a random stream a seed >= 0
+        for name, least in (("starts", 1), ("budget", 1), ("search_nodes", 4),
+                            ("seed", 0)):
             v = getattr(self, name)
-            if v < 1:
-                raise ConfigError(f"{name} must be at least 1, not {v}")
+            if v < least:
+                raise ConfigError(f"{name} must be at least {least}, not {v}")
 
 
 @dataclass
@@ -118,6 +121,15 @@ class _ObjectiveSpec:
     def node_powers(self) -> np.ndarray:
         return self.grid.powers(self.degree)
 
+    @functools.cached_property
+    def powers32(self) -> np.ndarray:
+        """node_powers for the search, which runs in single precision:
+        cast to complex64 and transposed to (degree+1, N) on the first
+        search step, so that an unsearched minimize pays nothing."""
+        powers = self.node_powers.T.astype(np.complex64, order="C")
+        powers.setflags(write=False)
+        return powers
+
     @property
     def m(self) -> int:
         return self.c0.size
@@ -128,16 +140,18 @@ class _ObjectiveSpec:
 
     def work(self, r: int) -> tuple:
         """The work arrays of an _objective call on r discs, made on the
-        first such call: the values (m*r, N) complex, the squared moduli
-        (m, r, N), |f|^2 (r, N) and a flat scratch of 2 r*N.  Made afresh
-        on every call, arrays of this size went back to the system between
-        calls and each call faulted their pages in again.  So _objective is
-        not safe for concurrent calls on one spec."""
+        first such call, all single precision: the values (m*r, N)
+        complex64, the squared moduli (m, r, N), |f|^2 (r, N) and a flat
+        scratch of 2 r*N.  Made afresh on every call, arrays of this size
+        went back to the system between calls and each call faulted their
+        pages in again.  So _objective is not safe for concurrent calls on
+        one spec."""
         if r not in self._work:
             m, n = self.m, self.nodes.size
-            self._work[r] = (np.empty((m * r, n), dtype=np.complex128),
-                             np.empty((m, r, n)), np.empty((r, n)),
-                             np.empty(2 * r * n))
+            self._work[r] = (np.empty((m * r, n), dtype=np.complex64),
+                             np.empty((m, r, n), dtype=np.float32),
+                             np.empty((r, n), dtype=np.float32),
+                             np.empty(2 * r * n, dtype=np.float32))
         return self._work[r]
 
 
@@ -171,11 +185,11 @@ def _clip_bound(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
 
 def _coeff_rows(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """Parameters (R, dim) -> the discs' coefficients coordinate-major,
-    (m*R, degree+1): row j*R + r is coordinate j of disc r, c0[j] and then
-    its tail from theta, filled in place."""
+    (m*R, degree+1) complex64: row j*R + r is coordinate j of disc r, c0[j]
+    and then its tail from theta, filled in place."""
     r, m, d = thetas.shape[0], spec.m, spec.degree
     tail = thetas.reshape(r, d, 2, m).transpose(2, 3, 0, 1)  # (re/im, m, R, d)
-    rows = np.empty((m, r, d + 1), dtype=np.complex128)
+    rows = np.empty((m, r, d + 1), dtype=np.complex64)
     rows[:, :, 0] = spec.c0[:, None]
     rows.real[:, :, 1:] = tail[0]
     rows.imag[:, :, 1:] = tail[1]
@@ -186,7 +200,8 @@ def _functional(spec: _ObjectiveSpec, rows: np.ndarray, sq: np.ndarray,
                 norm2: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Penalty-free functional of R discs, shape (R,), from their boundary
     values rows (R*N, m), the squared moduli sq (m, R, N) and |f|^2 norm2
-    (R, N); norm2 and scratch are overwritten."""
+    (R, N); norm2 and scratch are overwritten.  The logs and means run in
+    the dtype of sq; a weight's values follow numpy's promotion."""
     r, n = norm2.shape
     zero_weight = isinstance(spec.weight, ZeroWeight)
     if spec.mode == "omega":
@@ -224,6 +239,11 @@ def _domain_penalty(spec: _ObjectiveSpec, rows: np.ndarray,
 def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """Penalized functional of the discs thetas (R, dim), shape (R,).
 
+    It only ranks the search's proposals, so it runs in single precision:
+    the boundary values, their moduli, the logs and means, the penalty and
+    the origin floor.  Every witness the search returns is re-scored in
+    double by evaluate_witness, and only that value is reported.
+
     A row is scored on its own: one whose value is not finite scores inf
     and leaves the others alone.  That includes a row whose f_0 vanishes
     at a node in sz mode, whose mean log|f_0|^2 is -inf.
@@ -236,14 +256,14 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     r, n, m = thetas.shape[0], spec.nodes.size, spec.m
     coeffs = _coeff_rows(spec, thetas)
     vals, sq, norm2, scratch = spec.work(r)
-    vals = np.matmul(coeffs, spec.node_powers.T, out=vals).reshape(m, r, n)
+    vals = np.matmul(coeffs, spec.powers32, out=vals).reshape(m, r, n)
     # the domain and the weights see (R*N, m) rows: a transposed view
     rows = vals.reshape(m, r * n).T
     # each |f_j|^2 as Re^2 + Im^2: the interleaved parts squared in one
     # contiguous pass, faster than two strided ones, and added in pairs
     pairs = scratch.reshape(r, 2 * n)
     for v, s in zip(vals, sq):
-        np.square(v.view(np.float64), out=pairs)
+        np.square(v.view(pairs.dtype), out=pairs)
         np.add(pairs[:, 0::2], pairs[:, 1::2], out=s)
     # |f|^2, the coordinates added in order
     least = sq.sum(axis=0, out=norm2).min(axis=1)
@@ -267,7 +287,9 @@ def _search(spec: _ObjectiveSpec, theta0s, seed: int,
     and g = standard_normal(B), for B = _DRAW_BLOCK.  Step i of a block
     proposes theta + sigma * z[i] where u[i] < 0.5, and otherwise adds
     sigma * g[i] to coordinate k[i] alone; the proposal is clipped to the
-    bound.  A budget-B search is thus a prefix of any longer one.
+    bound.  A budget-B search is thus a prefix of any longer one.  theta,
+    sigma and the draws are double; only the scores, which rank the
+    proposals, are single precision (_objective).
     Returns the final points, shape (R, dim).
     """
     dim = spec.dim

@@ -266,10 +266,14 @@ class _FormDomain(Domain):
         """Forms on C^m: weights (K, F) on the features, and B(z) the sum
         of |z_i|^2 over i < den, by default |z|^2."""
         weights.setflags(write=False)
+        # the search's rows are single precision: its weights, cast once
+        weights32 = weights.astype(np.float32)
+        weights32.setflags(write=False)
         # the K forms reuse one product buffer, which a fresh one per call
         # would map and unmap: such a domain is not thread-safe
         work = np.empty((len(weights), _FORM_BLOCK))
-        for name, value in (("_m", m), ("_weights", weights), ("_pairs", pairs),
+        for name, value in (("_m", m), ("_weights", weights),
+                            ("_weights32", weights32), ("_pairs", pairs),
                             ("_den", slice(0, den or m)), ("_work", work)):
             object.__setattr__(self, name, value)
 
@@ -282,17 +286,21 @@ class _FormDomain(Domain):
         return np.concatenate([sq, cross.real, cross.imag])
 
     def _clearance(self, z_rows, sq, radius, dist):
-        """radius - dist(s, out) per row; rows must lie in C^m."""
+        """radius - dist(s, out) per row, in the real dtype of the features:
+        single for complex64 rows (the search's), else double; rows must
+        lie in C^m."""
         _check_width(z_rows, self._m)
-        s = np.empty(len(z_rows))
         feats = self._features(z_rows, sq)
+        weights = self._weights32 if feats.dtype == np.float32 else self._weights
+        # single precision takes a float32 view of the one work array
+        work = self._work.reshape(-1).view(feats.dtype)
+        s = np.empty(len(z_rows), dtype=feats.dtype)
         with np.errstate(divide="ignore", invalid="ignore"):
             # K * block products at a time, in the work array
             for a in range(0, len(s), _FORM_BLOCK):
                 out = s[a:a + _FORM_BLOCK]
-                prod = self._work.reshape(-1)[:len(self._work) * len(out)]
-                prod = prod.reshape(-1, len(out))
-                np.matmul(self._weights, feats[:, a:a + _FORM_BLOCK], out=prod)
+                prod = work[:len(weights) * len(out)].reshape(-1, len(out))
+                np.matmul(weights, feats[:, a:a + _FORM_BLOCK], out=prod)
                 prod.max(axis=0, out=out)
             den = feats[self._den]
             np.divide(s, den.sum(axis=0), out=s)
@@ -370,8 +378,8 @@ class Tube(_FsAngleDomain, _FormDomain):
     def clearance_many(self, z_rows, sq=None):
         """delta - FS distance to the nearest sample: arccos is decreasing,
         so that is the arccos of the largest |<z, s_k>| / |z|.  The error
-        in a distance d is about eps / sin 2d, small wherever d is near
-        delta; fs_distances is exact."""
+        in a distance d is about eps / sin 2d, eps that of the rows'
+        precision, small wherever d is near delta; fs_distances is exact."""
         return self._clearance(z_rows, sq, self.delta, lambda s, out: np.arccos(
             np.sqrt(np.clip(s, 0.0, 1.0, out=out), out=out), out=out))
 

@@ -595,6 +595,20 @@ def test_out_of_range_search_setting_exit_1(files, point, extra, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_exit_1(files, capsys):
+    # numpy's "expected non-negative integer" once ended the run, naming
+    # no option
+    out = files["tmp"] / "e.json"
+    rc = main(["envelope", "--point",
+               write(files["tmp"] / "p.json", point_affine(2.0 + 0j)),
+               "--domain", files["ball"], "--weight", files["zero"],
+               "--mode", "sz", "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "config error: seed must be at least 0, not -1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def _envelope_on(files, domain, mode="omega"):
     dom = write(files["tmp"] / "edom.json", domain)
     x = write(files["tmp"] / "ex.json",

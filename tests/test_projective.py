@@ -513,6 +513,128 @@ def test_tube_clearance_rows_independent_of_the_call():
     assert empty.shape == (0,)
 
 
+# unit roundoff of single precision, in which the search's rows come
+U32 = 2.0 ** -24
+
+
+def _atan2_distances(z, p):
+    """FS distance from each row of z to the unit vector p, in the atan2
+    form: atan2(|z - <z, p> p|, |<z, p>|)."""
+    ip = z @ p.conj()
+    return np.arctan2(np.linalg.norm(z - ip[:, None] * p, axis=1), np.abs(ip))
+
+
+def _cone_rows(rng, unit_rows):
+    """The rows times random moduli in [0.5, 2] and random phases."""
+    k = len(unit_rows)
+    scale = rng.uniform(0.5, 2.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+    return scale[:, None] * unit_rows
+
+
+def _unit_perps(rng, p, k):
+    """k random unit vectors orthogonal to the unit vector p."""
+    v = rng.standard_normal((k, p.size)) + 1j * rng.standard_normal((k, p.size))
+    v -= (v @ p.conj())[:, None] * p
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _band(rng, k, width=1e-3):
+    return rng.uniform(-width, width, k)
+
+
+def _near_boundary(name, rng, k):
+    """(domain, k rows within 1e-3 of its boundary, the pairwise reference
+    clearance of rows, the distance map's condition number per row).
+
+    The Tube's distance is arccos sqrt s, whose error is that of s over
+    sin 2d; the FS ball and the hyperplane read their distances in double
+    from the rows (atan2, and arcsin of a ratio whose norm is float32, an
+    error of about tan d), so only the rows' own rounding counts; an
+    affine ball's chart point w = z_*/z_0 is off by about |w| + |c| <= 2|c|
+    + R times the rows' relative error, in affine units."""
+    if name == "tube":
+        # the 64-point circle [cos pi/4 : sin pi/4 e^{it}]: a row on a
+        # sample's meridian, at FS distance delta +- 1e-3 on either side
+        delta, t = 0.1, 2 * np.pi * rng.integers(0, 64, k) / 64
+        a = math.pi / 4 + rng.choice([-1.0, 1.0], k) * (delta + _band(rng, k))
+        tube = Tube(tuple(project(np.array([1.0, np.exp(2j * np.pi * j / 64)]))
+                          for j in range(64)), delta)
+        samples = np.stack([p.vec for p in tube.samples])
+
+        def ref(z):
+            return delta - np.min([_atan2_distances(z, p) for p in samples], axis=0)
+        rows = np.stack([np.cos(a), np.sin(a) * np.exp(1j * t)], axis=1)
+        return tube, _cone_rows(rng, rows), ref, \
+            lambda z: 1.0 / np.sin(2.0 * (delta - ref(z)))
+    if name.startswith("affine"):
+        n = int(name[-1])
+        c = np.array([0.3 - 0.2j, -0.1j])[:n]
+        radius = 0.8
+        v = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        u = c + (radius + _band(rng, k))[:, None] * v
+        rows = np.concatenate([np.ones((k, 1)), u], axis=1)
+        ball = AffineBall(c, radius)
+        cond = 2 * np.linalg.norm(c) + radius
+        return ball, _cone_rows(rng, rows), \
+            lambda z: radius - np.linalg.norm(z[:, 1:] / z[:, :1] - c, axis=1), \
+            lambda z: np.full(len(z), cond)
+    # the hyperplane passes 0.2 from the ball's centre p, through the ball
+    p = project(np.array([1.0, 0.4 + 0.3j, -0.2j])).vec
+    a = math.sin(0.2) * p + math.cos(0.2) * _unit_perps(rng, p, 1)[0]
+    ball, hyp = FsBall(ProjPoint(p), 0.5), HyperplaneComplement(a)
+
+    def ball_rows(k):
+        r = ball.radius + _band(rng, k)
+        return np.cos(r)[:, None] * p + np.sin(r)[:, None] * _unit_perps(rng, p, k)
+
+    def hyp_rows(k):
+        # about the hyperplane's point nearest p, within 0.2 of it
+        near = p - np.vdot(a, p) * a
+        w = near / np.linalg.norm(near) + 0.2 * _unit_perps(rng, a, k)
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        r = rng.uniform(0.0, 1e-3, k)
+        return np.sin(r)[:, None] * a + np.cos(r)[:, None] * w
+
+    def ball_ref(z):
+        return ball.radius - _atan2_distances(z, p)
+
+    def hyp_ref(z):
+        return math.pi / 2 - _atan2_distances(z, a)
+
+    def unit_cond(z):
+        return np.ones(len(z))
+    if name == "fs_ball":
+        return ball, _cone_rows(rng, ball_rows(k)), ball_ref, unit_cond
+    if name == "hyperplane":
+        return hyp, _cone_rows(rng, hyp_rows(k)), hyp_ref, unit_cond
+    rows = np.concatenate([ball_rows(k // 2), hyp_rows(k - k // 2)])
+    return Intersection((ball, hyp)), _cone_rows(rng, rows), \
+        lambda z: np.minimum(ball_ref(z), hyp_ref(z)), unit_cond
+
+
+@pytest.mark.parametrize("name", ["tube", "affine-C1", "affine-C2", "fs_ball",
+                                  "hyperplane", "intersection"])
+def test_clearance_of_single_precision_rows(name):
+    # the search hands clearance_many complex64 rows (20 restarts x 256
+    # nodes); each row's clearance may then move by 64 u times the distance
+    # map's condition number, which near these boundaries stays below
+    # 2e-5, far inside the search's penalty band of eta = 1e-3
+    rng = np.random.default_rng(31)
+    dom, z, ref, cond = _near_boundary(name, rng, 5120)
+    want = ref(z)
+    assert np.abs(want).max() <= 1e-3 + 1e-12
+    double = dom.clearance_many(z)
+    np.testing.assert_allclose(double, want, rtol=0, atol=1e-13)
+    single = dom.clearance_many(z.astype(np.complex64))
+    # the form domains work in the rows' precision, the others promote
+    form = isinstance(dom, (Tube, AffineBall))
+    assert single.dtype == (np.float32 if form else np.float64)
+    bound = 64 * U32 * cond(z)
+    assert bound.max() <= 2e-5
+    assert np.all(np.abs(single - double) <= bound)
+
+
 def test_affine_log_poly_weight_takes_mixed_degrees():
     # log|u - 1|: terms of degree 1 and 0
     w = Weight.from_json({"type": "affine_log_poly", "terms": [

@@ -3,8 +3,10 @@ perfbench run wraps exists, the kernel benchmark script imports and runs
 its checks, and one operation of each perfbench workload (two of
 `identity`) passes its own check, and the fingerprint script hashes a search as this process does.
 The perfbench siciak inputs at the default budget also end at witnesses
-that stay in the ball between the final nodes, and the searches of the
-siciak and hull rounds end clear of the origin inside the disc."""
+that stay in the ball between the final nodes, the searches of the
+siciak and hull rounds end clear of the origin inside the disc, and
+their reported numbers are double precision, though the search ranks in
+single."""
 import dataclasses
 import importlib.util
 import os
@@ -17,7 +19,7 @@ import pytest
 
 from discenv import envelope
 from discenv.discs import AnalyticDiscLift
-from discenv.projective import AffineLogPolyWeight, HomPolynomial
+from discenv.projective import AffineLogPolyWeight, HomPolynomial, ZeroWeight
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,3 +134,37 @@ def test_searches_end_clear_of_the_origin_inside_the_disc(monkeypatch,
     # the four siciak points and the four hull points search
     assert len(ends) == 8 * workloads.STARTS
     assert min(d.min_norm_on_grid() for d in ends) >= envelope.ORIGIN_FLOOR
+
+
+def _rescored(mode, disc, domain, weight, eta, grid):
+    value, feasible = envelope.evaluate_witness(mode, disc, domain, weight,
+                                                eta, grid)
+    assert feasible and disc.coeffs.dtype == np.complex128
+    return value
+
+
+def test_reported_numbers_are_double(tmp_path):
+    # the search ranks its proposals in single precision; what it reports,
+    # a certificate's value and an estimate's upper bound and witnesses,
+    # is evaluate_witness's double value of a complex128 disc, to the bit
+    workloads = _load("perfbench/workloads.py", "perfbench_workloads")
+    hull = workloads.Hull(1, tmp_path)
+    op = next(op for op in hull.round if op.label == "centre-0")
+    cert = hull.run(op)
+    assert type(cert.value) is float
+    assert cert.value == _rescored("omega", cert.witness, hull.K.tube(hull.DELTA),
+                                   ZeroWeight(), hull.family.eta, hull.final_grid)
+    # an exterior siciak point (in C) under log|u_1 + 2|, which has no
+    # known least value, as searched in
+    # test_searches_end_clear_of_the_origin_inside_the_disc
+    siciak = workloads.Siciak(1, tmp_path)
+    i = next(op for op in siciak.round if op.label == "C1-out").inputs
+    weight = AffineLogPolyWeight(HomPolynomial(((1,), (0,)), (1.0 + 0j, 2.0 + 0j)))
+    est = envelope.minimize("sz", i["x"], i["ball"], weight, i["family"],
+                            i["opt"], siciak.final_grid)
+    assert len(est.trace) == i["opt"].starts and type(est.upper) is float
+    assert est.upper == _rescored("sz", est.witness, i["ball"], weight,
+                                  i["family"].eta, siciak.final_grid)
+    for value, disc in est.witnesses:
+        assert value == _rescored("sz", disc, i["ball"], weight,
+                                  i["family"].eta, siciak.final_grid)
