@@ -151,6 +151,8 @@ def cmd_functional(args) -> int:
 def cmd_identity_check(args) -> int:
     if args.tolerance < 0:  # no residual meets it
         raise ConfigError(f"--tolerance must be at least 0, not {args.tolerance:g}")
+    if args.seed < 0:  # a random stream needs a seed >= 0
+        raise ConfigError(f"seed must be at least 0, not {args.seed}")
     rng = np.random.default_rng([args.seed, 0x1D])
     grid, quad = _grids(args)
     grid2 = BoundaryGrid(2 * args.nodes)

@@ -110,8 +110,6 @@ class _ObjectiveSpec:
     bound: float
     eta: float
     grid: BoundaryGrid
-    _work: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -137,22 +135,6 @@ class _ObjectiveSpec:
     @property
     def dim(self) -> int:
         return 2 * self.degree * self.m
-
-    def work(self, r: int) -> tuple:
-        """The work arrays of an _objective call on r discs, made on the
-        first such call, all single precision: the values (m*r, N)
-        complex64, the squared moduli (m, r, N), |f|^2 (r, N) and a flat
-        scratch of 2 r*N.  Made afresh on every call, arrays of this size
-        went back to the system between calls and each call faulted their
-        pages in again.  So _objective is not safe for concurrent calls on
-        one spec."""
-        if r not in self._work:
-            m, n = self.m, self.nodes.size
-            self._work[r] = (np.empty((m * r, n), dtype=np.complex64),
-                             np.empty((m, r, n), dtype=np.float32),
-                             np.empty((r, n), dtype=np.float32),
-                             np.empty(2 * r * n, dtype=np.float32))
-        return self._work[r]
 
 
 def _theta_to_coeffs(spec: _ObjectiveSpec, theta: np.ndarray) -> np.ndarray:
@@ -197,22 +179,21 @@ def _coeff_rows(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
 
 
 def _functional(spec: _ObjectiveSpec, rows: np.ndarray, sq: np.ndarray,
-                norm2: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+                norm2: np.ndarray) -> np.ndarray:
     """Penalty-free functional of R discs, shape (R,), from their boundary
     values rows (R*N, m), the squared moduli sq (m, R, N) and |f|^2 norm2
-    (R, N); norm2 and scratch are overwritten.  The logs and means run in
-    the dtype of sq; a weight's values follow numpy's promotion."""
+    (R, N).  The logs and means run in the dtype of sq; a weight's values
+    follow numpy's promotion."""
     r, n = norm2.shape
     zero_weight = isinstance(spec.weight, ZeroWeight)
     if spec.mode == "omega":
         # center is a unit vector, so -log|f(0)| = 0
-        lognorms = np.multiply(0.5, np.log(norm2, out=norm2), out=norm2)
+        lognorms = 0.5 * np.log(norm2)
         if zero_weight:
             return np.mean(lognorms, axis=1)
         return np.mean(spec.weight.value_proj_many(rows).reshape(r, n) +
                        lognorms, axis=1)
-    log0 = np.log(sq[0], out=scratch[:r * n].reshape(r, n))
-    interior = 0.5 * np.mean(log0, axis=1) - math.log(abs(spec.c0[0]))
+    interior = 0.5 * np.mean(np.log(sq[0]), axis=1) - math.log(abs(spec.c0[0]))
     if zero_weight:
         # the zero weight's mean is 0.0: no chart is needed
         return interior + 0.0
@@ -255,20 +236,18 @@ def _objective(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     """
     r, n, m = thetas.shape[0], spec.nodes.size, spec.m
     coeffs = _coeff_rows(spec, thetas)
-    vals, sq, norm2, scratch = spec.work(r)
-    vals = np.matmul(coeffs, spec.powers32, out=vals).reshape(m, r, n)
+    vals = (coeffs @ spec.powers32).reshape(m, r, n)
     # the domain and the weights see (R*N, m) rows: a transposed view
     rows = vals.reshape(m, r * n).T
     # each |f_j|^2 as Re^2 + Im^2: the interleaved parts squared in one
     # contiguous pass, faster than two strided ones, and added in pairs
-    pairs = scratch.reshape(r, 2 * n)
-    for v, s in zip(vals, sq):
-        np.square(v.view(pairs.dtype), out=pairs)
-        np.add(pairs[:, 0::2], pairs[:, 1::2], out=s)
+    pairs = np.square(vals.view(np.float32))
+    sq = pairs[..., 0::2] + pairs[..., 1::2]
     # |f|^2, the coordinates added in order
-    least = sq.sum(axis=0, out=norm2).min(axis=1)
+    norm2 = sq.sum(axis=0)
+    least = norm2.min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = _functional(spec, rows, sq, norm2, scratch)
+        value = _functional(spec, rows, sq, norm2)
         pen = _domain_penalty(spec, rows, sq)
         min_ln = 0.5 * np.log(least)
         pen += 10.0 * np.square(np.maximum(0.0, math.log(ORIGIN_FLOOR) - min_ln))
@@ -579,6 +558,8 @@ class CandidateLibrary:
     def __init__(self, mode: str, domain: Domain, weight: Weight,
                  seed: int = 0, n_samples: int = 512):
         _check_mode(mode)
+        if seed < 0:  # a random stream needs a seed >= 0
+            raise ConfigError(f"seed must be at least 0, not {seed}")
         self.mode = mode
         rng = np.random.default_rng([seed, 0xCA])
         samples = domain.sample_points(rng, n_samples)

@@ -27,8 +27,6 @@ class CompactSetSpec:
     samples: tuple
     connected: bool = True
     name: str = ""
-    _tubes: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if not self.samples:
@@ -41,10 +39,7 @@ class CompactSetSpec:
         object.__setattr__(self, "samples", tuple(self.samples[i] for i in keep))
 
     def tube(self, delta: float) -> Tube:
-        tube = self._tubes.get(delta)
-        if tube is None:
-            tube = self._tubes[delta] = Tube(self.samples, delta)
-        return tube
+        return Tube(self.samples, delta)
 
     def to_json(self) -> dict:
         return {"samples": [p.to_json() for p in self.samples],
@@ -179,15 +174,14 @@ def lambda_schedule(x: ProjPoint, K: CompactSetSpec, deltas,
     family = family or DiscFamilySpec()
     opt = opt or OptimizerConfig()
     final_grid = final_grid or BoundaryGrid()
+    tubes = [K.tube(d) for d in deltas]
     pool: list[AnalyticDiscLift] = []
-    for delta in deltas:
-        tube = K.tube(delta)
+    for tube in tubes:
         est = minimize("omega", x, tube, ZeroWeight(), family, opt, final_grid)
         pool.extend(d for _v, d in est.witnesses)
     estimates = []
     per_delta_witness = []
-    for delta in deltas:
-        tube = K.tube(delta)
+    for tube in tubes:
         best = math.inf
         best_disc = None
         for disc in pool:

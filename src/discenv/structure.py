@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discs import AnalyticDiscLift, BoundaryGrid, grid_values
-from .errors import DomainError, InfeasibleDiscError, OriginViolation
+from .errors import (ConfigError, DomainError, InfeasibleDiscError,
+                     OriginViolation)
 from .functionals import (admissible_values, check_admissible,
                           poisson_functional)
 from .projective import Domain, LiftedWeight, fs_distances
@@ -140,6 +141,8 @@ def epsilon_upper_bound(x, phi_tilde: LiftedWeight, domain: Domain,
     directions per radius; the winner is the first (radius, direction) hit
     so the result is deterministic.
     """
+    if seed < 0:  # a random stream needs a seed >= 0
+        raise ConfigError(f"seed must be at least 0, not {seed}")
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=np.complex128).reshape(-1)

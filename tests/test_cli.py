@@ -595,14 +595,18 @@ def test_out_of_range_search_setting_exit_1(files, point, extra, capsys):
     assert not out.exists()
 
 
-def test_negative_seed_exit_1(files, capsys):
+@pytest.mark.parametrize("command", ["envelope", "identity-check",
+                                     "epsilon-test"])
+def test_negative_seed_exit_1(files, command, capsys):
     # numpy's "expected non-negative integer" once ended the run, naming
     # no option
     out = files["tmp"] / "e.json"
-    rc = main(["envelope", "--point",
-               write(files["tmp"] / "p.json", point_affine(2.0 + 0j)),
-               "--domain", files["ball"], "--weight", files["zero"],
-               "--mode", "sz", "--seed", "-1", "--out", str(out)])
+    envelope = ["envelope", "--point",
+                write(files["tmp"] / "p.json", point_affine(2.0 + 0j)),
+                "--domain", files["ball"], "--weight", files["zero"],
+                "--mode", "sz"]
+    argv = dict(_float_option_commands(files), envelope=envelope)[command]
+    rc = main(argv + ["--seed", "-1", "--out", str(out)])
     assert rc == 1
     assert "config error: seed must be at least 0, not -1" in \
         capsys.readouterr().err

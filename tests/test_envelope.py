@@ -1,6 +1,7 @@
 """Envelope minimization: feasibility, seeds, lower bounds, determinism."""
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from discenv.projective import (AffineBall, AffineLogPolyWeight,
                                 LiftedWeight, LogPolyWeight, ProjPoint, Tube,
                                 Weight, ZeroWeight, affine_lift, chart,
                                 fs_distance)
+from discenv.structure import epsilon_upper_bound
 
 SMALL = OptimizerConfig(starts=6, budget=300, seed=3, search_nodes=128)
 
@@ -250,6 +252,17 @@ def test_unknown_mode_rejected(mode):
                              DiscFamilySpec(degree=2), SMALL)
 
 
+def test_negative_seed_rejected_before_sampling():
+    # numpy's "expected non-negative integer" named no option; the seed is
+    # checked before the domain is sampled or a search radius is tried
+    dom = AffineBall(np.zeros(1, dtype=complex), 1.0)
+    with pytest.raises(ConfigError, match="seed must be at least 0, not -1"):
+        CandidateLibrary("sz", dom, ZeroWeight(), seed=-1)
+    with pytest.raises(ConfigError, match="seed must be at least 0, not -1"):
+        epsilon_upper_bound(np.array([1.0, 0.2]), LiftedWeight(ZeroWeight()),
+                            dom, 1e-2, seed=-1)
+
+
 class _StubLibrary:
     def lower_bound(self, x):
         return 5.0, "stub"
@@ -448,6 +461,36 @@ def test_batched_objective_matches_single_rows(mode, x, dom):
     assert batched[2] == math.inf
     assert np.isfinite(np.delete(batched, 2)).all()
     assert batched.tobytes() == single.tobytes()
+
+
+def test_clearance_and_objective_safe_for_concurrent_calls():
+    # four threads interleave 600 calls on one tube, one shifted affine
+    # ball and one objective spec: none keeps buffers between calls, so
+    # each result has the bytes of the same call made alone
+    th = 2.0 * np.pi * np.arange(64) / 64
+    tube = Tube(tuple(ProjPoint(np.array([1.0, np.exp(1j * t)])) for t in th),
+                0.05)
+    ball = AffineBall(np.array([0.3 - 0.2j]), 1.0)
+    x = ProjPoint(np.array([1.0, 0.0]))
+    spec = build_objective_spec("omega", x, tube, ZeroWeight(),
+                                DiscFamilySpec(degree=6, m=2, center=x),
+                                OptimizerConfig(search_nodes=256))
+    rng = np.random.default_rng(31)
+    calls = []
+    for dom in (tube, ball):
+        for rows, dtype in ((1024, np.complex128), (2500, np.complex128),
+                            (5120, np.complex64)):
+            z = rng.standard_normal((2, rows)) + 1j * rng.standard_normal((2, rows))
+            calls.append((dom.clearance_many, z.astype(dtype).T))
+    for _ in range(2):
+        thetas = 0.3 * rng.standard_normal((20, spec.dim))
+        calls.append((lambda t: _objective(spec, t), thetas))
+    want = [f(a).tobytes() for f, a in calls]
+    order = rng.integers(0, len(calls), 600)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda i: calls[i][0](calls[i][1]).tobytes(), order))
+    wrong = sum(g != want[i] for i, g in zip(order, got))
+    assert wrong == 0, f"{wrong} of {len(order)} concurrent calls differ"
 
 
 def _horner_objective(spec, thetas):

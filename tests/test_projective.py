@@ -473,13 +473,12 @@ def _form_clearance(tube, z):
     return tube.delta - np.arccos(np.sqrt(np.clip(cos2, 0.0, 1.0)))
 
 
-def test_tube_clearance_work_array_bitwise():
+def test_tube_clearance_bitwise_across_interleaved_calls():
     # 2500 rows end in a partial block; interleaved calls on two tubes of
-    # different sizes must not see each other's work arrays
+    # different sizes must not see each other's products
     rng = np.random.default_rng(21)
     circle = Tube(_circle_samples(rng), 0.05)
     cloud = Tube(_cloud_samples(rng), 0.2)
-    assert circle._work.shape == (64, _FORM_BLOCK)
     results = []
     for rows in (5120, 1024, 2500):
         for tube in (circle, cloud):
