@@ -48,8 +48,9 @@ sz minimize on the unit ball in C at perfbench's settings (20 x 100,
 256 search nodes, 1024 final nodes) under the zero weight at an interior
 point, which returns the constant disc without a search, and at an
 exterior one, which returns the structure disc of the eta-shrunk ball
-without a search, and at that exterior point under log|u + 2|, which
-runs the search, each checked for its witness and trace; and the origin
+without a search, and at both points under log|u + 2|: the interior one
+returns the constant disc at phi(x) without a search, and the exterior
+one runs the search, each checked for its witness and trace; and the origin
 floor AnalyticDiscLift.min_norm_on_grid on the 64 x 64 validation grid
 (m = 2, 3; degree 1 and 6) against the Horner minimum over
 validation_grid(), checked to agree to 1e-13.
@@ -80,7 +81,7 @@ from discenv.functionals import sz_interior_jensen, sz_interior_roots
 from discenv.projective import (AffineBall, AffineLogPolyWeight, FsBall,
                                 HomPolynomial, HyperplaneComplement,
                                 Intersection, ProjPoint, Tube, ZeroWeight,
-                                affine_lift)
+                                affine_lift, chart)
 
 # (rows, samples): the hull_test sizes on the 64-point circle in P^1
 TUBE_SIZES = ((5120, 64), (1024, 64))
@@ -479,17 +480,21 @@ def bench_minimize(repeats: int) -> None:
                           search_nodes=SZ_NODES)
     grid = BoundaryGrid(1024)
     eta = DiscFamilySpec().eta
-    # log|u + 2| has no known least value: the exterior point searches
+    # log|u + 2| is its own envelope inside the ball, where the constant
+    # disc attains it; it has no known least value, so the exterior point
+    # searches
     log_poly = AffineLogPolyWeight(HomPolynomial(((1,), (0,)), (1.0, 2.0)))
     print(f"{'minimize sz, C':<24} {'time':>12}")
     for label, u, weight in (("interior", 0.3 - 0.2j, ZeroWeight()),
                              ("exterior", 1.5 + 0.5j, ZeroWeight()),
+                             ("interior, log|u + 2|", 0.3 - 0.2j, log_poly),
                              ("exterior, log|u + 2|", 1.5 + 0.5j, log_poly)):
         x = ProjPoint(affine_lift(np.array([u])))
         args = ("sz", x, ball, weight, DiscFamilySpec(degree=6, m=2), opt, grid)
         est = minimize(*args)
-        if label == "interior":
-            assert est.upper == 0.0 and est.witness.degree == 0, "constant disc"
+        if label.startswith("interior"):
+            phi = weight.value_affine_many(chart(x.vec[None, :]))[0]
+            assert est.upper == phi and est.witness.degree == 0, "constant disc"
             assert est.trace == [], "no search"
         elif weight is log_poly:
             assert len(est.trace) == SZ_RESTARTS, "one trace entry a restart"
@@ -500,8 +505,9 @@ def bench_minimize(repeats: int) -> None:
             assert v - 1e-12 <= est.upper <= v + 1e-9, "within 1e-9 of V"
         t = bench(minimize, args, repeats)
         print(f"{label:<24} {t * 1e3:>10.2f}ms")
-    print("under the zero weight the interior point returns the constant disc "
-          "and the exterior one the structure disc, unsearched")
+    print("the interior points return the constant disc at phi(x) under both "
+          "weights, and under the zero weight the exterior one the structure "
+          "disc, unsearched")
 
 
 def horner_min_norm(disc) -> float:

@@ -178,6 +178,14 @@ def _coeff_rows(spec: _ObjectiveSpec, thetas: np.ndarray) -> np.ndarray:
     return rows.reshape(m * r, d + 1)
 
 
+def _weight_values(mode: str, weight: Weight, rows: np.ndarray) -> np.ndarray:
+    """phi at the cone representatives rows (N, m) in the mode's chart: at
+    [z] on P^n (omega) or at u = z'/z_0 (sz)."""
+    if mode == "omega":
+        return weight.value_proj_many(rows)
+    return weight.value_affine_many(chart(rows))
+
+
 def _functional(spec: _ObjectiveSpec, rows: np.ndarray, sq: np.ndarray,
                 norm2: np.ndarray) -> np.ndarray:
     """Penalty-free functional of R discs, shape (R,), from their boundary
@@ -186,19 +194,15 @@ def _functional(spec: _ObjectiveSpec, rows: np.ndarray, sq: np.ndarray,
     follow numpy's promotion."""
     r, n = norm2.shape
     zero_weight = isinstance(spec.weight, ZeroWeight)
+    if not zero_weight:
+        phi = _weight_values(spec.mode, spec.weight, rows).reshape(r, n)
     if spec.mode == "omega":
         # center is a unit vector, so -log|f(0)| = 0
         lognorms = 0.5 * np.log(norm2)
-        if zero_weight:
-            return np.mean(lognorms, axis=1)
-        return np.mean(spec.weight.value_proj_many(rows).reshape(r, n) +
-                       lognorms, axis=1)
+        return np.mean(lognorms if zero_weight else phi + lognorms, axis=1)
     interior = 0.5 * np.mean(np.log(sq[0]), axis=1) - math.log(abs(spec.c0[0]))
-    if zero_weight:
-        # the zero weight's mean is 0.0: no chart is needed
-        return interior + 0.0
-    return interior + np.mean(
-        spec.weight.value_affine_many(chart(rows)).reshape(r, n), axis=1)
+    # the zero weight's mean is 0.0: no chart is needed
+    return interior + (0.0 if zero_weight else np.mean(phi, axis=1))
 
 
 def _domain_penalty(spec: _ObjectiveSpec, rows: np.ndarray,
@@ -438,36 +442,33 @@ def _searched_witnesses(spec: _ObjectiveSpec, opt: OptimizerConfig,
 
 def _unsearched_witnesses(spec: _ObjectiveSpec,
                           final_grid: BoundaryGrid) -> list:
-    """[(value, disc)] for a disc that no admissible disc beats, under a
-    constant weight c; [] under another weight or where there is none.
+    """[(value, disc)] for a disc that no admissible disc beats, or [].
 
-    Every admissible disc has value at least c: in omega mode log|f| is
-    subharmonic, and in sz mode the value is c - sum log|a| over the zeros
-    a of f_0 in the disc.  So the constant disc at x, if admissible, is
-    optimal, with value exactly c (the weight's value, not the mean, which
-    may be an ulp off).  Else on an AffineBall in sz mode: a disc whose
-    boundary clears the ball by eta lies in the shrunk ball W_eta, so its
-    value is at least c + V_{W_eta}(x), and the structure disc whose
-    boundary is the sphere eta' = OPTIMAL_MARGIN * eta inside has c +
-    V_{W_eta'}(x), exact to rounding since the sz value sums log|a| over
-    the zeros of f_0.  The excess, log((R - eta)/(R - eta')), is about
-    1e-7 eta/(R - eta): below 1e-9 at eta = 1e-3 unless R is below about
-    0.1.  The disc is taken if it lies in the family (its coefficient
-    within the bound) and is admissible at the final grid, with its
-    re-evaluated value.  An FsBall in omega mode has the same structure
-    disc, but its omega value is a boundary mean of log|f| that reads low
-    where a zero of the disc nears the circle, so it searches.
+    Every library weight phi is omega-psh (Lelong class in sz mode): by the
+    sub-mean property no admissible disc has value below phi(x), so the
+    constant disc at x, if admissible, is optimal, with value exactly
+    phi(x), not the mean (which may be an ulp off).  Else, under a constant
+    weight c on an AffineBall in sz mode: a disc whose boundary clears the
+    ball by eta lies in the shrunk ball W_eta, so its value is at least c +
+    V_{W_eta}(x), and the structure disc whose boundary is the sphere eta'
+    = OPTIMAL_MARGIN * eta inside has c + V_{W_eta'}(x), exact to rounding
+    since the sz value sums log|a| over the zeros of f_0.  The excess,
+    log((R - eta)/(R - eta')), is about 1e-7 eta/(R - eta): below 1e-9 at
+    eta = 1e-3 unless R is below about 0.1.  The disc is taken if it lies
+    in the family (its coefficient within the bound) and is admissible at
+    the final grid, with its re-evaluated value.  An FsBall in omega mode
+    searches: the omega value of its structure disc is a boundary mean of
+    log|f|, which reads low where a zero of the disc nears the circle.
     """
-    if not isinstance(spec.weight, ConstantWeight):
-        return []
-
     def admitted(disc):
         return evaluate_witness(spec.mode, disc, spec.domain, spec.weight,
                                 spec.eta, final_grid)
     constant = AnalyticDiscLift(spec.c0[None, :])
     if admitted(constant)[1]:
-        return [(float(spec.weight.value), constant)]
-    if not (spec.mode == "sz" and isinstance(spec.domain, AffineBall)):
+        phi = _weight_values(spec.mode, spec.weight, spec.c0[None, :])
+        return [(float(phi[0]), constant)]
+    if not (spec.mode == "sz" and isinstance(spec.domain, AffineBall) and
+            isinstance(spec.weight, ConstantWeight)):
         return []
     coeffs = _ball_structure_coeffs(spec.mode, spec.c0, spec.domain,
                                     OPTIMAL_MARGIN * spec.eta)
@@ -487,10 +488,10 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
     witnesses, over discs of the family centred at x; lower bound and gap
     from the library, if one is given.
 
-    Under a constant weight c, the disc of _unsearched_witnesses, if any,
-    is returned alone and no search runs (trace is empty): the constant
-    disc at x, with upper exactly c, or outside an AffineBall in sz mode
-    the structure disc within 1e-9 of the envelope.  Otherwise a (1+1)-ES
+    The disc of _unsearched_witnesses, if any, is returned alone and no
+    search runs (trace is empty): the constant disc at x, with upper
+    exactly phi(x), or under a constant weight outside an AffineBall in sz
+    mode the structure disc within 1e-9 of the envelope.  Else a (1+1)-ES
     runs from opt.starts starts, and trace holds the best value after each
     restart.  witnesses are the feasible (value, disc) pairs; ties go to
     the earliest restart.
@@ -524,12 +525,12 @@ def minimize(mode: str, x: ProjPoint, domain: Domain, weight: Weight,
 # Candidate library for lower bounds
 
 
-def _candidate_table(mode: str, rows: np.ndarray,
+def _candidate_table(mode: str, weight: Weight, rows: np.ndarray,
                      constant: float) -> tuple[list, np.ndarray]:
-    """Names and values, shape (rows, K), of the library's candidates at
-    the cone representatives rows (N, m): the constant (only where it is
-    finite), then log|z_i|/|z| (omega), or log+|u| and log|u_i| in the
-    chart u = z'/z_0 (sz).  A point off the chart reads NaN or +-inf."""
+    """Names and values (N, K) of the library's candidates at the cone
+    representatives rows (N, m): the constant (where finite), log|z_i|/|z|
+    (omega) or log+|u| and log|u_i| in the chart u = z'/z_0 (sz), and last
+    `weight`, phi itself.  A point off the chart reads NaN or +-inf."""
     cols = {}
     if math.isfinite(constant):
         cols["constant"] = np.full(len(rows), constant)
@@ -544,6 +545,7 @@ def _candidate_table(mode: str, rows: np.ndarray,
             cols["log_plus_norm"] = np.where(n > 1.0, np.log(np.maximum(n, 1e-300)), 0.0)
             for i in range(u.shape[1]):
                 cols[f"log_affine_coord_{i}"] = np.log(np.abs(u[:, i]))
+        cols["weight"] = _weight_values(mode, weight, rows)
     return list(cols), np.stack(list(cols.values()), axis=1)
 
 
@@ -553,22 +555,21 @@ class CandidateLibrary:
     further by the few ulps that make v + shift <= phi hold in floating
     point at every sample; each gives the pointwise lower bound v(x) +
     shift for the envelope.  A candidate already below phi keeps shift 0:
-    shifting it up would break admissibility off the sample set."""
+    shifting it up would break admissibility off the sample set.  The
+    last, phi itself, keeps shift 0: every library weight is psh."""
 
     def __init__(self, mode: str, domain: Domain, weight: Weight,
                  seed: int = 0, n_samples: int = 512):
         _check_mode(mode)
         if seed < 0:  # a random stream needs a seed >= 0
             raise ConfigError(f"seed must be at least 0, not {seed}")
-        self.mode = mode
+        self.mode, self.weight = mode, weight
         rng = np.random.default_rng([seed, 0xCA])
         samples = domain.sample_points(rng, n_samples)
-        if mode == "omega":
-            phi = weight.value_proj_many(samples)
-        else:
-            phi = weight.value_affine_many(chart(samples))
+        phi = _weight_values(mode, weight, samples)
         self.constant = float(np.min(phi))
-        self.names, vals = _candidate_table(mode, samples, self.constant)
+        self.names, vals = _candidate_table(mode, weight, samples,
+                                            self.constant)
         excess = vals - phi[:, None]
         finite = np.isfinite(excess)
         worst = np.max(excess, axis=0, where=finite, initial=-math.inf)
@@ -583,8 +584,8 @@ class CandidateLibrary:
     def lower_bound(self, x: ProjPoint) -> tuple[float, str | None]:
         """The largest shifted candidate at x and its name (the first of
         equals); (-inf, None) where none exceeds -inf."""
-        _names, vals = _candidate_table(self.mode, x.vec.reshape(1, -1),
-                                        self.constant)
+        _names, vals = _candidate_table(self.mode, self.weight,
+                                        x.vec.reshape(1, -1), self.constant)
         vals = vals[0] + self.shifts
         vals[np.isnan(vals)] = -math.inf
         best = int(np.argmax(vals))

@@ -225,12 +225,18 @@ def _check_positive(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be positive and finite, not {value!r}")
 
 
-def _check_log_degree(poly: "HomPolynomial") -> None:
-    """A (1/d) log|P| weight needs total degree d >= 1: a constant P would
-    divide by 0."""
+def _check_log_poly(poly: "HomPolynomial") -> None:
+    """A (1/d) log|P| weight needs total degree d >= 1, as a constant P
+    would divide by 0, and a nonzero P, as log|0| is -inf everywhere."""
     if poly.degree < 1:
         raise ConfigError(f"a log-polynomial weight needs total degree at "
                           f"least 1, not {poly.degree}")
+    sums = {}
+    for e, c in zip(poly.exponents, poly.coeffs):
+        sums[e] = sums.get(e, 0) + complex(c)
+    if not any(sums.values()):
+        raise ConfigError("a log-polynomial weight needs a nonzero "
+                          "polynomial: log|0| is -inf everywhere")
 
 
 def _check_width(z_rows: np.ndarray, m: int) -> None:
@@ -638,7 +644,7 @@ class LogPolyWeight(Weight):
     def __post_init__(self):
         if len({sum(e) for e in self.poly.exponents}) != 1:
             raise ConfigError("polynomial terms must share one total degree")
-        _check_log_degree(self.poly)
+        _check_log_poly(self.poly)
 
     def value_proj_many(self, z_rows):
         d = self.poly.degree
@@ -663,7 +669,7 @@ class AffineLogPolyWeight(Weight):
     poly: HomPolynomial
 
     def __post_init__(self):
-        _check_log_degree(self.poly)
+        _check_log_poly(self.poly)
 
     def value_affine_many(self, u_rows):
         d = self.poly.degree

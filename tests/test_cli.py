@@ -779,6 +779,28 @@ def test_constant_log_poly_weight_exit_1(files, kind, exponents, route, capsys):
     assert not (files["tmp"] / "o.json").exists()
 
 
+@pytest.mark.parametrize("mode, weight, domain, point", [
+    ("omega", {"type": "log_poly", "terms": [{"exponents": [1, 0], "coeff": [0, 0]}]},
+     {"type": "fs_ball", "center": [[1.0, 0.0], [0.0, 0.0]], "radius": 0.5},
+     point_affine(0.1 + 0j)),
+    ("sz", {"type": "affine_log_poly", "terms": [{"exponents": [1], "coeff": [0, 0]}]},
+     {"type": "affine_ball", "center": [[0.0, 0.0]], "radius": 1.0},
+     point_affine(0.3 + 0j)),
+], ids=["log_poly", "affine_log_poly"])
+def test_zero_polynomial_weight_exit_1(files, mode, weight, domain, point, capsys):
+    # the weight is -inf everywhere: envelope once wrote upper "-inf" beside
+    # a finite lower bound and exited 0
+    w = write(files["tmp"] / "zero_poly.json", weight)
+    out = files["tmp"] / "o.json"
+    rc = main(["envelope", "--point", write(files["tmp"] / "x.json", point),
+               "--domain", write(files["tmp"] / "dom0.json", domain),
+               "--weight", w, "--mode", mode, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert w in err and "nonzero polynomial" in err
+    assert not out.exists()
+
+
 _LOG_POLY = {"type": "log_poly",
              "terms": [{"exponents": [1, 1], "coeff": [1.0, 0.0]}]}
 _AFFINE_LOG_POLY = {"type": "affine_log_poly",

@@ -661,6 +661,25 @@ def test_log_poly_weight_rejects_degree_0(kind, exponents):
             {"exponents": exponents, "coeff": [2.0, 0.0]}]})
 
 
+@pytest.mark.parametrize("kind, terms", [
+    ("log_poly", [([1, 0], [0.0, 0.0])]),
+    ("log_poly", [([1, 0], [0.0, 0.0]), ([0, 1], [0.0, -0.0])]),
+    ("log_poly", [([1, 0], [1.5, 0.5]), ([1, 0], [-1.5, -0.5])]),
+    ("affine_log_poly", [([1], [0.0, 0.0])]),
+    ("affine_log_poly", [([1], [0.0, 0.0]), ([0], [0.0, 0.0])]),
+], ids=["log_poly", "log_poly-two-terms", "log_poly-cancelling",
+        "affine_log_poly", "affine_log_poly-two-terms"])
+def test_log_poly_weight_rejects_the_zero_polynomial(kind, terms):
+    # log|0| is -inf everywhere: the envelope read upper -inf with a finite
+    # lower bound and inconsistent_bounds
+    with pytest.raises(ConfigError, match="nonzero polynomial"):
+        Weight.from_json({"type": kind, "terms": [
+            {"exponents": e, "coeff": c} for e, c in terms]})
+    # one nonzero coefficient is enough
+    Weight.from_json({"type": kind, "terms": [
+        {"exponents": terms[0][0], "coeff": [1.0, 0.0]}]})
+
+
 def test_polynomial_rejects_mixed_exponent_lengths():
     with pytest.raises(ConfigError, match="share one length"):
         Weight.from_json({"type": "affine_log_poly", "terms": [

@@ -119,20 +119,26 @@ def test_searches_end_clear_of_the_origin_inside_the_disc(monkeypatch,
 
     monkeypatch.setattr(envelope, "_search", recorded)
     # under the siciak workload's zero weight no point searches; under
-    # log|u_1 + 2|, which has no known least value, all four do
+    # log|u_1 + 2|, which has no known least value, the two exterior points
+    # do, and the two interior ones return the constant disc at phi(x)
     siciak = workloads.Siciak(1, tmp_path)
     for op in siciak.round:
         i = op.inputs
         n = i["u"].size
         weight = AffineLogPolyWeight(HomPolynomial(
             ((1,) + (0,) * (n - 1), (0,) * n), (1.0 + 0j, 2.0 + 0j)))
-        envelope.minimize("sz", i["x"], i["ball"], weight, i["family"],
-                          i["opt"], siciak.final_grid)
+        searched = len(ends)
+        est = envelope.minimize("sz", i["x"], i["ball"], weight, i["family"],
+                                i["opt"], siciak.final_grid)
+        if op.label.endswith("-in"):
+            phi = envelope._weight_values("sz", weight, i["x"].vec[None, :])[0]
+            assert len(ends) == searched and est.trace == []
+            assert est.upper == phi
     hull = workloads.Hull(1, tmp_path)
     for op in hull.round:
         hull.run(op)
-    # the four siciak points and the four hull points search
-    assert len(ends) == 8 * workloads.STARTS
+    # the two exterior siciak points and the four hull points search
+    assert len(ends) == 6 * workloads.STARTS
     assert min(d.min_norm_on_grid() for d in ends) >= envelope.ORIGIN_FLOOR
 
 
